@@ -2,15 +2,24 @@
 
 Each well contributes -depth * exp(-||theta - center||^2 / (2 width^2)),
 so loss, gradient and Hessian are available in closed form everywhere.
-Trajectory simulation runs an optimizer on the exact gradient; the grid
-flatness study batches thousands of independent starts into one big
-parameter vector (every optimizer update is elementwise, so this is
-exactly equivalent to running each start separately).
+
+One evaluator, :func:`evaluate_batch`, computes loss, gradient and, on
+request, the 2x2 Hessian and its flatness (sum of absolute eigenvalues) for
+a whole batch of points at once; ``batch_loss_grad``, ``landscape_eval``
+and ``flatness_from_hessian`` are thin views of it. Its outputs are
+bit-identical to evaluating each point on its own.
+
+Trajectory simulation and the grid flatness study share one descent loop.
+It runs every start as part of one big parameter vector (every optimizer
+update is elementwise, so this is exactly equivalent to running each start
+separately); a trajectory is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +56,21 @@ class LandscapeSpec:
         if len(self.wells) < 1:
             raise ContractViolationError("landscape needs at least one well")
 
+    @cached_property
+    def well_columns(self):
+        """(W, 1) columns: centre x, centre y, depth, width^2, 2 width^2.
+
+        Built once per spec and shared by every evaluation on it.
+        """
+        cx, cy = np.array([w.center for w in self.wells], dtype=np.float64).T
+        depth = np.array([w.depth for w in self.wells], dtype=np.float64)
+        width = np.array([w.width for w in self.wells], dtype=np.float64)
+        w2 = width * width
+        cols = tuple(c.reshape(-1, 1) for c in (cx, cy, depth, w2, 2.0 * w2))
+        for c in cols:
+            c.flags.writeable = False
+        return cols
+
 
 @dataclass
 class TrajectoryRecord:
@@ -58,50 +82,79 @@ class TrajectoryRecord:
     flatness: float
 
 
-def _well_arrays(spec: LandscapeSpec):
-    centers = np.array([w.center for w in spec.wells])  # (W, 2)
-    depths = np.array([w.depth for w in spec.wells])  # (W,)
-    widths = np.array([w.width for w in spec.wells])  # (W,)
-    return centers, depths, widths
+class Evaluation(NamedTuple):
+    """Loss (B,) and gradient (B, 2); Hessian (B, 2, 2) and flatness (B,) on request."""
+
+    loss: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray | None = None
+    flatness: np.ndarray | None = None
+
+
+def _sum_wells(terms: np.ndarray) -> np.ndarray:
+    """Sum (W, B) terms over wells, from zero and in well order, for every B.
+
+    ``np.sum(axis=0)`` keeps this order only while B > 1: at B = 1 with eight
+    or more wells numpy sums the column pairwise.
+    """
+    total = np.zeros(terms.shape[1])
+    for row in terms:
+        total += row
+    return total
+
+
+def _abs_eig_sum(a, b, d):
+    """|lambda_1| + |lambda_2| of the symmetric 2x2 matrices [[a, b], [b, d]].
+
+    ``np.float_power`` squares through libm ``pow``, as the scalar formula
+    did; the ``**2`` / ``x*x`` fast path rounds some inputs differently.
+    """
+    tr = a + d
+    disc = np.sqrt(np.float_power(a - d, 2) + 4.0 * b * b)
+    return np.abs(0.5 * (tr + disc)) + np.abs(0.5 * (tr - disc))
+
+
+def evaluate_batch(spec: LandscapeSpec, thetas: np.ndarray, hessian: bool = False) -> Evaluation:
+    """Evaluate the landscape at a batch of points (B, 2), vectorised over B.
+
+    The batch is held as (W, B) planes of offsets from the W well centres.
+    Each reduction keeps the summation order of the per-point formulas, so
+    every output is bit-identical to evaluating the points one at a time.
+    """
+    cx, cy, depth, w2, two_w2 = spec.well_columns
+    dx = thetas[:, 0] - cx  # (W, B)
+    dy = thetas[:, 1] - cy
+    e = depth * np.exp(-(dx * dx + dy * dy) / two_w2)
+    # numpy sums a contiguous row of 8+ wells pairwise; a (B, W) copy keeps that order
+    loss = spec.base_level - np.ascontiguousarray(e.T).sum(axis=1)
+    k = e / w2
+    grad = np.stack((_sum_wells(k * dx), _sum_wells(k * dy)), axis=-1)
+    if not hessian:
+        return Evaluation(loss, grad)
+    # each term is k * (eye(2) - outer(u, u) / w2), entry by entry
+    hxx = _sum_wells(k * (1.0 - dx * dx / w2))
+    hxy = _sum_wells(k * (0.0 - dx * dy / w2))
+    hyy = _sum_wells(k * (1.0 - dy * dy / w2))
+    hess = np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(-1, 2, 2)
+    return Evaluation(loss, grad, hess, _abs_eig_sum(hxx, hxy, hyy))
 
 
 def batch_loss_grad(spec: LandscapeSpec, thetas: np.ndarray):
     """Loss (B,) and gradient (B, 2) for a batch of points (B, 2)."""
-    centers, depths, widths = _well_arrays(spec)
-    diff = thetas[:, None, :] - centers[None, :, :]  # (B, W, 2)
-    r2 = np.sum(diff * diff, axis=2)  # (B, W)
-    w2 = widths * widths
-    e = depths * np.exp(-r2 / (2.0 * w2))  # (B, W)
-    loss = spec.base_level - np.sum(e, axis=1)
-    grad = np.sum((e / w2)[:, :, None] * diff, axis=1)
-    return loss, grad
+    ev = evaluate_batch(spec, thetas)
+    return ev.loss, ev.grad
 
 
 def landscape_eval(spec: LandscapeSpec, theta: Point):
     """Loss, exact gradient (2,) and exact Hessian (2, 2) at one point."""
-    th = np.asarray(theta, dtype=np.float64).reshape(1, 2)
-    centers, depths, widths = _well_arrays(spec)
-    diff = th[:, None, :] - centers[None, :, :]
-    r2 = np.sum(diff * diff, axis=2)
-    w2 = widths * widths
-    e = depths * np.exp(-r2 / (2.0 * w2))  # (1, W)
-    loss = float(spec.base_level - np.sum(e))
-    grad = np.sum((e / w2)[:, :, None] * diff, axis=1)[0]
-    hess = np.zeros((2, 2))
-    for k in range(len(spec.wells)):
-        u = diff[0, k]
-        hess += (e[0, k] / w2[k]) * (np.eye(2) - np.outer(u, u) / w2[k])
-    return loss, grad, hess
+    ev = evaluate_batch(spec, np.asarray(theta, dtype=np.float64).reshape(1, 2), hessian=True)
+    return float(ev.loss[0]), ev.grad[0], ev.hess[0]
 
 
-def flatness_from_hessian(hess: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a symmetric 2x2 matrix, in closed form."""
-    a, b, d = hess[0, 0], hess[0, 1], hess[1, 1]
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * b)
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
-    return abs(lam1) + abs(lam2)
+def flatness_from_hessian(hess: np.ndarray):
+    """Sum of absolute eigenvalues of symmetric 2x2 matrices (..., 2, 2), in closed form."""
+    hess = np.asarray(hess)
+    return _abs_eig_sum(hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1])
 
 
 def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
@@ -116,6 +169,26 @@ def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
     return best
 
 
+def _descend(spec, starts, optimizer, sched, total_steps, record=None) -> np.ndarray:
+    """Run one optimizer from every start (B, 2) at once; return the final points.
+
+    ``record(t, theta, loss)`` is called after each step with the flat
+    parameter vector and the loss (B,) at the points the step started from.
+    """
+    if total_steps < 0:
+        raise ContractViolationError("total_steps must be >= 0")
+    n = len(starts)
+    theta = starts.reshape(-1).copy()
+    opt = build_optimizer(optimizer, theta.size)
+    for t in range(1, total_steps + 1):
+        loss, grad = batch_loss_grad(spec, theta.reshape(n, 2))
+        mult = schedule_multiplier(sched, t - 1)
+        theta = opt.step(theta, grad.reshape(-1), lr_multiplier=mult)
+        if record is not None:
+            record(t, theta, loss)
+    return theta.reshape(n, 2)
+
+
 def simulate_trajectory(
     spec: LandscapeSpec,
     start: Point,
@@ -124,23 +197,19 @@ def simulate_trajectory(
     total_steps: int,
 ) -> TrajectoryRecord:
     """Run one optimizer from ``start`` on the exact gradient, recording every step."""
-    if total_steps < 0:
-        raise ContractViolationError("total_steps must be >= 0")
-    theta = np.asarray(start, dtype=np.float64).copy()
-    opt = build_optimizer(optimizer, 2)
     steps: list[tuple[int, Point, float]] = []
-    for t in range(1, total_steps + 1):
-        loss, grad = batch_loss_grad(spec, theta.reshape(1, 2))
-        mult = schedule_multiplier(sched, t - 1)
-        theta = opt.step(theta, grad[0], lr_multiplier=mult)
+
+    def record(t, theta, loss):
         steps.append((t, (float(theta[0]), float(theta[1])), float(loss[0])))
-    final = (float(theta[0]), float(theta[1]))
-    _, _, hess = landscape_eval(spec, final)
+
+    starts = np.asarray(start, dtype=np.float64).reshape(1, 2)
+    finals = _descend(spec, starts, optimizer, sched, total_steps, record)
+    final = (float(finals[0, 0]), float(finals[0, 1]))
     return TrajectoryRecord(
         steps=steps,
         final_theta=final,
         converged_well=classify_converged_well(spec, final),
-        flatness=flatness_from_hessian(hess),
+        flatness=evaluate_batch(spec, finals, hessian=True).flatness[0],
     )
 
 
@@ -171,19 +240,7 @@ def grid_flatness_study(
     per-start runs because every optimizer update rule is elementwise.
     """
     starts = grid_starts(region, grid)
-    n = len(starts)
-    results = []
-    for params in optimizers:
-        theta = starts.reshape(-1).copy()
-        opt = build_optimizer(params, 2 * n)
-        for t in range(1, total_steps + 1):
-            _, grad = batch_loss_grad(spec, theta.reshape(n, 2))
-            mult = schedule_multiplier(sched, t - 1)
-            theta = opt.step(theta, grad.reshape(-1), lr_multiplier=mult)
-        finals = theta.reshape(n, 2)
-        flat = np.empty(n)
-        for i in range(n):
-            _, _, hess = landscape_eval(spec, (finals[i, 0], finals[i, 1]))
-            flat[i] = flatness_from_hessian(hess)
-        results.append(flat)
-    return results
+    return [
+        evaluate_batch(spec, _descend(spec, starts, params, sched, total_steps), hessian=True).flatness
+        for params in optimizers
+    ]

@@ -11,7 +11,8 @@ def fmt_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return repr(x)
+        # float() drops numpy's spelling: repr(np.float64(2.5)) is 'np.float64(2.5)'
+        return repr(float(x))
     return str(x)
 
 

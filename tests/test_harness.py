@@ -140,6 +140,28 @@ class TestRuns:
         assert len(rows) == 17
         assert report["results"]["adam"]["mean_flatness"] > 0
 
+    def test_grid_flatness_csv_cells_are_plain_numbers(self, tmp_path):
+        cfg = {
+            "kind": "grid-flatness",
+            "seed": 0,
+            "output_dir": str(tmp_path / "out"),
+            "landscape": "landscape-A",
+            "region": [[-2.0, 3.0], [-1.0, 2.0]],
+            "grid": [3, 5],
+            "total_steps": 20,
+            "optimizers": [
+                {"name": "adam", "kind": "adam", "alpha": 0.05},
+                {"name": "sgd", "kind": "sgd", "alpha": 0.05},
+            ],
+        }
+        run(cfg)
+        rows = (tmp_path / "out" / "flatness.csv").read_text().splitlines()[1:]
+        assert len(rows) == 15
+        for row in rows:
+            for cell in row.split(","):
+                assert "np." not in cell
+                float(cell)
+
     def test_train_run_with_switch_epochs(self, tmp_path):
         cfg = {
             "kind": "train",

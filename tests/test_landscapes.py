@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin.errors import ContractViolationError
 from flatmin.landscapes import (
@@ -9,6 +11,7 @@ from flatmin.landscapes import (
     WellSpec,
     batch_loss_grad,
     classify_converged_well,
+    evaluate_batch,
     flatness_from_hessian,
     grid_flatness_study,
     grid_starts,
@@ -34,6 +37,107 @@ def scalar_loss(spec, x, y):
         r2 = (x - w.center[0]) ** 2 + (y - w.center[1]) ** 2
         total -= w.depth * np.exp(-r2 / (2.0 * w.width ** 2))
     return total
+
+
+# Reference: the per-point evaluator and scalar flatness formula the batched
+# kernel replaced, kept verbatim so the kernel can be held to the same bits.
+
+
+def reference_landscape_eval(spec, theta):
+    th = np.asarray(theta, dtype=np.float64).reshape(1, 2)
+    centers = np.array([w.center for w in spec.wells])
+    depths = np.array([w.depth for w in spec.wells])
+    widths = np.array([w.width for w in spec.wells])
+    diff = th[:, None, :] - centers[None, :, :]
+    r2 = np.sum(diff * diff, axis=2)
+    w2 = widths * widths
+    e = depths * np.exp(-r2 / (2.0 * w2))  # (1, W)
+    loss = float(spec.base_level - np.sum(e))
+    grad = np.sum((e / w2)[:, :, None] * diff, axis=1)[0]
+    hess = np.zeros((2, 2))
+    for k in range(len(spec.wells)):
+        u = diff[0, k]
+        hess += (e[0, k] / w2[k]) * (np.eye(2) - np.outer(u, u) / w2[k])
+    return loss, grad, hess
+
+
+def reference_flatness(hess):
+    a, b, d = hess[0, 0], hess[0, 1], hess[1, 1]
+    tr = a + d
+    disc = np.sqrt((a - d) ** 2 + 4.0 * b * b)
+    lam1 = 0.5 * (tr + disc)
+    lam2 = 0.5 * (tr - disc)
+    return abs(lam1) + abs(lam2)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+_wells = st.lists(
+    st.builds(
+        WellSpec,
+        center=st.tuples(_coord, _coord),
+        depth=st.floats(0.01, 5.0),
+        width=st.floats(0.05, 3.0),
+    ),
+    min_size=1,
+    max_size=9,
+)
+_landscapes = st.builds(
+    LandscapeSpec, wells=_wells.map(tuple), base_level=st.floats(-1.0, 1.0)
+)
+_batches = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40).map(np.array)
+
+# (a, b, d) where (a - d) ** 2 through libm pow and (a - d) * (a - d) lead to
+# flatness values one ulp apart
+POW_SENSITIVE_HESSIAN = (-1.0632074069004986e-05, 0.0004194599297343268, 0.13327315312405535)
+
+
+class TestBitExactOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_landscapes, pts=_batches)
+    def test_batched_equals_reference(self, spec, pts):
+        ev = evaluate_batch(spec, pts, hessian=True)
+        losses, grads = batch_loss_grad(spec, pts)
+        for i, p in enumerate(pts):
+            loss, grad, hess = reference_landscape_eval(spec, p)
+            flat = reference_flatness(hess)
+            assert ev.loss[i] == loss and losses[i] == loss
+            assert same_bits(ev.grad[i], grad) and same_bits(grads[i], grad)
+            assert same_bits(ev.hess[i], hess)
+            assert same_bits(ev.flatness[i], flat)
+        assert same_bits(flatness_from_hessian(ev.hess), ev.flatness)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_landscapes, x=_coord, y=_coord)
+    def test_single_point_equals_reference(self, spec, x, y):
+        loss, grad, hess = landscape_eval(spec, (x, y))
+        ref_loss, ref_grad, ref_hess = reference_landscape_eval(spec, (x, y))
+        assert loss == ref_loss
+        assert same_bits(grad, ref_grad) and same_bits(hess, ref_hess)
+        assert same_bits(flatness_from_hessian(hess), reference_flatness(ref_hess))
+
+    def test_nine_wells_single_point(self):
+        # at B = 1 with >= 8 wells, np.sum over the well axis goes pairwise
+        spec = get_landscape("landscape-B")
+        rng = np.random.Generator(np.random.PCG64(25))
+        for p in rng.uniform(-2, 3, size=(200, 2)):
+            _, grad, hess = landscape_eval(spec, tuple(p))
+            _, ref_grad, ref_hess = reference_landscape_eval(spec, tuple(p))
+            assert same_bits(grad, ref_grad) and same_bits(hess, ref_hess)
+
+    def test_square_goes_through_pow(self):
+        a, b, d = POW_SENSITIVE_HESSIAN
+        x = np.float64(a - d)
+        if x * x == x ** 2:
+            pytest.skip("this platform's pow rounds the pinned square like x * x")
+        hess = np.array([[a, b], [b, d]])
+        expected = reference_flatness(hess)
+        assert flatness_from_hessian(hess) == expected
+        assert same_bits(flatness_from_hessian(hess[None]), [expected])
 
 
 class TestSurface:
@@ -90,8 +194,8 @@ class TestSurface:
         losses, grads = batch_loss_grad(TWO_WELLS, pts)
         for i, p in enumerate(pts):
             loss, grad, _ = landscape_eval(TWO_WELLS, tuple(p))
-            assert losses[i] == pytest.approx(loss, rel=1e-14)
-            assert np.max(np.abs(grads[i] - grad)) < 1e-14
+            assert losses[i] == loss
+            assert np.array_equal(grads[i], grad)
 
     def test_spec_validation(self):
         with pytest.raises(ContractViolationError):
