@@ -9,7 +9,9 @@ files written so far are removed.
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -103,33 +105,67 @@ _OPT_FIELDS = {
 }
 
 
+# optimizer names become parts of output file names
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+
+def _int(value, path: str) -> int:
+    """A JSON integer (an integral float counts); bools and strings are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractViolationError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _float(value, path: str) -> float:
+    """A finite JSON number; bools, strings, NaN and infinities are rejected."""
+    number = None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if number is None or not math.isfinite(number):
+        raise ContractViolationError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _normalize_optimizer(block: dict, path: str) -> dict:
     _check_keys(block, set().union(*_OPT_FIELDS.values()), {"name", "kind"}, path)
     kind = block["kind"]
     if kind not in _OPT_FIELDS:
         raise ContractViolationError(f"{path}.kind: unknown optimizer kind {kind!r}")
     _check_keys(block, _OPT_FIELDS[kind], {"name", "kind"}, path)
-    out = {"name": block["name"], "kind": kind}
+    name = block["name"]
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        raise ContractViolationError(
+            f"{path}.name: expected a name matching {_NAME_RE.pattern}, got {name!r}"
+        )
+
+    def num(key, default):
+        return _float(block.get(key, default), f"{path}.{key}")
+
+    out = {"name": name, "kind": kind}
     if kind == "sgd":
-        out["alpha"] = float(block.get("alpha", 1e-3))
+        out["alpha"] = num("alpha", 1e-3)
     elif kind == "sgdm":
-        out["alpha"] = float(block.get("alpha", 1e-3))
-        out["beta"] = float(block.get("beta", 0.9))
+        out["alpha"] = num("alpha", 1e-3)
+        out["beta"] = num("beta", 0.9)
     else:
         for key, default in ADAM_DEFAULTS.items():
-            out[key] = float(block.get(key, default))
+            out[key] = num(key, default)
         out["eps_in_sqrt"] = bool(block.get("eps_in_sqrt", False))
         if kind == "miadam":
-            out["order_n"] = int(block.get("order_n", 1))
-            out["kappa"] = float(block.get("kappa", 0.98))
+            out["order_n"] = _int(block.get("order_n", 1), f"{path}.order_n")
+            out["kappa"] = num("kappa", 0.98)
             if "switch_epochs" in block:
-                out["switch_epochs"] = int(block["switch_epochs"])
+                out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs")
             else:
-                out["switch_step"] = (
-                    None if block.get("switch_step", 20) is None else int(block.get("switch_step", 20))
-                )
+                switch = block.get("switch_step", 20)
+                out["switch_step"] = None if switch is None else _int(switch, f"{path}.switch_step")
             if block.get("pre_switch_lr_override") is not None:
-                out["pre_switch_lr_override"] = float(block["pre_switch_lr_override"])
+                out["pre_switch_lr_override"] = num("pre_switch_lr_override", None)
     return out
 
 
@@ -248,7 +284,7 @@ def _normalize_dataset(block, path: str):
         "noise_rate": float(block.get("noise_rate", 0.0)),
     }
     if "seed" in block:
-        out["seed"] = int(block["seed"])
+        out["seed"] = _int(block["seed"], f"{path}.seed")
     return out
 
 
@@ -304,7 +340,11 @@ def normalize_config(raw: dict) -> dict:
         raise ContractViolationError(f"config.kind: expected one of {KINDS}, got {kind!r}")
     _check_keys(raw, base | _KIND_FIELDS[kind], base | _KIND_REQUIRED[kind], "config")
 
-    out = {"kind": kind, "seed": int(raw["seed"]), "output_dir": str(raw["output_dir"])}
+    out = {
+        "kind": kind,
+        "seed": _int(raw["seed"], "config.seed"),
+        "output_dir": str(raw["output_dir"]),
+    }
     if "optimizers" in _KIND_FIELDS[kind] and "optimizers" in raw:
         blocks = raw["optimizers"]
         if not isinstance(blocks, list) or not blocks:

@@ -5,6 +5,17 @@ datasets, label-noise injection on the training split only, and a
 deterministic minibatch training loop driving any optimizer from
 ``flatmin.optim``.  Parameters travel as one flat float64 vector in
 layer-major order (each layer's weights, then its biases).
+
+Each ``Mlp`` owns that flat vector as its parameter buffer: its
+``weights`` and ``biases`` are views into it, so ``set_flat`` is a single
+copy and the gradient is filled layer by layer into a fresh flat vector.
+One forward pass (``Mlp.logits``) serves ``forward_loss``,
+``loss_and_grad`` and ``accuracy``.  It writes hidden activations into a
+per-model workspace, and ``loss_and_grad`` writes its hidden deltas there
+too.  The workspace is sized once to the largest batch the model has seen,
+so the hot path allocates no hidden-layer arrays.  A model may therefore
+serve only one call at a time; separate models may run in separate
+threads.  Arrays handed back to callers never alias the workspace.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ class MlpSpec:
     layer_sizes: tuple[int, ...]
     activation: str = "tanh"
     init_seed: int = 0
-    init_scale_rule: str = "xavier-uniform"
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
@@ -37,8 +47,18 @@ class MlpSpec:
             raise ContractViolationError("output size (number of classes) must be >= 2")
         if self.activation not in ("tanh", "relu"):
             raise ContractViolationError(f"unknown activation {self.activation!r}")
-        if self.init_scale_rule != "xavier-uniform":
-            raise ContractViolationError(f"unknown init rule {self.init_scale_rule!r}")
+
+
+def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]):
+    """Per-layer (weights, biases) views into a layer-major flat vector."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 class Mlp:
@@ -46,122 +66,112 @@ class Mlp:
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
-        rng = np.random.Generator(np.random.PCG64(spec.init_seed))
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
         sizes = spec.layer_sizes
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        self.num_params = sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
+        self._flat = np.zeros(self.num_params)
+        self.weights, self.biases = _layer_views(self._flat, sizes)
+        rng = np.random.Generator(np.random.PCG64(spec.init_seed))
+        for w in self.weights:
+            fan_in, fan_out = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+            w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        # hidden activations and deltas, one (rows, width) pair per hidden
+        # layer; -1 rows until the first call allocates them
+        self._rows = -1
+        self._acts: list[np.ndarray] = []
+        self._deltas: list[np.ndarray] = []
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
-            parts.append(b)
-        return np.concatenate(parts)
+        return self._flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         if flat.shape != (self.num_params,):
             raise ContractViolationError("flat parameter vector has wrong dimension")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos : pos + b.size].copy()
-            pos += b.size
+        self._flat[...] = flat
 
-    def _activate(self, z: np.ndarray) -> np.ndarray:
-        if self.spec.activation == "tanh":
-            return np.tanh(z)
-        return np.maximum(z, 0.0)
+    def _workspace(self, n: int):
+        """Hidden-layer buffers for an n-row batch, grown to the largest n seen."""
+        if n > self._rows:
+            widths = self.spec.layer_sizes[1:-1]
+            self._acts = [np.empty((n, w)) for w in widths]
+            self._deltas = [np.empty((n, w)) for w in widths]
+            self._rows = n
+        return [a[:n] for a in self._acts], [d[:n] for d in self._deltas]
 
     def logits(self, inputs: np.ndarray) -> np.ndarray:
+        """The forward pass; hidden activations are left in the workspace."""
+        acts, _ = self._workspace(inputs.shape[0])
         a = inputs
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            a = z if i == last else self._activate(z)
-        return a
+        for w, b, h in zip(self.weights, self.biases, acts):
+            np.matmul(a, w, out=h)
+            np.add(h, b, out=h)
+            if self.spec.activation == "tanh":
+                np.tanh(h, out=h)
+            else:
+                np.maximum(h, 0.0, out=h)
+            a = h
+        out = np.matmul(a, self.weights[-1])
+        out += self.biases[-1]
+        return out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def forward_loss(model: Mlp, inputs: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch; returns (loss, logits)."""
+def _cross_entropy(model: Mlp, inputs: np.ndarray, labels: np.ndarray):
+    """The forward pass and its mean cross-entropy; returns (loss, log-probabilities, logits)."""
     if inputs.shape[0] == 0:
         raise ContractViolationError("batch must be non-empty")
     logits = model.logits(inputs)
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("non-finite activations in forward pass")
-    logp = _log_softmax(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = float(-logp[np.arange(len(labels)), labels].mean())
+    return loss, logp, logits
+
+
+def forward_loss(model: Mlp, inputs: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy over the batch; returns (loss, logits)."""
+    loss, _, logits = _cross_entropy(model, inputs, labels)
     return loss, logits
-
-
-def backward(model: Mlp, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Exact flat gradient of forward_loss with respect to all parameters."""
-    loss, grad, _ = loss_and_grad(model, inputs, labels)
-    return grad
 
 
 def loss_and_grad(model: Mlp, inputs: np.ndarray, labels: np.ndarray):
     """One forward/backward pass; returns (loss, flat gradient, logits)."""
-    if inputs.shape[0] == 0:
-        raise ContractViolationError("batch must be non-empty")
+    loss, logp, logits = _cross_entropy(model, inputs, labels)
     n = inputs.shape[0]
-    last = len(model.weights) - 1
-
-    activations = [inputs]
-    pre_acts = []
-    a = inputs
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre_acts.append(z)
-        a = z if i == last else model._activate(z)
-        activations.append(a)
-    logits = activations[-1]
-    if not np.all(np.isfinite(logits)):
-        raise NonFiniteError("non-finite activations in forward pass")
-
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
 
     delta = np.exp(logp)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for i in range(last, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+    grad = np.empty(model.num_params)
+    grads_w, grads_b = _layer_views(grad, model.spec.layer_sizes)
+    acts, deltas = model._workspace(n)
+    layer_inputs = [inputs] + acts
+    for i in range(len(model.weights) - 1, -1, -1):
+        a = layer_inputs[i]
+        np.matmul(a.T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = delta @ model.weights[i].T
+            delta = np.matmul(delta, model.weights[i].T, out=deltas[i - 1])
+            # a is no longer needed, so it becomes the activation derivative
             if model.spec.activation == "tanh":
-                delta = delta * (1.0 - activations[i] ** 2)
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
             else:
-                delta = delta * (pre_acts[i - 1] > 0)
+                # relu(z) > 0 exactly where z > 0; the mask is 1.0 or 0.0
+                np.greater(a, 0.0, out=a)
+            np.multiply(delta, a, out=delta)
+    return loss, grad, logits
 
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.reshape(-1))
-        parts.append(gb)
-    return loss, np.concatenate(parts), logits
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    preds = np.argmax(logits, axis=1)
+    return float(np.mean(preds == labels))
 
 
 def accuracy(model: Mlp, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax-correct predictions (lowest index wins ties)."""
-    preds = np.argmax(model.logits(inputs), axis=1)
-    return float(np.mean(preds == labels))
+    return _accuracy(model.logits(inputs), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +340,15 @@ def train_classifier(
                 ) from err
             model.set_flat(theta)
             step += 1
-        train_loss, _ = forward_loss(model, x_train, y_train)
-        test_loss, _ = forward_loss(model, x_test, y_test)
+        train_loss, train_logits = forward_loss(model, x_train, y_train)
+        test_loss, test_logits = forward_loss(model, x_test, y_test)
         metrics.append(
             {
                 "epoch": epoch,
                 "train_loss": train_loss,
-                "train_acc": accuracy(model, x_train, y_train),
+                "train_acc": _accuracy(train_logits, y_train),
                 "test_loss": test_loss,
-                "test_acc": accuracy(model, x_test, y_test),
+                "test_acc": _accuracy(test_logits, y_test),
             }
         )
     return model, metrics

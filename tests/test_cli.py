@@ -111,3 +111,48 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _trajectory(out_dir, **optimizer):
+    return {
+        "kind": "trajectory",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "landscape": "landscape-A",
+        "start": [1.0, 1.0],
+        "total_steps": 5,
+        "optimizers": [dict({"name": "adam", "kind": "adam"}, **optimizer)],
+    }
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ".hidden", "", 3, None])
+def test_unsafe_optimizer_name_exit_2(tmp_path, capsys, name):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, _trajectory(out_dir, name=name))
+    assert main(["run", str(path)]) == 2
+    assert "config.optimizers[0].name" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, True, None])
+def test_bad_seed_exit_2(tmp_path, capsys, seed):
+    cfg = _trajectory(tmp_path / "out")
+    cfg["seed"] = seed
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert "config.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.1", False])
+def test_non_finite_optimizer_number_exit_2(tmp_path, capsys, value):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, _trajectory(out_dir, alpha=value))
+    assert main(["run", str(path)]) == 2
+    assert "config.optimizers[0].alpha" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_non_finite_miadam_field_names_its_path(tmp_path, capsys):
+    path = write_config(tmp_path, _trajectory(tmp_path / "out", kind="miadam", kappa=float("nan")))
+    assert main(["run", str(path)]) == 2
+    assert "config.optimizers[0].kappa" in capsys.readouterr().err

@@ -254,6 +254,30 @@ class TestRuns:
         joined = " ".join(report["warnings"])
         assert "override" in joined and "order_n=4" in joined
 
+    def test_threaded_training_matches_single_thread(self, tmp_path, monkeypatch):
+        # Two optimizers train two models at once on two pool threads (what
+        # the default thread count gives on any machine with 2+ CPUs).  Each
+        # model owns its workspace, so the bytes must not depend on threads.
+        cfg = {
+            "kind": "train",
+            "seed": 8,
+            "model": {"layer_sizes": [20, 64, 4], "activation": "tanh"},
+            "dataset": {"classes": 4, "per_class": 40, "noise_rate": 0.2},
+            "epochs": 6,
+            "batch_size": 16,
+            "optimizers": [
+                {"name": "adam", "kind": "adam", "alpha": 1e-2},
+                {"name": "mi1", "kind": "miadam", "alpha": 1e-2, "switch_epochs": 2},
+            ],
+        }
+        reports = {}
+        for threads in ("2", "1"):
+            monkeypatch.setenv("FLATMIN_THREADS", threads)
+            reports[threads] = run(dict(cfg, output_dir=str(tmp_path / threads)))
+        assert reports["2"]["results"] == reports["1"]["results"]
+        for name in ("metrics_adam.csv", "metrics_mi1.csv"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
     def test_single_thread_env_matches_parallel(self, tmp_path, monkeypatch):
         r1 = run(trajectory_config(tmp_path / "a"))
         monkeypatch.setenv("FLATMIN_THREADS", "1")

@@ -1,11 +1,14 @@
 """Tests for the MLP, its gradient, synthetic datasets, and the training loop."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flatmin.errors import ContractViolationError
+from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.mlp import (
     Mlp,
     MlpSpec,
@@ -40,13 +43,83 @@ def reference_loss(model, inputs, labels):
     return total / len(labels)
 
 
+# Verbatim copy of the MLP forward and backward passes as they were before
+# the model kept its parameters in one flat buffer and its hidden arrays in a
+# workspace: a fresh array for every intermediate, per-layer gradients joined
+# by np.concatenate.  The current code must match it bit for bit.
+
+
+def _ref_activate(model, z):
+    if model.spec.activation == "tanh":
+        return np.tanh(z)
+    return np.maximum(z, 0.0)
+
+
+def ref_logits(model, inputs):
+    a = inputs
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        a = z if i == last else _ref_activate(model, z)
+    return a
+
+
+def _ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def ref_loss_and_grad(model, inputs, labels):
+    if inputs.shape[0] == 0:
+        raise ContractViolationError("batch must be non-empty")
+    n = inputs.shape[0]
+    last = len(model.weights) - 1
+
+    activations = [inputs]
+    pre_acts = []
+    a = inputs
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        pre_acts.append(z)
+        a = z if i == last else _ref_activate(model, z)
+        activations.append(a)
+    logits = activations[-1]
+    if not np.all(np.isfinite(logits)):
+        raise NonFiniteError("non-finite activations in forward pass")
+
+    logp = _ref_log_softmax(logits)
+    loss = float(-logp[np.arange(n), labels].mean())
+
+    delta = np.exp(logp)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for i in range(last, -1, -1):
+        grads_w[i] = activations[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ model.weights[i].T
+            if model.spec.activation == "tanh":
+                delta = delta * (1.0 - activations[i] ** 2)
+            else:
+                delta = delta * (pre_acts[i - 1] > 0)
+
+    parts = []
+    for gw, gb in zip(grads_w, grads_b):
+        parts.append(gw.reshape(-1))
+        parts.append(gb)
+    return loss, np.concatenate(parts), logits
+
+
 SPEC = MlpSpec(layer_sizes=(5, 8, 3), activation="tanh", init_seed=1)
 
 
-def toy_batch(n=6, seed=70):
+def toy_batch(n=6, seed=70, n_in=5, classes=3):
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((n, 5))
-    y = rng.integers(0, 3, size=n)
+    x = rng.standard_normal((n, n_in))
+    y = rng.integers(0, classes, size=n)
     return x, y
 
 
@@ -147,6 +220,80 @@ class TestGradient:
         loss_f, _ = forward_loss(model, x, y)
         loss_b, _, _ = loss_and_grad(model, x, y)
         assert loss_b == loss_f
+
+
+class TestBitExactOracle:
+    """The flat-buffer, workspace MLP against the verbatim reference above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_in=st.integers(1, 24),
+        hidden=st.lists(st.sampled_from([1, 7, 64]), min_size=1, max_size=3),
+        n_out=st.integers(2, 5),
+        activation=st.sampled_from(["tanh", "relu"]),
+        rows=st.lists(st.sampled_from([1, 3, 32, 128, 480]), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 480 x 64 hidden arrays are above glibc's default mmap threshold
+    @example(n_in=20, hidden=[64], n_out=4, activation="relu", rows=[480, 128, 480, 32], seed=0)
+    @example(n_in=20, hidden=[64, 64, 7], n_out=4, activation="tanh", rows=[32, 480, 1], seed=1)
+    def test_matches_reference_bit_for_bit(self, n_in, hidden, n_out, activation, rows, seed):
+        spec = MlpSpec(layer_sizes=(n_in, *hidden, n_out), activation=activation, init_seed=seed)
+        model = Mlp(spec)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for n in rows:
+            x = rng.standard_normal((n, n_in)) * 2.0
+            y = rng.integers(0, n_out, size=n)
+            loss, grad, logits = loss_and_grad(model, x, y)
+            ref_loss, ref_grad, ref_out = ref_loss_and_grad(model, x, y)
+            assert loss == ref_loss
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert logits.tobytes() == ref_out.tobytes()
+            assert model.logits(x).tobytes() == ref_logits(model, x).tobytes()
+            assert forward_loss(model, x, y)[0] == ref_loss
+            # move the parameters so the next batch sees new weights
+            model.set_flat(model.get_flat() - 0.05 * ref_grad)
+
+    def test_consecutive_gradients_are_distinct_arrays(self):
+        model = Mlp(MlpSpec(layer_sizes=(20, 64, 4), activation="relu", init_seed=3))
+        x, y = toy_batch(n=480, seed=71, n_in=20, classes=4)
+        theta = model.get_flat()
+        _, g1, z1 = loss_and_grad(model, x, y)
+        kept = g1.copy()
+        model.set_flat(theta + 1e-3)
+        _, g2, z2 = loss_and_grad(model, x, y)
+        assert not np.shares_memory(g1, g2) and not np.shares_memory(z1, z2)
+        assert np.array_equal(g1, kept)
+        assert not np.array_equal(g1, g2)
+
+    def test_weights_are_views_of_the_flat_parameters(self):
+        model = Mlp(SPEC)
+        flat = model.get_flat()
+        flat[0] = 123.0
+        assert model.weights[0][0, 0] != 123.0  # get_flat hands out a copy
+        model.set_flat(flat)
+        assert model.weights[0][0, 0] == 123.0
+        flat[0] = 0.0
+        assert model.weights[0][0, 0] == 123.0  # set_flat copies in
+
+
+class TestAllocation:
+    def test_warm_loss_and_grad_allocates_less_than_one_hidden_array(self):
+        # A (480, 64) float64 array is 245,760 B, above glibc's 128 KiB mmap
+        # threshold: allocating such temporaries per call page-faults them in
+        # again on every call.  The warm call may allocate only the small
+        # per-call arrays: logits, softmax terms and the returned gradient.
+        model = Mlp(MlpSpec(layer_sizes=(20, 64, 4), activation="relu", init_seed=0))
+        x, y = toy_batch(n=480, seed=72, n_in=20, classes=4)
+        loss_and_grad(model, x, y)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loss_and_grad(model, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 480 * 64 * 8
 
 
 class TestBlobs:
