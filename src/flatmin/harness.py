@@ -109,12 +109,17 @@ _OPT_FIELDS = {
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
-def _int(value, path: str) -> int:
-    """A JSON integer (an integral float counts); bools and strings are rejected."""
+def _int(value, path: str, minimum: int | None = None) -> int:
+    """A JSON integer (an integral float counts), at least ``minimum`` if given.
+
+    Bools and strings are rejected.
+    """
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ContractViolationError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ContractViolationError(f"{path}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -129,6 +134,27 @@ def _float(value, path: str) -> float:
     if number is None or not math.isfinite(number):
         raise ContractViolationError(f"{path}: expected a finite number, got {value!r}")
     return number
+
+
+def _list(value, path: str, length: int | None = None, min_length: int = 0) -> list:
+    """A JSON list of exactly ``length`` items, or of at least ``min_length``."""
+    if isinstance(value, list) and (
+        len(value) == length if length is not None else len(value) >= min_length
+    ):
+        return value
+    want = length if length is not None else f"at least {min_length}"
+    raise ContractViolationError(f"{path}: expected a list of {want} items, got {value!r}")
+
+
+def _floats(value, path: str, length: int | None = None) -> list[float]:
+    return [_float(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path, length))]
+
+
+def _ints(
+    value, path: str, length: int | None = None, min_length: int = 0, minimum: int | None = None
+) -> list[int]:
+    items = _list(value, path, length, min_length)
+    return [_int(x, f"{path}[{i}]", minimum) for i, x in enumerate(items)]
 
 
 def _normalize_optimizer(block: dict, path: str) -> dict:
@@ -213,11 +239,11 @@ def _normalize_schedule(block: dict | None, path: str) -> dict:
     if out["unit"] not in ("steps", "epochs"):
         raise ContractViolationError(f"{path}.unit: must be 'steps' or 'epochs'")
     if block["kind"] == "cosine_annealing":
-        out["total"] = int(block["total"]) if "total" in block else None
-        out["eta_min"] = float(block.get("eta_min", 0.0))
+        out["total"] = _int(block["total"], f"{path}.total") if "total" in block else None
+        out["eta_min"] = _float(block.get("eta_min", 0.0), f"{path}.eta_min")
     elif block["kind"] == "milestones":
-        out["milestones"] = [int(m) for m in block.get("milestones", [])]
-        out["gamma"] = float(block.get("gamma", 0.1))
+        out["milestones"] = _ints(block.get("milestones", []), f"{path}.milestones")
+        out["gamma"] = _float(block.get("gamma", 0.1), f"{path}.gamma")
     elif block["kind"] != "constant":
         raise ContractViolationError(f"{path}.kind: unknown schedule kind {block['kind']!r}")
     return out
@@ -245,16 +271,18 @@ def _normalize_landscape(block, path: str):
     allowed = {"wells", "base_level"}
     _check_keys(block, allowed, {"wells"}, path)
     wells = []
-    for i, w in enumerate(block["wells"]):
-        _check_keys(w, {"center", "depth", "width"}, {"center", "depth", "width"}, f"{path}.wells[{i}]")
+    for i, w in enumerate(_list(block["wells"], f"{path}.wells", min_length=1)):
+        wpath = f"{path}.wells[{i}]"
+        _check_keys(w, {"center", "depth", "width"}, {"center", "depth", "width"}, wpath)
         wells.append(
             {
-                "center": [float(w["center"][0]), float(w["center"][1])],
-                "depth": float(w["depth"]),
-                "width": float(w["width"]),
+                "center": _floats(w["center"], f"{wpath}.center", 2),
+                "depth": _float(w["depth"], f"{wpath}.depth"),
+                "width": _float(w["width"], f"{wpath}.width"),
             }
         )
-    return {"wells": wells, "base_level": float(block.get("base_level", 0.0))}
+    base_level = _float(block.get("base_level", 0.0), f"{path}.base_level")
+    return {"wells": wells, "base_level": base_level}
 
 
 def _build_landscape(norm) -> LandscapeSpec:
@@ -277,12 +305,14 @@ def _normalize_dataset(block, path: str):
     allowed = {"classes", "per_class", "spread", "seed", "n_features", "noise_rate"}
     _check_keys(block, allowed, set(), path)
     out = {
-        "classes": int(block.get("classes", 4)),
-        "per_class": int(block.get("per_class", 500)),
-        "spread": float(block.get("spread", 1.0)),
-        "n_features": int(block.get("n_features", 20)),
-        "noise_rate": float(block.get("noise_rate", 0.0)),
+        "classes": _int(block.get("classes", 4), f"{path}.classes"),
+        "per_class": _int(block.get("per_class", 500), f"{path}.per_class"),
+        "spread": _float(block.get("spread", 1.0), f"{path}.spread"),
+        "n_features": _int(block.get("n_features", 20), f"{path}.n_features"),
+        "noise_rate": _float(block.get("noise_rate", 0.0), f"{path}.noise_rate"),
     }
+    if out["spread"] <= 0:
+        raise ContractViolationError(f"{path}.spread: must be > 0, got {out['spread']!r}")
     if "seed" in block:
         out["seed"] = _int(block["seed"], f"{path}.seed")
     return out
@@ -307,7 +337,7 @@ def _build_dataset(norm, root_seed: int) -> Dataset:
 def _normalize_model(block: dict, path: str) -> dict:
     _check_keys(block, {"layer_sizes", "activation"}, {"layer_sizes"}, path)
     return {
-        "layer_sizes": [int(x) for x in block["layer_sizes"]],
+        "layer_sizes": _ints(block["layer_sizes"], f"{path}.layer_sizes", min_length=2, minimum=1),
         "activation": block.get("activation", "tanh"),
     }
 
@@ -360,21 +390,18 @@ def normalize_config(raw: dict) -> dict:
 
     if kind in ("trajectory", "grid-flatness"):
         out["landscape"] = _normalize_landscape(raw["landscape"], "config.landscape")
-        out["total_steps"] = int(raw["total_steps"])
+        out["total_steps"] = _int(raw["total_steps"], "config.total_steps", minimum=0)
     if kind == "trajectory":
-        out["start"] = [float(raw["start"][0]), float(raw["start"][1])]
+        out["start"] = _floats(raw["start"], "config.start", 2)
     if kind == "grid-flatness":
-        region = raw["region"]
-        out["region"] = [
-            [float(region[0][0]), float(region[0][1])],
-            [float(region[1][0]), float(region[1][1])],
-        ]
-        out["grid"] = [int(raw["grid"][0]), int(raw["grid"][1])]
+        region = _list(raw["region"], "config.region", 2)
+        out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
+        out["grid"] = _ints(raw["grid"], "config.grid", 2, minimum=1)
     if kind in ("train", "hessian-report"):
         out["model"] = _normalize_model(raw["model"], "config.model")
         out["dataset"] = _normalize_dataset(raw["dataset"], "config.dataset")
-        out["epochs"] = int(raw["epochs"])
-        out["batch_size"] = int(raw["batch_size"])
+        out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
+        out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
     if kind == "escape-theory":
         s = raw["scenario"]
         allowed = {
@@ -382,35 +409,36 @@ def normalize_config(raw: dict) -> dict:
             "escape_index", "rho", "t_tilde",
         }
         _check_keys(s, allowed, allowed - {"t_tilde"}, "config.scenario")
+        sp = "config.scenario"
         out["scenario"] = {
-            "alpha": float(s["alpha"]),
-            "beta1": float(s["beta1"]),
-            "batch_size_b": int(s["batch_size_b"]),
-            "delta_L": float(s["delta_L"]),
-            "h_a_eigs": [float(x) for x in s["h_a_eigs"]],
-            "h_u_eigs": [float(x) for x in s["h_u_eigs"]],
-            "escape_index": int(s["escape_index"]),
-            "rho": float(s["rho"]),
-            "t_tilde": float(s.get("t_tilde", 1.0)),
+            "alpha": _float(s["alpha"], f"{sp}.alpha"),
+            "beta1": _float(s["beta1"], f"{sp}.beta1"),
+            "batch_size_b": _int(s["batch_size_b"], f"{sp}.batch_size_b"),
+            "delta_L": _float(s["delta_L"], f"{sp}.delta_L"),
+            "h_a_eigs": _floats(s["h_a_eigs"], f"{sp}.h_a_eigs"),
+            "h_u_eigs": _floats(s["h_u_eigs"], f"{sp}.h_u_eigs"),
+            "escape_index": _int(s["escape_index"], f"{sp}.escape_index"),
+            "rho": _float(s["rho"], f"{sp}.rho"),
+            "t_tilde": _float(s.get("t_tilde", 1.0), f"{sp}.t_tilde"),
         }
     if kind == "regret":
         p = raw.get("problem", {})
         _check_keys(p, {"dim", "target_low", "target_high", "theta0"}, set(), "config.problem")
         out["problem"] = {
-            "dim": int(p.get("dim", 4)),
-            "target_low": float(p.get("target_low", -1.0)),
-            "target_high": float(p.get("target_high", 1.0)),
-            "theta0": float(p.get("theta0", 1.0)),
+            "dim": _int(p.get("dim", 4), "config.problem.dim"),
+            "target_low": _float(p.get("target_low", -1.0), "config.problem.target_low"),
+            "target_high": _float(p.get("target_high", 1.0), "config.problem.target_high"),
+            "theta0": _float(p.get("theta0", 1.0), "config.problem.theta0"),
         }
-        out["horizon"] = int(raw["horizon"])
-        out["lr_decay_h"] = float(raw.get("lr_decay_h", 0.5))
+        out["horizon"] = _int(raw["horizon"], "config.horizon", minimum=1)
+        out["lr_decay_h"] = _float(raw.get("lr_decay_h", 0.5), "config.lr_decay_h")
     if kind == "hessian-report":
         h = raw.get("hessian", {})
         _check_keys(h, {"max_iters", "tol", "probes"}, set(), "config.hessian")
         out["hessian"] = {
-            "max_iters": int(h.get("max_iters", 200)),
-            "tol": float(h.get("tol", 1e-6)),
-            "probes": int(h.get("probes", 200)),
+            "max_iters": _int(h.get("max_iters", 200), "config.hessian.max_iters"),
+            "tol": _float(h.get("tol", 1e-6), "config.hessian.tol"),
+            "probes": _int(h.get("probes", 200), "config.hessian.probes"),
         }
     return out
 
@@ -442,6 +470,8 @@ class _RunWriter:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.written: list[Path] = []
+        # directories this run creates, deepest first
+        self.created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name: str, header, rows):
@@ -455,8 +485,14 @@ class _RunWriter:
         self.written.append(path)
 
     def cleanup(self):
+        """Remove the files written so far, then each created directory left empty."""
         for path in self.written:
             path.unlink(missing_ok=True)
+        for directory in self.created:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: something else wrote there
+                break
 
 
 def _run_trajectory(cfg: dict, writer: _RunWriter) -> dict:

@@ -183,7 +183,7 @@ def _descend(spec, starts, optimizer, sched, total_steps, record=None) -> np.nda
     for t in range(1, total_steps + 1):
         loss, grad = batch_loss_grad(spec, theta.reshape(n, 2))
         mult = schedule_multiplier(sched, t - 1)
-        theta = opt.step(theta, grad.reshape(-1), lr_multiplier=mult)
+        opt.step(theta, grad.reshape(-1), lr_multiplier=mult)
         if record is not None:
             record(t, theta, loss)
     return theta.reshape(n, 2)

@@ -9,6 +9,7 @@ layer-major order (each layer's weights, then its biases).
 Each ``Mlp`` owns that flat vector as its parameter buffer: its
 ``weights`` and ``biases`` are views into it, so ``set_flat`` is a single
 copy and the gradient is filled layer by layer into a fresh flat vector.
+The training loop's optimizer steps that buffer in place.
 One forward pass (``Mlp.logits``) serves ``forward_loss``,
 ``loss_and_grad`` and ``accuracy``.  It writes hidden activations into a
 per-model workspace, and ``loss_and_grad`` writes its hidden deltas there
@@ -316,8 +317,7 @@ def train_classifier(
     if batch_size < 1:
         raise ContractViolationError("batch_size must be >= 1")
     model = Mlp(spec)
-    theta = model.get_flat()
-    opt = build_optimizer(optimizer, theta.shape[0])
+    opt = build_optimizer(optimizer, model.num_params)
     rng = np.random.Generator(np.random.PCG64(seed))
     x_train = dataset.inputs[dataset.train_idx]
     y_train = dataset.labels[dataset.train_idx]
@@ -332,13 +332,12 @@ def train_classifier(
             try:
                 _, grad, _ = loss_and_grad(model, x_train[batch], y_train[batch])
                 mult = schedule_multiplier(sched, step)
-                theta = opt.step(theta, grad, lr_multiplier=mult)
+                opt.step(model._flat, grad, lr_multiplier=mult)
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"training diverged at epoch {epoch}, batch {lo // batch_size}",
                     step=step + 1,
                 ) from err
-            model.set_flat(theta)
             step += 1
         train_loss, train_logits = forward_loss(model, x_train, y_train)
         test_loss, test_logits = forward_loss(model, x_test, y_test)

@@ -5,11 +5,16 @@ n-th-order multiple-summation of the first moment applied until a switch
 step), plus the learning-rate schedules used by the simulations and
 training runs.
 
-All step functions are pure: they take the current parameter vector and
-state and return new ones, leaving their inputs untouched.  Parameter
-vectors are 1-D float64 numpy arrays; every update rule is elementwise,
-so a batch of independent problems can be run as one concatenated
-vector.
+Each update rule has one implementation, an in-place stepper
+(:class:`Sgd`, :class:`Sgdm`, :class:`Adam`, :class:`MIAdam`, built by
+:func:`build_optimizer`).  A stepper owns its ``OptimizerState`` and two
+scratch buffers and updates the caller's parameter vector in place, so a
+step allocates no arrays.  The pure ``sgd_step`` / ``sgdm_step`` /
+``adam_step`` / ``miadam_step`` copy theta and the state, run a stepper
+once, and return ``(theta', state')``, leaving their inputs untouched.
+Parameter vectors are 1-D float64 numpy arrays; every update rule is
+elementwise, so a batch of independent problems can be run as one
+concatenated vector.
 """
 
 from __future__ import annotations
@@ -33,17 +38,6 @@ def as_param_vector(values) -> ParamVector:
             f"parameter vector must be 1-D with dimension >= 1, got shape {arr.shape}"
         )
     return arr
-
-
-def _check_step_inputs(theta: ParamVector, grad: ParamVector) -> None:
-    if theta.shape != grad.shape:
-        raise ContractViolationError(
-            f"dimension mismatch: theta has shape {theta.shape}, grad has shape {grad.shape}"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise NonFiniteError("non-finite entries in parameter vector")
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteError("non-finite entries in gradient vector")
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ class OptimizerState:
     mbar_stack: list[ParamVector]
 
     @classmethod
-    def zeros(cls, dim: int, order_n: int = 0) -> "OptimizerState":
+    def zeros(cls, dim: int | tuple[int, ...], order_n: int = 0) -> "OptimizerState":
         return cls(
             step_t=0,
             m=np.zeros(dim),
@@ -143,12 +137,207 @@ class OptimizerState:
         )
 
 
+@dataclass(frozen=True)
+class SgdParams:
+    alpha: float = 1e-3
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ContractViolationError("alpha must be > 0")
+
+
+@dataclass(frozen=True)
+class SgdmParams:
+    alpha: float = 1e-3
+    beta: float = 0.9
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ContractViolationError("alpha must be > 0")
+        if not (0 <= self.beta < 1):
+            raise ContractViolationError("beta must lie in [0, 1)")
+
+
+OptimizerParams = SgdParams | SgdmParams | AdamHyperParams | MIAdamHyperParams
+
+
+# ---------------------------------------------------------------------------
+# In-place steppers: the one implementation of each update rule
+
+
+class Stepper:
+    """One optimizer run over parameter vectors of a fixed shape.
+
+    ``step`` updates the caller's ``theta`` in place.  The stepper owns its
+    ``state``, two scratch buffers of theta's shape and a finiteness mask,
+    so a step allocates no arrays.  A step computes theta' in scratch and
+    makes one finiteness check of it before copying it into theta; only if
+    that check fails are the inputs checked, to name the culprit in the
+    ``NonFiniteError``.  A non-finite entry of theta or grad always reaches
+    theta', so none is missed.  After that error theta is unchanged but the
+    state is not, and the stepper must not be stepped again.
+    """
+
+    name = ""
+
+    def __init__(self, params, state: OptimizerState):
+        self.params = params
+        self.state = state
+        self._a = np.empty_like(state.m)
+        self._b = np.empty_like(state.m)
+        self._finite = np.empty(state.m.shape, dtype=bool)
+
+    def step(self, theta: ParamVector, grad: ParamVector, lr_multiplier: float = 1.0) -> None:
+        if theta.shape != grad.shape:
+            raise ContractViolationError(
+                f"dimension mismatch: theta has shape {theta.shape}, grad has shape {grad.shape}"
+            )
+        if theta.shape != self.state.m.shape:
+            raise ContractViolationError("state dimension does not match theta")
+        t = self.state.step_t + 1
+        theta_new = self._update(theta, grad, t, lr_multiplier)
+        if not np.isfinite(theta_new, out=self._finite).all():
+            if not np.isfinite(theta).all():
+                raise NonFiniteError("non-finite entries in parameter vector", step=t)
+            if not np.isfinite(grad).all():
+                raise NonFiniteError("non-finite entries in gradient vector", step=t)
+            raise NonFiniteError(f"{self.name} update produced non-finite parameters", step=t)
+        np.copyto(theta, theta_new)
+        self.state.step_t = t
+
+    def _update(self, theta, grad, t: int, lr_multiplier: float) -> ParamVector:
+        """Advance the state to step ``t`` and return theta' in a scratch buffer."""
+        raise NotImplementedError
+
+
+class Sgd(Stepper):
+    """theta' = theta - (lr * alpha) * grad."""
+
+    name = "SGD"
+
+    def _update(self, theta, grad, t, lr_multiplier):
+        np.multiply(grad, lr_multiplier * self.params.alpha, out=self._a)
+        return np.subtract(theta, self._a, out=self._b)
+
+
+class Sgdm(Stepper):
+    """Heavy-ball momentum: m' = beta*m + g, theta' = theta - (lr * alpha) * m'."""
+
+    name = "SGDM"
+
+    def _update(self, theta, grad, t, lr_multiplier):
+        m = self.state.m
+        m *= self.params.beta
+        m += grad
+        np.multiply(m, lr_multiplier * self.params.alpha, out=self._a)
+        return np.subtract(theta, self._a, out=self._b)
+
+
+class Adam(Stepper):
+    """Adam with coupled L2 weight decay and bias correction."""
+
+    name = "Adam"
+
+    def _update(self, theta, grad, t, lr_multiplier):
+        hp = self.params
+        self._moments(theta, grad, hp)
+        return self._apply(theta, self.state.m, t, hp, hp.alpha, lr_multiplier)
+
+    def _moments(self, theta, grad, hp: AdamHyperParams) -> None:
+        """m = beta1*m + (1-beta1)*g and v = beta2*v + ((1-beta2)*g)*g, g = grad + wd*theta."""
+        m, v, a = self.state.m, self.state.v, self._a
+        g = grad
+        if hp.weight_decay != 0.0:
+            g = np.multiply(theta, hp.weight_decay, out=self._b)
+            np.add(grad, g, out=g)
+        m *= hp.beta1
+        np.multiply(g, 1.0 - hp.beta1, out=a)
+        m += a
+        v *= hp.beta2
+        np.multiply(g, 1.0 - hp.beta2, out=a)
+        a *= g
+        v += a
+
+    def _apply(self, theta, numerator, t, hp: AdamHyperParams, alpha_t, lr_multiplier):
+        """theta - ((lr * alpha_t) * (numerator / (1 - beta1^t))) / denom(v / (1 - beta2^t)).
+
+        Shared by Adam and both MIAdam branches so that the post-switch MIAdam
+        step is bitwise identical to a plain Adam step on the same state.
+        """
+        a, b = self._a, self._b
+        np.divide(numerator, 1.0 - hp.beta1 ** t, out=a)
+        np.divide(self.state.v, 1.0 - hp.beta2 ** t, out=b)
+        if hp.eps_in_sqrt:
+            b += hp.epsilon
+            np.sqrt(b, out=b)
+        else:
+            np.sqrt(b, out=b)
+            b += hp.epsilon
+        a *= lr_multiplier * alpha_t
+        a /= b
+        return np.subtract(theta, a, out=b)
+
+
+class MIAdam(Adam):
+    """MIAdam: before the switch step the first moment is pushed through an
+    n-level stack, each level a kappa-decayed running sum of the one below
+    (level 0 being the Adam first moment), the update uses the top of the
+    stack, and the base learning rate is alpha**n (or its override).  From
+    the switch step on, the step is exactly Adam; the stack is frozen, not
+    cleared.
+    """
+
+    name = "MIAdam"
+
+    def __init__(self, params: MIAdamHyperParams, state: OptimizerState):
+        if len(state.mbar_stack) != params.order_n:
+            raise ContractViolationError(
+                f"mbar_stack has {len(state.mbar_stack)} levels, expected order_n={params.order_n}"
+            )
+        super().__init__(params, state)
+        self._pre_switch_alpha = params.pre_switch_alpha
+
+    def _update(self, theta, grad, t, lr_multiplier):
+        hp = self.params
+        ahp = hp.adam
+        self._moments(theta, grad, ahp)
+        if t >= hp.switch_step:
+            return self._apply(theta, self.state.m, t, ahp, ahp.alpha, lr_multiplier)
+        below = self.state.m
+        for level in self.state.mbar_stack:
+            level *= hp.kappa
+            level += below
+            below = level
+        return self._apply(theta, below, t, ahp, self._pre_switch_alpha, lr_multiplier)
+
+
+_STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHyperParams: MIAdam}
+
+
+def build_optimizer(params: OptimizerParams, dim: int) -> Stepper:
+    """A stepper for ``params`` over vectors of dimension ``dim``, from zero state."""
+    cls = _STEPPERS.get(type(params))
+    if cls is None:
+        raise ContractViolationError(f"unknown optimizer params type {type(params)!r}")
+    order_n = params.order_n if cls is MIAdam else 0
+    return cls(params, OptimizerState.zeros(dim, order_n))
+
+
+# ---------------------------------------------------------------------------
+# Pure single steps: each copies theta and the state, runs its stepper once,
+# and leaves its inputs untouched.
+
+
+def _pure_step(stepper: Stepper, theta, grad, lr_multiplier: float = 1.0):
+    theta_new = np.array(theta, dtype=np.float64)
+    stepper.step(theta_new, grad, lr_multiplier)
+    return theta_new, stepper.state
+
+
 def sgd_step(theta: ParamVector, grad: ParamVector, alpha: float) -> ParamVector:
     """Plain gradient descent: theta - alpha * grad."""
-    if alpha <= 0:
-        raise ContractViolationError("alpha must be > 0")
-    _check_step_inputs(theta, grad)
-    return theta - alpha * grad
+    state = OptimizerState.zeros(np.shape(theta))
+    return _pure_step(Sgd(SgdParams(alpha), state), theta, grad)[0]
 
 
 def sgdm_step(
@@ -159,43 +348,7 @@ def sgdm_step(
     beta: float,
 ) -> tuple[ParamVector, OptimizerState]:
     """Heavy-ball momentum: m' = beta*m + g, theta' = theta - alpha*m'."""
-    if alpha <= 0:
-        raise ContractViolationError("alpha must be > 0")
-    if not (0 <= beta < 1):
-        raise ContractViolationError("beta must lie in [0, 1)")
-    _check_step_inputs(theta, grad)
-    if state.m.shape != theta.shape:
-        raise ContractViolationError("state.m dimension does not match theta")
-    m = beta * state.m + grad
-    theta_new = theta - alpha * m
-    new_state = OptimizerState(
-        step_t=state.step_t + 1,
-        m=m,
-        v=state.v.copy(),
-        mbar_stack=[x.copy() for x in state.mbar_stack],
-    )
-    return theta_new, new_state
-
-
-def _updated_moments(g, state, beta1, beta2):
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    return m, v
-
-
-def _apply_update(theta, numerator, v, t, hp: AdamHyperParams, alpha_t, lr_multiplier):
-    """theta - lr * alpha_t * (numerator / (1 - beta1^t)) / denom(v_hat).
-
-    Shared by Adam and both MIAdam branches so that the post-switch MIAdam
-    step is bitwise identical to a plain Adam step on the same state.
-    """
-    m_hat = numerator / (1.0 - hp.beta1 ** t)
-    v_hat = v / (1.0 - hp.beta2 ** t)
-    if hp.eps_in_sqrt:
-        denom = np.sqrt(v_hat + hp.epsilon)
-    else:
-        denom = np.sqrt(v_hat) + hp.epsilon
-    return theta - lr_multiplier * alpha_t * m_hat / denom
+    return _pure_step(Sgdm(SgdmParams(alpha, beta), state.copy()), theta, grad)
 
 
 def adam_step(
@@ -206,19 +359,7 @@ def adam_step(
     lr_multiplier: float = 1.0,
 ) -> tuple[ParamVector, OptimizerState]:
     """One Adam step with coupled L2 weight decay and bias correction."""
-    _check_step_inputs(theta, grad)
-    if state.m.shape != theta.shape:
-        raise ContractViolationError("state dimension does not match theta")
-    t = state.step_t + 1
-    g = grad + hp.weight_decay * theta if hp.weight_decay != 0.0 else grad
-    m, v = _updated_moments(g, state, hp.beta1, hp.beta2)
-    theta_new = _apply_update(theta, m, v, t, hp, hp.alpha, lr_multiplier)
-    if not np.all(np.isfinite(theta_new)):
-        raise NonFiniteError("Adam update produced non-finite parameters", step=t)
-    new_state = OptimizerState(
-        step_t=t, m=m, v=v, mbar_stack=[x.copy() for x in state.mbar_stack]
-    )
-    return theta_new, new_state
+    return _pure_step(Adam(hp, state.copy()), theta, grad, lr_multiplier)
 
 
 def miadam_step(
@@ -228,46 +369,8 @@ def miadam_step(
     hp: MIAdamHyperParams,
     lr_multiplier: float = 1.0,
 ) -> tuple[ParamVector, OptimizerState]:
-    """One MIAdam step.
-
-    Before the switch step the first moment is pushed through an
-    n-level stack, each level a kappa-decayed running sum of the one
-    below (level 0 being the Adam first moment), the update uses the top
-    of the stack, and the base learning rate is alpha**n (or its
-    override).  From the switch step on, the step is exactly Adam; the
-    stack is frozen, not cleared.
-    """
-    ahp = hp.adam
-    _check_step_inputs(theta, grad)
-    if state.m.shape != theta.shape:
-        raise ContractViolationError("state dimension does not match theta")
-    if len(state.mbar_stack) != hp.order_n:
-        raise ContractViolationError(
-            f"mbar_stack has {len(state.mbar_stack)} levels, expected order_n={hp.order_n}"
-        )
-    t = state.step_t + 1
-    g = grad + ahp.weight_decay * theta if ahp.weight_decay != 0.0 else grad
-    m, v = _updated_moments(g, state, ahp.beta1, ahp.beta2)
-
-    if t < hp.switch_step:
-        stack: list[ParamVector] = []
-        below = m
-        for j in range(hp.order_n):
-            level = hp.kappa * state.mbar_stack[j] + below
-            stack.append(level)
-            below = level
-        alpha_t = hp.pre_switch_alpha
-        numerator = stack[-1]
-    else:
-        stack = [x.copy() for x in state.mbar_stack]
-        alpha_t = ahp.alpha
-        numerator = m
-
-    theta_new = _apply_update(theta, numerator, v, t, ahp, alpha_t, lr_multiplier)
-    if not np.all(np.isfinite(theta_new)):
-        raise NonFiniteError("MIAdam update produced non-finite parameters", step=t)
-    new_state = OptimizerState(step_t=t, m=m, v=v, mbar_stack=stack)
-    return theta_new, new_state
+    """One MIAdam step (see :class:`MIAdam`)."""
+    return _pure_step(MIAdam(hp, state.copy()), theta, grad, lr_multiplier)
 
 
 # ---------------------------------------------------------------------------
@@ -316,74 +419,3 @@ def schedule_multiplier(sched: LrSchedule, t: int) -> float:
         )
     return sched.gamma ** bisect_right(list(sched.milestones), t)
 
-
-# ---------------------------------------------------------------------------
-# Stateful wrappers and a small config union, for callers that drive an
-# optimizer over many steps (landscapes, training loops, regret runs).
-
-
-@dataclass(frozen=True)
-class SgdParams:
-    alpha: float = 1e-3
-
-
-@dataclass(frozen=True)
-class SgdmParams:
-    alpha: float = 1e-3
-    beta: float = 0.9
-
-
-OptimizerParams = SgdParams | SgdmParams | AdamHyperParams | MIAdamHyperParams
-
-
-class Sgd:
-    def __init__(self, dim: int, params: SgdParams):
-        self.params = params
-
-    def step(self, theta, grad, lr_multiplier=1.0):
-        return sgd_step(theta, grad, lr_multiplier * self.params.alpha)
-
-
-class Sgdm:
-    def __init__(self, dim: int, params: SgdmParams):
-        self.params = params
-        self.state = OptimizerState.zeros(dim)
-
-    def step(self, theta, grad, lr_multiplier=1.0):
-        theta, self.state = sgdm_step(
-            theta, grad, self.state, lr_multiplier * self.params.alpha, self.params.beta
-        )
-        return theta
-
-
-class Adam:
-    def __init__(self, dim: int, params: AdamHyperParams):
-        self.params = params
-        self.state = OptimizerState.zeros(dim)
-
-    def step(self, theta, grad, lr_multiplier=1.0):
-        theta, self.state = adam_step(theta, grad, self.state, self.params, lr_multiplier)
-        return theta
-
-
-class MIAdam:
-    def __init__(self, dim: int, params: MIAdamHyperParams):
-        self.params = params
-        self.state = OptimizerState.zeros(dim, order_n=params.order_n)
-
-    def step(self, theta, grad, lr_multiplier=1.0):
-        theta, self.state = miadam_step(theta, grad, self.state, self.params, lr_multiplier)
-        return theta
-
-
-def build_optimizer(params: OptimizerParams, dim: int):
-    """Instantiate the stateful stepper matching a params object."""
-    if isinstance(params, MIAdamHyperParams):
-        return MIAdam(dim, params)
-    if isinstance(params, AdamHyperParams):
-        return Adam(dim, params)
-    if isinstance(params, SgdmParams):
-        return Sgdm(dim, params)
-    if isinstance(params, SgdParams):
-        return Sgd(dim, params)
-    raise ContractViolationError(f"unknown optimizer params type {type(params)!r}")

@@ -183,16 +183,17 @@ def run_regret_experiment(
     theta = np.full(problem.dim, problem.theta0, dtype=np.float64)
     opt = build_optimizer(optimizer, problem.dim)
     cumulative = np.empty(horizon)
+    diff_t = np.empty(problem.dim)
     running = 0.0
     for t in range(1, horizon + 1):
         c = targets[t - 1]
-        diff_t = theta - c
+        np.subtract(theta, c, out=diff_t)
         diff_star = theta_star - c
         running += 0.5 * float(diff_t @ diff_t) - 0.5 * float(diff_star @ diff_star)
         cumulative[t - 1] = running
         mult = t ** (-lr_decay_h) if lr_decay_h != 0.0 else 1.0
         try:
-            theta = opt.step(theta, diff_t, lr_multiplier=mult)
+            opt.step(theta, diff_t, lr_multiplier=mult)
         except NonFiniteError as err:
             raise NonFiniteError("regret run diverged to non-finite iterates", step=t) from err
     average = cumulative / np.arange(1, horizon + 1)

@@ -156,3 +156,125 @@ def test_non_finite_miadam_field_names_its_path(tmp_path, capsys):
     path = write_config(tmp_path, _trajectory(tmp_path / "out", kind="miadam", kappa=float("nan")))
     assert main(["run", str(path)]) == 2
     assert "config.optimizers[0].kappa" in capsys.readouterr().err
+
+
+def _train(out_dir, **fields):
+    cfg = {
+        "kind": "train",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "model": {"layer_sizes": [20, 8, 4]},
+        "dataset": {"classes": 4, "per_class": 10},
+        "epochs": 1,
+        "batch_size": 16,
+        "optimizers": [{"name": "adam", "kind": "adam"}],
+    }
+    cfg.update(fields)
+    return cfg
+
+
+def _grid(out_dir, **fields):
+    cfg = {
+        "kind": "grid-flatness",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "landscape": "landscape-B",
+        "region": [[-2.0, 3.0], [-2.0, 3.0]],
+        "grid": [2, 2],
+        "total_steps": 3,
+        "optimizers": [{"name": "adam", "kind": "adam"}],
+    }
+    cfg.update(fields)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "build,field,value,path",
+    [
+        (_trajectory, "total_steps", "abc", "config.total_steps"),
+        (_trajectory, "total_steps", True, "config.total_steps"),
+        (_trajectory, "total_steps", 20.7, "config.total_steps"),
+        (_trajectory, "total_steps", -1, "config.total_steps"),
+        (_trajectory, "start", [1.0], "config.start"),
+        (_trajectory, "start", [1.0, 2.0, 3.0], "config.start"),
+        (_trajectory, "start", 1.0, "config.start"),
+        (_trajectory, "start", [1.0, "x"], "config.start[1]"),
+        (_trajectory, "start", [1.0, float("nan")], "config.start[1]"),
+        (_trajectory, "landscape", {"wells": []}, "config.landscape.wells"),
+        (_trajectory, "landscape", {"wells": [{"center": [0.0], "depth": 1.0, "width": 0.5}]},
+         "config.landscape.wells[0].center"),
+        (_trajectory, "landscape", {"wells": [{"center": [0.0, 0.0], "depth": "1", "width": 0.5}]},
+         "config.landscape.wells[0].depth"),
+        (_trajectory, "schedule", {"kind": "cosine_annealing", "total": "9"},
+         "config.schedule.total"),
+        (_trajectory, "schedule", {"kind": "milestones", "milestones": [1.5]},
+         "config.schedule.milestones[0]"),
+        (_trajectory, "schedule", {"kind": "milestones", "gamma": None}, "config.schedule.gamma"),
+        (_grid, "region", [[-2.0, 3.0]], "config.region"),
+        (_grid, "region", [[-2.0, 3.0], [-2.0]], "config.region[1]"),
+        (_grid, "grid", [3], "config.grid"),
+        (_grid, "grid", [3, 0], "config.grid[1]"),
+        (_grid, "grid", [3, 2.5], "config.grid[1]"),
+        (_train, "model", {"layer_sizes": [20]}, "config.model.layer_sizes"),
+        (_train, "model", {"layer_sizes": [20, 0, 4]}, "config.model.layer_sizes[1]"),
+        (_train, "model", {"layer_sizes": "20,4"}, "config.model.layer_sizes"),
+        (_train, "dataset", {"spread": float("nan")}, "config.dataset.spread"),
+        (_train, "dataset", {"spread": 0.0}, "config.dataset.spread"),
+        (_train, "dataset", {"per_class": "10"}, "config.dataset.per_class"),
+        (_train, "epochs", 0, "config.epochs"),
+        (_train, "batch_size", True, "config.batch_size"),
+    ],
+)
+def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
+    out_dir = tmp_path / "out"
+    cfg = build(out_dir)
+    cfg[field] = value
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,block,field,value",
+    [
+        ("regret", "problem", "dim", "4"),
+        ("regret", None, "horizon", 0),
+        ("regret", None, "lr_decay_h", float("inf")),
+        ("hessian-report", "hessian", "probes", 2.5),
+        ("escape-theory", "scenario", "h_a_eigs", [1.0, "2"]),
+    ],
+)
+def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, field, value):
+    base = {
+        "regret": {"horizon": 10, "optimizers": [{"name": "adam", "kind": "adam"}]},
+        "hessian-report": dict(_train(tmp_path), kind="hessian-report"),
+        "escape-theory": {"scenario": {
+            "alpha": 0.01, "beta1": 0.9, "batch_size_b": 32, "delta_L": 0.5,
+            "h_a_eigs": [1.0, 2.0], "h_u_eigs": [-0.5, 1.0], "escape_index": 0, "rho": 1.0,
+        }},
+    }[kind]
+    cfg = dict(base, kind=kind, seed=0, output_dir=str(tmp_path / "out"))
+    if block is None:
+        cfg[field] = value
+    else:
+        cfg[block] = dict(cfg.get(block, {}), **{field: value})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    prefix = "config." + (f"{block}." if block else "") + field
+    assert f"error: {prefix}" in capsys.readouterr().err
+
+
+def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):
+    out_dir = tmp_path / "new" / "deeper"
+    cfg = _trajectory(out_dir, kind="miadam", switch_epochs=2)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert "switch_epochs" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_runtime_failure_keeps_an_existing_output_dir_and_its_files(tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("mine")
+    cfg = _trajectory(out_dir, kind="miadam", switch_epochs=2)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["keep.txt"]

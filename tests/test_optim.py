@@ -1,23 +1,175 @@
 """Unit and oracle tests for the optimizer family and schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatmin.errors import ContractViolationError, NonFiniteError
+from flatmin.mlp import Mlp, MlpSpec, make_blobs, train_classifier
 from flatmin.optim import (
     AdamHyperParams,
     LrSchedule,
     MIAdamHyperParams,
     OptimizerState,
+    SgdmParams,
+    SgdParams,
     adam_step,
+    build_optimizer,
     miadam_step,
     schedule_multiplier,
     sgd_step,
     sgdm_step,
 )
+
+ParamVector = np.ndarray
+
+
+# Verbatim copy of the pure step functions as they were before each update
+# rule became one in-place stepper: fresh arrays for every intermediate and
+# three full finiteness scans per step.  The steppers and the pure wrappers
+# must match it bit for bit.
+
+
+def _ref_check_step_inputs(theta: ParamVector, grad: ParamVector) -> None:
+    if theta.shape != grad.shape:
+        raise ContractViolationError(
+            f"dimension mismatch: theta has shape {theta.shape}, grad has shape {grad.shape}"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise NonFiniteError("non-finite entries in parameter vector")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteError("non-finite entries in gradient vector")
+
+
+def ref_sgd_step(theta: ParamVector, grad: ParamVector, alpha: float) -> ParamVector:
+    """Plain gradient descent: theta - alpha * grad."""
+    if alpha <= 0:
+        raise ContractViolationError("alpha must be > 0")
+    _ref_check_step_inputs(theta, grad)
+    return theta - alpha * grad
+
+
+def ref_sgdm_step(
+    theta: ParamVector,
+    grad: ParamVector,
+    state: OptimizerState,
+    alpha: float,
+    beta: float,
+) -> tuple[ParamVector, OptimizerState]:
+    """Heavy-ball momentum: m' = beta*m + g, theta' = theta - alpha*m'."""
+    if alpha <= 0:
+        raise ContractViolationError("alpha must be > 0")
+    if not (0 <= beta < 1):
+        raise ContractViolationError("beta must lie in [0, 1)")
+    _ref_check_step_inputs(theta, grad)
+    if state.m.shape != theta.shape:
+        raise ContractViolationError("state.m dimension does not match theta")
+    m = beta * state.m + grad
+    theta_new = theta - alpha * m
+    new_state = OptimizerState(
+        step_t=state.step_t + 1,
+        m=m,
+        v=state.v.copy(),
+        mbar_stack=[x.copy() for x in state.mbar_stack],
+    )
+    return theta_new, new_state
+
+
+def _ref_updated_moments(g, state, beta1, beta2):
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    return m, v
+
+
+def _ref_apply_update(theta, numerator, v, t, hp: AdamHyperParams, alpha_t, lr_multiplier):
+    """theta - lr * alpha_t * (numerator / (1 - beta1^t)) / denom(v_hat).
+
+    Shared by Adam and both MIAdam branches so that the post-switch MIAdam
+    step is bitwise identical to a plain Adam step on the same state.
+    """
+    m_hat = numerator / (1.0 - hp.beta1 ** t)
+    v_hat = v / (1.0 - hp.beta2 ** t)
+    if hp.eps_in_sqrt:
+        denom = np.sqrt(v_hat + hp.epsilon)
+    else:
+        denom = np.sqrt(v_hat) + hp.epsilon
+    return theta - lr_multiplier * alpha_t * m_hat / denom
+
+
+def ref_adam_step(
+    theta: ParamVector,
+    grad: ParamVector,
+    state: OptimizerState,
+    hp: AdamHyperParams,
+    lr_multiplier: float = 1.0,
+) -> tuple[ParamVector, OptimizerState]:
+    """One Adam step with coupled L2 weight decay and bias correction."""
+    _ref_check_step_inputs(theta, grad)
+    if state.m.shape != theta.shape:
+        raise ContractViolationError("state dimension does not match theta")
+    t = state.step_t + 1
+    g = grad + hp.weight_decay * theta if hp.weight_decay != 0.0 else grad
+    m, v = _ref_updated_moments(g, state, hp.beta1, hp.beta2)
+    theta_new = _ref_apply_update(theta, m, v, t, hp, hp.alpha, lr_multiplier)
+    if not np.all(np.isfinite(theta_new)):
+        raise NonFiniteError("Adam update produced non-finite parameters", step=t)
+    new_state = OptimizerState(
+        step_t=t, m=m, v=v, mbar_stack=[x.copy() for x in state.mbar_stack]
+    )
+    return theta_new, new_state
+
+
+def ref_miadam_step(
+    theta: ParamVector,
+    grad: ParamVector,
+    state: OptimizerState,
+    hp: MIAdamHyperParams,
+    lr_multiplier: float = 1.0,
+) -> tuple[ParamVector, OptimizerState]:
+    """One MIAdam step.
+
+    Before the switch step the first moment is pushed through an
+    n-level stack, each level a kappa-decayed running sum of the one
+    below (level 0 being the Adam first moment), the update uses the top
+    of the stack, and the base learning rate is alpha**n (or its
+    override).  From the switch step on, the step is exactly Adam; the
+    stack is frozen, not cleared.
+    """
+    ahp = hp.adam
+    _ref_check_step_inputs(theta, grad)
+    if state.m.shape != theta.shape:
+        raise ContractViolationError("state dimension does not match theta")
+    if len(state.mbar_stack) != hp.order_n:
+        raise ContractViolationError(
+            f"mbar_stack has {len(state.mbar_stack)} levels, expected order_n={hp.order_n}"
+        )
+    t = state.step_t + 1
+    g = grad + ahp.weight_decay * theta if ahp.weight_decay != 0.0 else grad
+    m, v = _ref_updated_moments(g, state, ahp.beta1, ahp.beta2)
+
+    if t < hp.switch_step:
+        stack: list[ParamVector] = []
+        below = m
+        for j in range(hp.order_n):
+            level = hp.kappa * state.mbar_stack[j] + below
+            stack.append(level)
+            below = level
+        alpha_t = hp.pre_switch_alpha
+        numerator = stack[-1]
+    else:
+        stack = [x.copy() for x in state.mbar_stack]
+        alpha_t = ahp.alpha
+        numerator = m
+
+    theta_new = _ref_apply_update(theta, numerator, v, t, ahp, alpha_t, lr_multiplier)
+    if not np.all(np.isfinite(theta_new)):
+        raise NonFiniteError("MIAdam update produced non-finite parameters", step=t)
+    new_state = OptimizerState(step_t=t, m=m, v=v, mbar_stack=stack)
+    return theta_new, new_state
 
 
 def explicit_momentum(grads, beta1):
@@ -266,6 +418,194 @@ class TestElementwise:
             theta_a, sa = miadam_step(theta_a, g, sa, hp)
             theta_b, sb = miadam_step(theta_b, g[perm], sb, hp)
         assert np.array_equal(theta_a[perm], theta_b)
+
+
+KINDS = ("sgd", "sgdm", "adam", "miadam")
+
+
+def _params(kind, alpha=0.05, weight_decay=0.0, eps_in_sqrt=False, order_n=2, kappa=0.9,
+            switch_step=10**9, override=None):
+    if kind == "sgd":
+        return SgdParams(alpha=alpha)
+    if kind == "sgdm":
+        return SgdmParams(alpha=alpha, beta=0.9)
+    adam = AdamHyperParams(alpha=alpha, weight_decay=weight_decay, eps_in_sqrt=eps_in_sqrt)
+    if kind == "adam":
+        return adam
+    return MIAdamHyperParams(
+        adam=adam, order_n=order_n, kappa=kappa, switch_step=switch_step,
+        pre_switch_lr_override=override,
+    )
+
+
+def _ref_run_step(params, theta, grad, state, mult):
+    """One step of the reference, driven the way the old stateful wrappers drove it."""
+    if isinstance(params, SgdParams):
+        return ref_sgd_step(theta, grad, mult * params.alpha), state
+    if isinstance(params, SgdmParams):
+        return ref_sgdm_step(theta, grad, state, mult * params.alpha, params.beta)
+    if isinstance(params, AdamHyperParams):
+        return ref_adam_step(theta, grad, state, params, mult)
+    return ref_miadam_step(theta, grad, state, params, mult)
+
+
+def _pure_run_step(params, theta, grad, state, mult):
+    if isinstance(params, SgdParams):
+        return sgd_step(theta, grad, mult * params.alpha), state
+    if isinstance(params, SgdmParams):
+        return sgdm_step(theta, grad, state, mult * params.alpha, params.beta)
+    if isinstance(params, AdamHyperParams):
+        return adam_step(theta, grad, state, params, mult)
+    return miadam_step(theta, grad, state, params, mult)
+
+
+def _state_bytes(state):
+    return [state.m.tobytes(), state.v.tobytes(), *(x.tobytes() for x in state.mbar_stack)]
+
+
+class TestBitExactOracle:
+    """The in-place steppers and the pure wrappers against the verbatim reference above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        order_n=st.integers(1, 4),
+        weight_decay=st.sampled_from([0.0, 5e-5, 0.1]),
+        eps_in_sqrt=st.booleans(),
+        alpha=st.sampled_from([1e-3, 0.05, 0.3]),
+        kappa=st.sampled_from([0.5, 0.885, 0.98, 1.0]),
+        override=st.sampled_from([None, 0.01]),
+        dim=st.integers(1, 300),
+        mults=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=12),
+        switch_step=st.integers(1, 12),
+        grad_scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="miadam", order_n=3, weight_decay=5e-5, eps_in_sqrt=False, alpha=0.05,
+             kappa=0.885, override=None, dim=300, mults=[1.0, 0.5, 0.25, 2.0, 1.0],
+             switch_step=3, grad_scale=1.0, seed=0)
+    def test_matches_reference_bit_for_bit(
+        self, kind, order_n, weight_decay, eps_in_sqrt, alpha, kappa, override, dim, mults,
+        switch_step, grad_scale, seed,
+    ):
+        params = _params(kind, alpha, weight_decay, eps_in_sqrt, order_n, kappa, switch_step,
+                         override)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        theta = rng.standard_normal(dim)
+        stepper = build_optimizer(params, dim)
+        order = len(stepper.state.mbar_stack)
+        ref_theta, ref_state = theta.copy(), OptimizerState.zeros(dim, order)
+        pure_theta, pure_state = theta.copy(), ref_state.copy()
+        for mult in mults:
+            grad = grad_scale * rng.standard_normal(dim)
+            stepper.step(theta, grad, mult)
+            ref_theta, ref_state = _ref_run_step(params, ref_theta, grad, ref_state, mult)
+            pure_theta, pure_state = _pure_run_step(params, pure_theta, grad, pure_state, mult)
+        assert theta.tobytes() == ref_theta.tobytes() == pure_theta.tobytes()
+        if kind != "sgd":
+            assert stepper.state.step_t == ref_state.step_t == pure_state.step_t == len(mults)
+            want = _state_bytes(ref_state)
+            assert _state_bytes(stepper.state) == want == _state_bytes(pure_state)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pure_steps_leave_their_inputs_untouched(self, kind):
+        rng = np.random.Generator(np.random.PCG64(12))
+        params = _params(kind, weight_decay=0.1, switch_step=3)
+        theta, grad = rng.standard_normal(6), rng.standard_normal(6)
+        state = OptimizerState(2, rng.standard_normal(6), rng.uniform(0, 1, 6),
+                               [rng.standard_normal(6) for _ in range(2)])
+        before = [theta.tobytes(), grad.tobytes(), *_state_bytes(state)]
+        theta_new, new_state = _pure_run_step(params, theta, grad, state, 0.5)
+        assert [theta.tobytes(), grad.tobytes(), *_state_bytes(state)] == before
+        assert state.step_t == 2
+        outputs = [theta_new]
+        if kind != "sgd":  # sgd_step takes and returns no state
+            outputs += [new_state.m, new_state.v, *new_state.mbar_stack]
+        inputs = [theta, grad, state.m, state.v, *state.mbar_stack]
+        assert not any(np.shares_memory(a, b) for a in outputs for b in inputs)
+
+
+class TestStepper:
+    @pytest.mark.parametrize(
+        "params",
+        [AdamHyperParams(), MIAdamHyperParams(order_n=3, switch_step=10**9)],
+        ids=["adam", "miadam3"],
+    )
+    def test_warm_step_allocates_no_vector(self, params):
+        # A d=5000 step used to allocate about a dozen 40,000 B temporaries.
+        # A warm in-place step may allocate only scalars, so its peak stays
+        # below even one bool vector of theta's length.
+        dim = 5000
+        rng = np.random.Generator(np.random.PCG64(13))
+        theta, grad = rng.standard_normal(dim), rng.standard_normal(dim)
+        stepper = build_optimizer(params, dim)
+        stepper.step(theta, grad, 0.5)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            stepper.step(theta, grad, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["parameter", "gradient"])
+    def test_non_finite_input_names_the_culprit_and_step(self, kind, bad, where):
+        stepper = build_optimizer(_params(kind, weight_decay=0.1), 3)
+        theta, grad = np.ones(3), np.full(3, 0.5)
+        stepper.step(theta, grad)
+        (theta if where == "parameter" else grad)[1] = bad
+        kept = theta.tobytes()
+        message = rf"^non-finite entries in {where} vector \(at step 2\)$"
+        with pytest.raises(NonFiniteError, match=message):
+            stepper.step(theta, grad)
+        assert theta.tobytes() == kept
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kind,name", [("sgd", "SGD"), ("sgdm", "SGDM"), ("adam", "Adam"), ("miadam", "MIAdam")]
+    )
+    def test_overflowing_update_is_named_as_such(self, kind, name):
+        # finite inputs whose update overflows theta to -inf
+        stepper = build_optimizer(_params(kind, alpha=1.0), 1)
+        theta = np.array([-1e308])
+        message = rf"^{name} update produced non-finite parameters \(at step 1\)$"
+        with pytest.raises(NonFiniteError, match=message):
+            stepper.step(theta, np.array([1e308 if kind.startswith("sgd") else 1.0]), 1e308)
+        assert theta[0] == -1e308
+
+    def test_step_counts_and_checks_shapes(self):
+        stepper = build_optimizer(AdamHyperParams(), 4)
+        stepper.step(np.zeros(4), np.ones(4))
+        stepper.step(np.zeros(4), np.ones(4))
+        assert stepper.state.step_t == 2
+        with pytest.raises(ContractViolationError, match="dimension mismatch"):
+            stepper.step(np.zeros(4), np.ones(3))
+        with pytest.raises(ContractViolationError, match="state dimension"):
+            stepper.step(np.zeros(5), np.ones(5))
+        with pytest.raises(ContractViolationError, match="order_n=2"):
+            miadam_step(np.zeros(4), np.ones(4), OptimizerState.zeros(4, 1),
+                        MIAdamHyperParams(order_n=2))
+
+    @pytest.mark.parametrize("params", [SgdParams(alpha=0.05), SgdmParams(alpha=0.05, beta=0.9)],
+                             ids=["sgd", "sgdm"])
+    def test_sgd_training_moves_the_model(self, params):
+        spec = MlpSpec(layer_sizes=(20, 8, 4), init_seed=0)
+        ds = make_blobs(classes=4, per_class=20, spread=1.0, seed=0)
+        model, metrics = train_classifier(spec, ds, params, LrSchedule(), 3, 16, seed=0)
+        assert not np.array_equal(model.get_flat(), Mlp(spec).get_flat())
+        assert metrics[-1]["train_loss"] < metrics[0]["train_loss"]
+
+    @pytest.mark.parametrize("bad", [{"alpha": 0.0}, {"alpha": -1.0}, {"beta": 1.0}])
+    def test_sgd_params_validate(self, bad):
+        with pytest.raises(ContractViolationError):
+            SgdmParams(**bad)
+        if "alpha" in bad:
+            with pytest.raises(ContractViolationError):
+                SgdParams(**bad)
 
 
 class TestSchedule:
