@@ -10,10 +10,8 @@ files written so far are removed.
 from __future__ import annotations
 
 import math
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +23,7 @@ from .landscapes import (
     LandscapeSpec,
     WellSpec,
     grid_flatness_study,
+    grid_starts,
     simulate_trajectory,
 )
 from .mlp import (
@@ -53,29 +52,6 @@ from .theory import DriftingQuadraticProblem, EscapeScenario, escape_report, run
 SWITCH_DISABLED = 2 ** 62
 
 KINDS = ("trajectory", "grid-flatness", "train", "escape-theory", "regret", "hessian-report")
-
-
-def max_threads() -> int:
-    env = os.environ.get("FLATMIN_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ContractViolationError(f"FLATMIN_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ContractViolationError("FLATMIN_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn to items, possibly in parallel, returning results in order."""
-    items = list(items)
-    workers = min(max_threads(), max(len(items), 1))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +133,7 @@ def _ints(
     return [_int(x, f"{path}[{i}]", minimum) for i, x in enumerate(items)]
 
 
-def _normalize_optimizer(block: dict, path: str) -> dict:
+def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
     _check_keys(block, set().union(*_OPT_FIELDS.values()), {"name", "kind"}, path)
     kind = block["kind"]
     if kind not in _OPT_FIELDS:
@@ -181,21 +157,34 @@ def _normalize_optimizer(block: dict, path: str) -> dict:
     else:
         for key, default in ADAM_DEFAULTS.items():
             out[key] = num(key, default)
-        out["eps_in_sqrt"] = bool(block.get("eps_in_sqrt", False))
+        out["eps_in_sqrt"] = block.get("eps_in_sqrt", False)
+        if not isinstance(out["eps_in_sqrt"], bool):
+            raise ContractViolationError(
+                f"{path}.eps_in_sqrt: expected true or false, got {out['eps_in_sqrt']!r}"
+            )
         if kind == "miadam":
             out["order_n"] = _int(block.get("order_n", 1), f"{path}.order_n")
             out["kappa"] = num("kappa", 0.98)
             if "switch_epochs" in block:
-                out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs")
+                if not trains:
+                    raise ContractViolationError(
+                        f"{path}.switch_epochs: only valid for training runs"
+                    )
+                out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
             else:
                 switch = block.get("switch_step", 20)
                 out["switch_step"] = None if switch is None else _int(switch, f"{path}.switch_step")
             if block.get("pre_switch_lr_override") is not None:
                 out["pre_switch_lr_override"] = num("pre_switch_lr_override", None)
+    try:
+        _optimizer_params(out)  # the typed params check the values' ranges
+    except ContractViolationError as err:
+        raise ContractViolationError(f"{path}: {err}") from None
     return out
 
 
-def _optimizer_params(block: dict, spe: int | None = None):
+def _optimizer_params(block: dict, spe: int = 1):
+    """Typed params of a normalized optimizer block; ``spe`` is steps per epoch."""
     kind = block["kind"]
     if kind == "sgd":
         return SgdParams(alpha=block["alpha"])
@@ -212,10 +201,6 @@ def _optimizer_params(block: dict, spe: int | None = None):
     if kind == "adam":
         return adam
     if "switch_epochs" in block:
-        if spe is None:
-            raise ContractViolationError(
-                f"optimizer {block['name']!r}: switch_epochs only valid for training runs"
-            )
         switch = block["switch_epochs"] * spe
     else:
         switch = block["switch_step"]
@@ -336,10 +321,15 @@ def _build_dataset(norm, root_seed: int) -> Dataset:
 
 def _normalize_model(block: dict, path: str) -> dict:
     _check_keys(block, {"layer_sizes", "activation"}, {"layer_sizes"}, path)
-    return {
+    out = {
         "layer_sizes": _ints(block["layer_sizes"], f"{path}.layer_sizes", min_length=2, minimum=1),
         "activation": block.get("activation", "tanh"),
     }
+    try:
+        MlpSpec(layer_sizes=tuple(out["layer_sizes"]), activation=out["activation"])
+    except ContractViolationError as err:
+        raise ContractViolationError(f"{path}: {err}") from None
+    return out
 
 
 _KIND_FIELDS = {
@@ -379,8 +369,9 @@ def normalize_config(raw: dict) -> dict:
         blocks = raw["optimizers"]
         if not isinstance(blocks, list) or not blocks:
             raise ContractViolationError("config.optimizers: expected a non-empty list")
+        trains = kind in ("train", "hessian-report")
         out["optimizers"] = [
-            _normalize_optimizer(b, f"config.optimizers[{i}]") for i, b in enumerate(blocks)
+            _normalize_optimizer(b, f"config.optimizers[{i}]", trains) for i, b in enumerate(blocks)
         ]
         names = [b["name"] for b in out["optimizers"]]
         if len(set(names)) != len(names):
@@ -499,13 +490,10 @@ def _run_trajectory(cfg: dict, writer: _RunWriter) -> dict:
     spec = _build_landscape(cfg["landscape"])
     sched = _build_schedule(cfg["schedule"], cfg["total_steps"])
     start = (cfg["start"][0], cfg["start"][1])
-
-    def one(block):
-        params = _optimizer_params(block)
-        return block["name"], simulate_trajectory(spec, start, params, sched, cfg["total_steps"])
-
     results = {}
-    for name, rec in _map_ordered(one, cfg["optimizers"]):
+    for block in cfg["optimizers"]:
+        name = block["name"]
+        rec = simulate_trajectory(spec, start, _optimizer_params(block), sched, cfg["total_steps"])
         writer.csv(
             f"trajectory_{name}.csv",
             ["t", "theta1", "theta2", "loss"],
@@ -525,15 +513,12 @@ def _run_grid_flatness(cfg: dict, writer: _RunWriter) -> dict:
     region = (tuple(cfg["region"][0]), tuple(cfg["region"][1]))
     grid = (cfg["grid"][0], cfg["grid"][1])
     names = [b["name"] for b in cfg["optimizers"]]
-
-    def one(block):
-        return grid_flatness_study(
+    flats = [
+        grid_flatness_study(
             spec, region, grid, [_optimizer_params(block)], sched, cfg["total_steps"]
         )[0]
-
-    flats = _map_ordered(one, cfg["optimizers"])
-    from .landscapes import grid_starts
-
+        for block in cfg["optimizers"]
+    ]
     starts = grid_starts(region, grid)
     rows, cols = grid
     table = []
@@ -560,17 +545,14 @@ def _run_train(cfg: dict, writer: _RunWriter) -> dict:
         init_seed=derive_seed(seed, "model-init"),
     )
     shuffle_seed = derive_seed(seed, "train-shuffle")
-
-    def one(block):
+    results = {}
+    trained = {}
+    for block in cfg["optimizers"]:
+        name = block["name"]
         params = _optimizer_params(block, spe=spe)
         model, metrics = train_classifier(
             model_spec, ds, params, sched, cfg["epochs"], cfg["batch_size"], shuffle_seed
         )
-        return block["name"], model, metrics
-
-    results = {}
-    trained = {}
-    for name, model, metrics in _map_ordered(one, cfg["optimizers"]):
         writer.csv(
             f"metrics_{name}.csv",
             ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"],
@@ -609,15 +591,12 @@ def _run_regret(cfg: dict, writer: _RunWriter) -> dict:
         theta0=p["theta0"],
         seed=derive_seed(cfg["seed"], "regret-problem"),
     )
-
-    def one(block):
+    results = {}
+    for block in cfg["optimizers"]:
         params = _optimizer_params(block)
-        return run_regret_experiment(
+        series = run_regret_experiment(
             problem, params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"], label=block["name"]
         )
-
-    results = {}
-    for series in _map_ordered(one, cfg["optimizers"]):
         ts = np.arange(1, series.horizon + 1)
         writer.csv(
             f"regret_{series.optimizer_label}.csv",

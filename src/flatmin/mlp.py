@@ -15,8 +15,8 @@ One forward pass (``Mlp.logits``) serves ``forward_loss``,
 per-model workspace, and ``loss_and_grad`` writes its hidden deltas there
 too.  The workspace is sized once to the largest batch the model has seen,
 so the hot path allocates no hidden-layer arrays.  A model may therefore
-serve only one call at a time; separate models may run in separate
-threads.  Arrays handed back to callers never alias the workspace.
+serve only one call at a time.  Arrays handed back to callers never alias
+the workspace.
 """
 
 from __future__ import annotations

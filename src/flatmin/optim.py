@@ -65,7 +65,7 @@ class AdamHyperParams:
             raise ContractViolationError("epsilon must be > 0")
         if self.weight_decay < 0:
             raise ContractViolationError("weight_decay must be >= 0")
-        if self.beta1 ** 2 / math.sqrt(self.beta2) >= 1:
+        if self.beta2 == 0 or self.beta1 ** 2 / math.sqrt(self.beta2) >= 1:
             raise ContractViolationError("require beta1^2 / sqrt(beta2) < 1")
 
 

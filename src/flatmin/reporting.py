@@ -17,9 +17,17 @@ def fmt_value(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_value(v) for v in row))
+    """Write the header and one line per row, each cell as ``fmt_value`` spells it.
+
+    Cells are formatted a column at a time.  A column holding only plain ints
+    and floats goes through ``repr``, which is what ``fmt_value`` returns for
+    them, without a Python call per cell.
+    """
+    columns = [
+        map(repr, col) if set(map(type, col)) <= {int, float} else map(fmt_value, col)
+        for col in zip(*rows, strict=True)
+    ]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

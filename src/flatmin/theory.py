@@ -182,14 +182,14 @@ def run_regret_experiment(
     theta_star = targets.mean(axis=0)
     theta = np.full(problem.dim, problem.theta0, dtype=np.float64)
     opt = build_optimizer(optimizer, problem.dim)
+    # the comparator's loss on each target does not depend on theta: compute it up front
+    comparator = [0.5 * float(d @ d) for d in theta_star - targets]
     cumulative = np.empty(horizon)
     diff_t = np.empty(problem.dim)
     running = 0.0
     for t in range(1, horizon + 1):
-        c = targets[t - 1]
-        np.subtract(theta, c, out=diff_t)
-        diff_star = theta_star - c
-        running += 0.5 * float(diff_t @ diff_t) - 0.5 * float(diff_star @ diff_star)
+        np.subtract(theta, targets[t - 1], out=diff_t)
+        running += 0.5 * float(diff_t @ diff_t) - comparator[t - 1]
         cumulative[t - 1] = running
         mult = t ** (-lr_decay_h) if lr_decay_h != 0.0 else 1.0
         try:

@@ -89,21 +89,27 @@ def test_invalid_config_exit_2_no_outputs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_runtime_failure_exit_1(tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    cfg = {
-        "kind": "trajectory",
+def _diverging(out_dir):
+    # a valid config that fails at run time: at a constant rate of 3, SGD on
+    # the quadratic stream doubles its distance to the target every step
+    return {
+        "kind": "regret",
         "seed": 0,
         "output_dir": str(out_dir),
-        "landscape": "landscape-A",
-        "start": [1.0, 1.0],
-        "total_steps": 5,
-        # switch_epochs is only meaningful for training runs; caught at run time
-        "optimizers": [{"name": "mi", "kind": "miadam", "switch_epochs": 2}],
+        "horizon": 1100,
+        "lr_decay_h": 0.0,
+        "optimizers": [
+            {"name": "adam", "kind": "adam"},
+            {"name": "sgd", "kind": "sgd", "alpha": 3.0},
+        ],
     }
-    path = write_config(tmp_path, cfg)
+
+
+def test_runtime_failure_exit_1(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, _diverging(out_dir))
     assert main(["run", str(path)]) == 1
-    assert "switch_epochs" in capsys.readouterr().err
+    assert "regret run diverged" in capsys.readouterr().err
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
@@ -156,6 +162,42 @@ def test_non_finite_miadam_field_names_its_path(tmp_path, capsys):
     path = write_config(tmp_path, _trajectory(tmp_path / "out", kind="miadam", kappa=float("nan")))
     assert main(["run", str(path)]) == 2
     assert "config.optimizers[0].kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None, [True]])
+def test_non_bool_eps_in_sqrt_exit_2(tmp_path, capsys, value):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, _trajectory(out_dir, kind="miadam", eps_in_sqrt=value))
+    assert main(["run", str(path)]) == 2
+    assert "error: config.optimizers[0].eps_in_sqrt: expected true or false" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "optimizer,message",
+    [
+        ({"kind": "sgd", "alpha": -0.1}, "alpha must be > 0"),
+        ({"kind": "sgdm", "alpha": 0.0}, "alpha must be > 0"),
+        ({"kind": "sgdm", "beta": 1.0}, "beta must lie in [0, 1)"),
+        ({"kind": "adam", "beta1": 1.0}, "beta1 and beta2 must lie in [0, 1)"),
+        ({"kind": "adam", "beta2": -0.5}, "beta1 and beta2 must lie in [0, 1)"),
+        ({"kind": "adam", "beta2": 0.0}, "require beta1^2 / sqrt(beta2) < 1"),
+        ({"kind": "adam", "epsilon": 0.0}, "epsilon must be > 0"),
+        ({"kind": "adam", "weight_decay": -1e-4}, "weight_decay must be >= 0"),
+        ({"kind": "miadam", "kappa": 0}, "kappa must lie in (0, 1]"),
+        ({"kind": "miadam", "order_n": 0}, "order_n must be >= 1"),
+        ({"kind": "miadam", "switch_step": 0}, "switch_step must be >= 1"),
+        ({"kind": "miadam", "pre_switch_lr_override": -1.0}, "pre_switch_lr_override must be > 0"),
+    ],
+)
+def test_out_of_range_optimizer_value_exit_2(tmp_path, capsys, optimizer, message):
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, _trajectory(out_dir, **optimizer))
+    assert main(["run", str(path)]) == 2
+    assert f"error: config.optimizers[0]: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _train(out_dir, **fields):
@@ -223,6 +265,14 @@ def _grid(out_dir, **fields):
         (_train, "dataset", {"per_class": "10"}, "config.dataset.per_class"),
         (_train, "epochs", 0, "config.epochs"),
         (_train, "batch_size", True, "config.batch_size"),
+        (_train, "model", {"layer_sizes": [20, 8, 4], "activation": "sigmoid"}, "config.model"),
+        (_train, "model", {"layer_sizes": [20, 8, 1]}, "config.model"),
+        (_train, "optimizers", [{"name": "mi", "kind": "miadam", "switch_epochs": 0}],
+         "config.optimizers[0].switch_epochs"),
+        (_trajectory, "optimizers", [{"name": "mi", "kind": "miadam", "switch_epochs": 2}],
+         "config.optimizers[0].switch_epochs"),
+        (_grid, "optimizers", [{"name": "mi", "kind": "miadam", "switch_epochs": 2}],
+         "config.optimizers[0].switch_epochs"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -265,9 +315,8 @@ def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, fiel
 
 def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):
     out_dir = tmp_path / "new" / "deeper"
-    cfg = _trajectory(out_dir, kind="miadam", switch_epochs=2)
-    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
-    assert "switch_epochs" in capsys.readouterr().err
+    assert main(["run", str(write_config(tmp_path, _diverging(out_dir)))]) == 1
+    assert "regret run diverged" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -275,6 +324,5 @@ def test_runtime_failure_keeps_an_existing_output_dir_and_its_files(tmp_path):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "keep.txt").write_text("mine")
-    cfg = _trajectory(out_dir, kind="miadam", switch_epochs=2)
-    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert main(["run", str(write_config(tmp_path, _diverging(out_dir)))]) == 1
     assert sorted(p.name for p in out_dir.iterdir()) == ["keep.txt"]

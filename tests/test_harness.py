@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flatmin.errors import ContractViolationError
+from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import SWITCH_DISABLED, normalize_config, run, run_config
+from flatmin.reporting import fmt_value, write_csv
 from flatmin.seeding import derive_seed, splitmix64
 
 
@@ -23,6 +26,75 @@ def trajectory_config(out_dir):
             {"name": "sgd", "kind": "sgd", "alpha": 0.05},
         ],
     }
+
+
+ALONE_CONFIGS = {
+    "trajectory": {
+        "kind": "trajectory",
+        "seed": 1,
+        "landscape": "landscape-B",
+        "start": [1.6, -0.3],
+        "total_steps": 40,
+        "schedule": {"kind": "cosine_annealing"},
+        "optimizers": [
+            {"name": "mi2", "kind": "miadam", "alpha": 0.05, "order_n": 2, "kappa": 0.9,
+             "switch_step": 25, "pre_switch_lr_override": 0.02},
+            {"name": "adam", "kind": "adam", "alpha": 0.05},
+            {"name": "sgdm", "kind": "sgdm", "alpha": 0.05},
+        ],
+    },
+    "grid-flatness": {
+        "kind": "grid-flatness",
+        "seed": 2,
+        "landscape": "landscape-B",
+        "region": [[-2.0, 3.0], [-2.0, 3.0]],
+        "grid": [3, 4],
+        "total_steps": 30,
+        "schedule": {"kind": "cosine_annealing"},
+        "optimizers": [
+            {"name": "mi2", "kind": "miadam", "alpha": 0.005, "weight_decay": 0.0,
+             "order_n": 2, "kappa": 0.885, "switch_step": 20},
+            {"name": "adam", "kind": "adam", "alpha": 0.005, "weight_decay": 0.0},
+            {"name": "sgd", "kind": "sgd", "alpha": 0.05},
+        ],
+    },
+    "train": {
+        "kind": "train",
+        "seed": 8,
+        "model": {"layer_sizes": [20, 16, 4], "activation": "relu"},
+        "dataset": {"classes": 4, "per_class": 30, "noise_rate": 0.2},
+        "epochs": 3,
+        "batch_size": 16,
+        "optimizers": [
+            {"name": "mi1", "kind": "miadam", "alpha": 1e-2, "switch_epochs": 2},
+            {"name": "adam", "kind": "adam", "alpha": 1e-2},
+            {"name": "sgdm", "kind": "sgdm", "alpha": 1e-2},
+        ],
+    },
+    "regret": {
+        "kind": "regret",
+        "seed": 4,
+        "horizon": 300,
+        "optimizers": [
+            {"name": "mi3", "kind": "miadam", "alpha": 0.1, "order_n": 3, "kappa": 0.9,
+             "switch_step": None, "pre_switch_lr_override": 0.1},
+            {"name": "adam", "kind": "adam", "alpha": 0.1, "eps_in_sqrt": True},
+            {"name": "sgd", "kind": "sgd", "alpha": 0.1},
+        ],
+    },
+}
+
+
+def _optimizer_csv(out_dir, kind, name) -> bytes:
+    """The bytes one optimizer contributes to a run's CSV output."""
+    if kind == "grid-flatness":
+        lines = (out_dir / "flatness.csv").read_text().splitlines()
+        col = lines[0].split(",").index(name)
+        return "\n".join(
+            ",".join(cells[:4] + [cells[col]]) for cells in (line.split(",") for line in lines)
+        ).encode()
+    prefix = {"trajectory": "trajectory", "train": "metrics", "regret": "regret"}[kind]
+    return (out_dir / f"{prefix}_{name}.csv").read_bytes()
 
 
 class TestSeeding:
@@ -79,9 +151,8 @@ class TestValidation:
         cfg["optimizers"] = [
             {"name": "mi", "kind": "miadam", "switch_epochs": 20}
         ]
-        norm = normalize_config(cfg)
-        with pytest.raises(ContractViolationError, match="switch_epochs"):
-            run_config(norm)
+        with pytest.raises(ContractViolationError, match=r"optimizers\[0\]\.switch_epochs"):
+            normalize_config(cfg)
 
     def test_null_switch_step_disables(self, tmp_path):
         cfg = trajectory_config(tmp_path)
@@ -234,12 +305,20 @@ class TestRuns:
         assert r["trace_probes"] == 20
 
     def test_failure_cleans_outputs(self, tmp_path):
-        cfg = trajectory_config(tmp_path / "out")
-        cfg["optimizers"] = [
-            {"name": "adam", "kind": "adam", "alpha": 0.05},
-            {"name": "mi", "kind": "miadam", "switch_epochs": 10},  # invalid outside train
-        ]
-        with pytest.raises(ContractViolationError):
+        # adam's CSV is written before sgd diverges (at a constant rate of 3
+        # SGD doubles its distance to the target every step)
+        cfg = {
+            "kind": "regret",
+            "seed": 0,
+            "output_dir": str(tmp_path / "out"),
+            "horizon": 1100,
+            "lr_decay_h": 0.0,
+            "optimizers": [
+                {"name": "adam", "kind": "adam"},
+                {"name": "sgd", "kind": "sgd", "alpha": 3.0},
+            ],
+        }
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
             run(cfg)
         leftover = list((tmp_path / "out").iterdir()) if (tmp_path / "out").exists() else []
         assert leftover == []
@@ -254,32 +333,64 @@ class TestRuns:
         joined = " ".join(report["warnings"])
         assert "override" in joined and "order_n=4" in joined
 
-    def test_threaded_training_matches_single_thread(self, tmp_path, monkeypatch):
-        # Two optimizers train two models at once on two pool threads (what
-        # the default thread count gives on any machine with 2+ CPUs).  Each
-        # model owns its workspace, so the bytes must not depend on threads.
-        cfg = {
-            "kind": "train",
-            "seed": 8,
-            "model": {"layer_sizes": [20, 64, 4], "activation": "tanh"},
-            "dataset": {"classes": 4, "per_class": 40, "noise_rate": 0.2},
-            "epochs": 6,
-            "batch_size": 16,
-            "optimizers": [
-                {"name": "adam", "kind": "adam", "alpha": 1e-2},
-                {"name": "mi1", "kind": "miadam", "alpha": 1e-2, "switch_epochs": 2},
-            ],
-        }
-        reports = {}
-        for threads in ("2", "1"):
-            monkeypatch.setenv("FLATMIN_THREADS", threads)
-            reports[threads] = run(dict(cfg, output_dir=str(tmp_path / threads)))
-        assert reports["2"]["results"] == reports["1"]["results"]
-        for name in ("metrics_adam.csv", "metrics_mi1.csv"):
-            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    @pytest.mark.parametrize("kind", sorted(ALONE_CONFIGS))
+    def test_each_optimizer_runs_as_if_alone(self, tmp_path, kind):
+        # An optimizer's CSV bytes and results must not depend on which other
+        # optimizers share its config or where it sits among them.
+        cfg = ALONE_CONFIGS[kind]
+        opts = cfg["optimizers"]
+        name = opts[0]["name"]
+        outputs = []
+        for label, order in (("alone", opts[:1]), ("first", opts), ("last", opts[1:] + opts[:1])):
+            out_dir = tmp_path / label
+            report = run(dict(cfg, output_dir=str(out_dir), optimizers=order))
+            assert list(report["results"]) == [o["name"] for o in order]
+            outputs.append((report["results"][name], _optimizer_csv(out_dir, kind, name)))
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_single_thread_env_matches_parallel(self, tmp_path, monkeypatch):
-        r1 = run(trajectory_config(tmp_path / "a"))
-        monkeypatch.setenv("FLATMIN_THREADS", "1")
-        r2 = run(trajectory_config(tmp_path / "b"))
-        assert r1["results"] == r2["results"]
+
+def _reference_csv(header, rows) -> str:
+    """The cell-by-cell writer that ``write_csv`` must match byte for byte."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt_value(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_cells = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+)
+
+
+class TestCsvWriter:
+    def test_mixed_cells_match_the_cell_by_cell_writer(self, tmp_path):
+        rows = [
+            (1, 0.1, True, np.float64(2.5), -0.0, 7, -0.0),
+            (-7, -0.0, False, np.float64(-0.0), 1e300, 2.5, np.float64(1 / 3)),
+            (2 ** 70, float("nan"), 3, float("-inf"), 5e-324, -4, True),
+        ]
+        header = ["a", "b", "c", "d", "e", "f", "g"]
+        write_csv(tmp_path / "x.csv", header, iter(rows))
+        text = (tmp_path / "x.csv").read_text()
+        assert text == _reference_csv(header, rows)
+        assert text.splitlines()[1] == "1,0.1,true,2.5,-0.0,7,-0.0"
+        assert text.splitlines()[2].endswith(",-0.0,1e+300,2.5,0.3333333333333333")
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        write_csv(tmp_path / "x.csv", ["t", "loss"], [])
+        assert (tmp_path / "x.csv").read_bytes() == b"t,loss\n"
+
+    # each example overwrites the one file, so the shared tmp_path is safe
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data(), width=st.integers(1, 5))
+    def test_random_cells_match_the_cell_by_cell_writer(self, tmp_path, data, width):
+        rows = data.draw(st.lists(st.tuples(*[_cells] * width), max_size=8))
+        header = [f"c{i}" for i in range(width)]
+        write_csv(tmp_path / "x.csv", header, rows)
+        assert (tmp_path / "x.csv").read_bytes() == _reference_csv(header, rows).encode()
