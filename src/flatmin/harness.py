@@ -35,21 +35,16 @@ from .mlp import (
     steps_per_epoch,
     train_classifier,
 )
-from .optim import (
-    AdamHyperParams,
-    LrSchedule,
-    MIAdamHyperParams,
-    SgdParams,
-    SgdmParams,
-    TESTED_MAX_ORDER,
-)
-from .presets import ADAM_DEFAULTS, DATASET_PRESETS, get_landscape
+from .optim import AdamHyperParams, LrSchedule, MIAdamHyperParams, SgdParams, SgdmParams
+from .presets import DATASET_PRESETS, get_landscape
 from .reporting import write_csv, write_report
 from .seeding import derive_seed
 from .theory import DriftingQuadraticProblem, EscapeScenario, escape_report, run_regret_experiment
 
 # switch_step value used when a config disables the MIAdam switch
 SWITCH_DISABLED = 2 ** 62
+# MIAdam orders above this run, but the report warns that they are untested
+TESTED_MAX_ORDER = 3
 
 KINDS = ("trajectory", "grid-flatness", "train", "escape-theory", "regret", "hessian-report")
 
@@ -133,6 +128,14 @@ def _ints(
     return [_int(x, f"{path}[{i}]", minimum) for i, x in enumerate(items)]
 
 
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with any range error it raises prefixed by ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ContractViolationError as err:
+        raise ContractViolationError(f"{path}: {err}") from None
+
+
 def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
     _check_keys(block, set().union(*_OPT_FIELDS.values()), {"name", "kind"}, path)
     kind = block["kind"]
@@ -145,26 +148,28 @@ def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
             f"{path}.name: expected a name matching {_NAME_RE.pattern}, got {name!r}"
         )
 
-    def num(key, default):
-        return _float(block.get(key, default), f"{path}.{key}")
+    def num(key, params):
+        # an omitted field takes the default of the typed params class
+        return _float(block.get(key, getattr(params, key)), f"{path}.{key}")
 
     out = {"name": name, "kind": kind}
     if kind == "sgd":
-        out["alpha"] = num("alpha", 1e-3)
+        out["alpha"] = num("alpha", SgdParams)
     elif kind == "sgdm":
-        out["alpha"] = num("alpha", 1e-3)
-        out["beta"] = num("beta", 0.9)
+        out["alpha"] = num("alpha", SgdmParams)
+        out["beta"] = num("beta", SgdmParams)
     else:
-        for key, default in ADAM_DEFAULTS.items():
-            out[key] = num(key, default)
-        out["eps_in_sqrt"] = block.get("eps_in_sqrt", False)
+        for key in ("alpha", "beta1", "beta2", "epsilon", "weight_decay"):
+            out[key] = num(key, AdamHyperParams)
+        out["eps_in_sqrt"] = block.get("eps_in_sqrt", AdamHyperParams.eps_in_sqrt)
         if not isinstance(out["eps_in_sqrt"], bool):
             raise ContractViolationError(
                 f"{path}.eps_in_sqrt: expected true or false, got {out['eps_in_sqrt']!r}"
             )
         if kind == "miadam":
-            out["order_n"] = _int(block.get("order_n", 1), f"{path}.order_n")
-            out["kappa"] = num("kappa", 0.98)
+            mi = MIAdamHyperParams
+            out["order_n"] = _int(block.get("order_n", mi.order_n), f"{path}.order_n")
+            out["kappa"] = num("kappa", mi)
             if "switch_epochs" in block:
                 if not trains:
                     raise ContractViolationError(
@@ -172,14 +177,11 @@ def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
                     )
                 out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
             else:
-                switch = block.get("switch_step", 20)
+                switch = block.get("switch_step", mi.switch_step)
                 out["switch_step"] = None if switch is None else _int(switch, f"{path}.switch_step")
             if block.get("pre_switch_lr_override") is not None:
-                out["pre_switch_lr_override"] = num("pre_switch_lr_override", None)
-    try:
-        _optimizer_params(out)  # the typed params check the values' ranges
-    except ContractViolationError as err:
-        raise ContractViolationError(f"{path}: {err}") from None
+                out["pre_switch_lr_override"] = num("pre_switch_lr_override", mi)
+    _build(path, _optimizer_params, out)  # the typed params check the values' ranges
     return out
 
 
@@ -259,13 +261,13 @@ def _normalize_landscape(block, path: str):
     for i, w in enumerate(_list(block["wells"], f"{path}.wells", min_length=1)):
         wpath = f"{path}.wells[{i}]"
         _check_keys(w, {"center", "depth", "width"}, {"center", "depth", "width"}, wpath)
-        wells.append(
-            {
-                "center": _floats(w["center"], f"{wpath}.center", 2),
-                "depth": _float(w["depth"], f"{wpath}.depth"),
-                "width": _float(w["width"], f"{wpath}.width"),
-            }
-        )
+        well = {
+            "center": _floats(w["center"], f"{wpath}.center", 2),
+            "depth": _float(w["depth"], f"{wpath}.depth"),
+            "width": _float(w["width"], f"{wpath}.width"),
+        }
+        _build(wpath, WellSpec, **well)
+        wells.append(well)
     base_level = _float(block.get("base_level", 0.0), f"{path}.base_level")
     return {"wells": wells, "base_level": base_level}
 
@@ -289,15 +291,21 @@ def _normalize_dataset(block, path: str):
         return block
     allowed = {"classes", "per_class", "spread", "seed", "n_features", "noise_rate"}
     _check_keys(block, allowed, set(), path)
+    preset = DATASET_PRESETS["blobs-4c"]  # an omitted field takes this preset's value
     out = {
-        "classes": _int(block.get("classes", 4), f"{path}.classes"),
-        "per_class": _int(block.get("per_class", 500), f"{path}.per_class"),
-        "spread": _float(block.get("spread", 1.0), f"{path}.spread"),
-        "n_features": _int(block.get("n_features", 20), f"{path}.n_features"),
+        "classes": _int(block.get("classes", preset["classes"]), f"{path}.classes", 2),
+        "per_class": _int(block.get("per_class", preset["per_class"]), f"{path}.per_class", 1),
+        "spread": _float(block.get("spread", preset["spread"]), f"{path}.spread"),
+        # the class centres sit in features 0 and 1
+        "n_features": _int(block.get("n_features", preset["n_features"]), f"{path}.n_features", 2),
         "noise_rate": _float(block.get("noise_rate", 0.0), f"{path}.noise_rate"),
     }
     if out["spread"] <= 0:
         raise ContractViolationError(f"{path}.spread: must be > 0, got {out['spread']!r}")
+    if not 0 <= out["noise_rate"] < 1:
+        raise ContractViolationError(
+            f"{path}.noise_rate: must lie in [0, 1), got {out['noise_rate']!r}"
+        )
     if "seed" in block:
         out["seed"] = _int(block["seed"], f"{path}.seed")
     return out
@@ -305,7 +313,7 @@ def _normalize_dataset(block, path: str):
 
 def _build_dataset(norm, root_seed: int) -> Dataset:
     if isinstance(norm, str):
-        return DATASET_PRESETS[norm](seed=derive_seed(root_seed, "dataset"))
+        return make_blobs(**DATASET_PRESETS[norm], seed=derive_seed(root_seed, "dataset"))
     seed = norm.get("seed", derive_seed(root_seed, "dataset"))
     ds = make_blobs(
         classes=norm["classes"],
@@ -325,11 +333,31 @@ def _normalize_model(block: dict, path: str) -> dict:
         "layer_sizes": _ints(block["layer_sizes"], f"{path}.layer_sizes", min_length=2, minimum=1),
         "activation": block.get("activation", "tanh"),
     }
-    try:
-        MlpSpec(layer_sizes=tuple(out["layer_sizes"]), activation=out["activation"])
-    except ContractViolationError as err:
-        raise ContractViolationError(f"{path}: {err}") from None
+    _build(path, MlpSpec, layer_sizes=tuple(out["layer_sizes"]), activation=out["activation"])
     return out
+
+
+def _check_model_fits(model: dict, dataset) -> None:
+    dims = DATASET_PRESETS[dataset] if isinstance(dataset, str) else dataset
+    sizes = model["layer_sizes"]
+    if sizes[0] != dims["n_features"] or sizes[-1] < dims["classes"]:
+        raise ContractViolationError(
+            f"config.model.layer_sizes: {sizes} does not fit a dataset of "
+            f"{dims['n_features']} features and {dims['classes']} classes "
+            "(the input width must equal n_features, the output width be >= classes)"
+        )
+
+
+# the escape scenario's fields and their parsers; only t_tilde may be left out
+_SCENARIO_FIELDS = {
+    "alpha": _float, "beta1": _float, "batch_size_b": _int, "delta_L": _float,
+    "h_a_eigs": _floats, "h_u_eigs": _floats, "escape_index": _int, "rho": _float,
+    "t_tilde": _float,
+}
+
+
+def _build_scenario(norm: dict) -> EscapeScenario:
+    return EscapeScenario(**{k: tuple(v) if isinstance(v, list) else v for k, v in norm.items()})
 
 
 _KIND_FIELDS = {
@@ -340,14 +368,8 @@ _KIND_FIELDS = {
     "regret": {"problem", "horizon", "lr_decay_h", "optimizers"},
     "hessian-report": {"model", "dataset", "epochs", "batch_size", "optimizers", "schedule", "hessian"},
 }
-_KIND_REQUIRED = {
-    "trajectory": {"landscape", "start", "total_steps", "optimizers"},
-    "grid-flatness": {"landscape", "region", "grid", "total_steps", "optimizers"},
-    "train": {"model", "dataset", "epochs", "batch_size", "optimizers"},
-    "escape-theory": {"scenario"},
-    "regret": {"horizon", "optimizers"},
-    "hessian-report": {"model", "dataset", "epochs", "batch_size", "optimizers"},
-}
+# the kind fields a config may leave out; every other one is required
+_KIND_OPTIONAL = {"schedule", "problem", "lr_decay_h", "hessian"}
 
 
 def normalize_config(raw: dict) -> dict:
@@ -358,14 +380,15 @@ def normalize_config(raw: dict) -> dict:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ContractViolationError(f"config.kind: expected one of {KINDS}, got {kind!r}")
-    _check_keys(raw, base | _KIND_FIELDS[kind], base | _KIND_REQUIRED[kind], "config")
+    fields = _KIND_FIELDS[kind]
+    _check_keys(raw, base | fields, base | (fields - _KIND_OPTIONAL), "config")
+    if not isinstance(raw["output_dir"], str):
+        raise ContractViolationError(
+            f"config.output_dir: expected a string, got {raw['output_dir']!r}"
+        )
 
-    out = {
-        "kind": kind,
-        "seed": _int(raw["seed"], "config.seed"),
-        "output_dir": str(raw["output_dir"]),
-    }
-    if "optimizers" in _KIND_FIELDS[kind] and "optimizers" in raw:
+    out = {"kind": kind, "seed": _int(raw["seed"], "config.seed"), "output_dir": raw["output_dir"]}
+    if "optimizers" in fields:
         blocks = raw["optimizers"]
         if not isinstance(blocks, list) or not blocks:
             raise ContractViolationError("config.optimizers: expected a non-empty list")
@@ -376,8 +399,6 @@ def normalize_config(raw: dict) -> dict:
         names = [b["name"] for b in out["optimizers"]]
         if len(set(names)) != len(names):
             raise ContractViolationError("config.optimizers: names must be unique")
-    if "schedule" in _KIND_FIELDS[kind]:
-        out["schedule"] = _normalize_schedule(raw.get("schedule"), "config.schedule")
 
     if kind in ("trajectory", "grid-flatness"):
         out["landscape"] = _normalize_landscape(raw["landscape"], "config.landscape")
@@ -391,45 +412,39 @@ def normalize_config(raw: dict) -> dict:
     if kind in ("train", "hessian-report"):
         out["model"] = _normalize_model(raw["model"], "config.model")
         out["dataset"] = _normalize_dataset(raw["dataset"], "config.dataset")
+        _check_model_fits(out["model"], out["dataset"])
         out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
         out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
+    if "schedule" in fields:
+        out["schedule"] = _normalize_schedule(raw.get("schedule"), "config.schedule")
+        # a training run's length is known only once its dataset is built: 1 stands in
+        _build("config.schedule", _build_schedule, out["schedule"], out.get("total_steps", 1))
     if kind == "escape-theory":
-        s = raw["scenario"]
-        allowed = {
-            "alpha", "beta1", "batch_size_b", "delta_L", "h_a_eigs", "h_u_eigs",
-            "escape_index", "rho", "t_tilde",
-        }
-        _check_keys(s, allowed, allowed - {"t_tilde"}, "config.scenario")
         sp = "config.scenario"
-        out["scenario"] = {
-            "alpha": _float(s["alpha"], f"{sp}.alpha"),
-            "beta1": _float(s["beta1"], f"{sp}.beta1"),
-            "batch_size_b": _int(s["batch_size_b"], f"{sp}.batch_size_b"),
-            "delta_L": _float(s["delta_L"], f"{sp}.delta_L"),
-            "h_a_eigs": _floats(s["h_a_eigs"], f"{sp}.h_a_eigs"),
-            "h_u_eigs": _floats(s["h_u_eigs"], f"{sp}.h_u_eigs"),
-            "escape_index": _int(s["escape_index"], f"{sp}.escape_index"),
-            "rho": _float(s["rho"], f"{sp}.rho"),
-            "t_tilde": _float(s.get("t_tilde", 1.0), f"{sp}.t_tilde"),
-        }
+        _check_keys(raw["scenario"], set(_SCENARIO_FIELDS), set(_SCENARIO_FIELDS) - {"t_tilde"}, sp)
+        s = {"t_tilde": EscapeScenario.t_tilde, **raw["scenario"]}
+        out["scenario"] = {k: parse(s[k], f"{sp}.{k}") for k, parse in _SCENARIO_FIELDS.items()}
+        _build(sp, _build_scenario, out["scenario"])
     if kind == "regret":
         p = raw.get("problem", {})
         _check_keys(p, {"dim", "target_low", "target_high", "theta0"}, set(), "config.problem")
-        out["problem"] = {
-            "dim": _int(p.get("dim", 4), "config.problem.dim"),
-            "target_low": _float(p.get("target_low", -1.0), "config.problem.target_low"),
-            "target_high": _float(p.get("target_high", 1.0), "config.problem.target_high"),
-            "theta0": _float(p.get("theta0", 1.0), "config.problem.theta0"),
-        }
+        problem = DriftingQuadraticProblem  # an omitted field takes the class default
+        out["problem"] = {"dim": _int(p.get("dim", problem.dim), "config.problem.dim", 1)}
+        for key in ("target_low", "target_high", "theta0"):
+            out["problem"][key] = _float(p.get(key, getattr(problem, key)), f"config.problem.{key}")
         out["horizon"] = _int(raw["horizon"], "config.horizon", minimum=1)
         out["lr_decay_h"] = _float(raw.get("lr_decay_h", 0.5), "config.lr_decay_h")
+        if out["lr_decay_h"] < 0:
+            raise ContractViolationError(
+                f"config.lr_decay_h: must be >= 0, got {out['lr_decay_h']!r}"
+            )
     if kind == "hessian-report":
         h = raw.get("hessian", {})
         _check_keys(h, {"max_iters", "tol", "probes"}, set(), "config.hessian")
         out["hessian"] = {
-            "max_iters": _int(h.get("max_iters", 200), "config.hessian.max_iters"),
+            "max_iters": _int(h.get("max_iters", 200), "config.hessian.max_iters", 1),
             "tol": _float(h.get("tol", 1e-6), "config.hessian.tol"),
-            "probes": _int(h.get("probes", 200), "config.hessian.probes"),
+            "probes": _int(h.get("probes", 200), "config.hessian.probes", 1),
         }
     return out
 
@@ -513,12 +528,8 @@ def _run_grid_flatness(cfg: dict, writer: _RunWriter) -> dict:
     region = (tuple(cfg["region"][0]), tuple(cfg["region"][1]))
     grid = (cfg["grid"][0], cfg["grid"][1])
     names = [b["name"] for b in cfg["optimizers"]]
-    flats = [
-        grid_flatness_study(
-            spec, region, grid, [_optimizer_params(block)], sched, cfg["total_steps"]
-        )[0]
-        for block in cfg["optimizers"]
-    ]
+    params = [_optimizer_params(block) for block in cfg["optimizers"]]
+    flats = grid_flatness_study(spec, region, grid, params, sched, cfg["total_steps"])
     starts = grid_starts(region, grid)
     rows, cols = grid
     table = []
@@ -566,30 +577,9 @@ def _run_train(cfg: dict, writer: _RunWriter) -> dict:
     return results, trained, ds
 
 
-def _run_escape_theory(cfg: dict) -> dict:
-    s = cfg["scenario"]
-    scenario = EscapeScenario(
-        alpha=s["alpha"],
-        beta1=s["beta1"],
-        batch_size_b=s["batch_size_b"],
-        delta_L=s["delta_L"],
-        h_a_eigs=tuple(s["h_a_eigs"]),
-        h_u_eigs=tuple(s["h_u_eigs"]),
-        escape_index=s["escape_index"],
-        rho=s["rho"],
-        t_tilde=s["t_tilde"],
-    )
-    return escape_report(scenario)
-
-
 def _run_regret(cfg: dict, writer: _RunWriter) -> dict:
-    p = cfg["problem"]
     problem = DriftingQuadraticProblem(
-        dim=p["dim"],
-        target_low=p["target_low"],
-        target_high=p["target_high"],
-        theta0=p["theta0"],
-        seed=derive_seed(cfg["seed"], "regret-problem"),
+        **cfg["problem"], seed=derive_seed(cfg["seed"], "regret-problem")
     )
     results = {}
     for block in cfg["optimizers"]:
@@ -666,7 +656,7 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
         elif kind == "train":
             results = _run_train(cfg, writer)[0]
         elif kind == "escape-theory":
-            results = _run_escape_theory(cfg)
+            results = escape_report(_build_scenario(cfg["scenario"]))
         elif kind == "regret":
             results = _run_regret(cfg, writer)
         else:

@@ -21,7 +21,6 @@ the workspace.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,7 +184,6 @@ class Dataset:
     labels: np.ndarray  # (N,) int64
     train_idx: np.ndarray
     test_idx: np.ndarray
-    noise_rate: float = 0.0
 
     @property
     def num_classes(self) -> int:
@@ -248,45 +246,7 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
         if new >= labels[idx]:
             new += 1
         labels[idx] = new
-    return replace(ds, labels=labels, noise_rate=rate)
-
-
-# ---------------------------------------------------------------------------
-# Optional IDX ingestion (big-endian magic 0x803 for images, 0x801 for labels)
-
-
-def load_idx(path) -> np.ndarray:
-    """Read an IDX image or label file into a numpy array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic == 0x00000803:
-        n, rows, cols = struct.unpack(">III", data[4:16])
-        arr = np.frombuffer(data, dtype=np.uint8, offset=16)
-        return arr.reshape(n, rows, cols)
-    if magic == 0x00000801:
-        (n,) = struct.unpack(">I", data[4:8])
-        return np.frombuffer(data, dtype=np.uint8, offset=8).copy()
-    raise ContractViolationError(f"unrecognized IDX magic 0x{magic:08x} in {path}")
-
-
-def dataset_from_idx(images_path, labels_path, seed: int) -> Dataset:
-    """Build a Dataset from IDX image/label files (flattened, scaled to [0,1])."""
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if images.ndim != 3 or images.shape[0] != labels.shape[0]:
-        raise ContractViolationError("IDX image/label files do not match")
-    n = images.shape[0]
-    inputs = images.reshape(n, -1).astype(np.float64) / 255.0
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(n)
-    n_train = int(round(0.8 * n))
-    return Dataset(
-        inputs=inputs,
-        labels=labels.astype(np.int64),
-        train_idx=perm[:n_train],
-        test_idx=perm[n_train:],
-    )
+    return replace(ds, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,6 @@ from .errors import ContractViolationError, NonFiniteError
 ParamVector = np.ndarray
 
 
-def as_param_vector(values) -> ParamVector:
-    """Coerce to a 1-D float64 array, validating shape."""
-    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if arr.ndim != 1 or arr.size < 1:
-        raise ContractViolationError(
-            f"parameter vector must be 1-D with dimension >= 1, got shape {arr.shape}"
-        )
-    return arr
-
-
 @dataclass(frozen=True)
 class AdamHyperParams:
     """Adam hyperparameters.  Defaults are the image-classification set.
@@ -69,10 +59,6 @@ class AdamHyperParams:
             raise ContractViolationError("require beta1^2 / sqrt(beta2) < 1")
 
 
-# Orders above this are accepted but flagged as untested in run metadata.
-TESTED_MAX_ORDER = 3
-
-
 @dataclass(frozen=True)
 class MIAdamHyperParams:
     """MIAdam hyperparameters on top of an Adam base.
@@ -98,10 +84,6 @@ class MIAdamHyperParams:
             raise ContractViolationError("switch_step must be >= 1")
         if self.pre_switch_lr_override is not None and self.pre_switch_lr_override <= 0:
             raise ContractViolationError("pre_switch_lr_override must be > 0")
-
-    @property
-    def order_is_tested(self) -> bool:
-        return self.order_n <= TESTED_MAX_ORDER
 
     @property
     def pre_switch_alpha(self) -> float:

@@ -1,19 +1,13 @@
-"""Named presets: landscapes, datasets, and default optimizer hyperparameters."""
+"""Named presets: landscapes, datasets, and the optimizer settings ``flatmin presets`` lists."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .errors import ContractViolationError
 from .landscapes import LandscapeSpec, WellSpec
-from .mlp import make_blobs
 from .optim import AdamHyperParams, MIAdamHyperParams
 
-# Defaults shared by the image-classification style experiments.
-ADAM_DEFAULTS = dict(
-    alpha=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8, weight_decay=5e-5
-)
-# Grid-searched MIAdam extras for training runs (switch given in epochs there).
-MIADAM_KAPPA_DEFAULT = 0.98
-MIADAM_SWITCH_EPOCHS_DEFAULT = 20
 # Landscape-simulation MIAdam extras (switch in steps, 1500-step runs).
 SIMULATION_KAPPA = 0.885
 SIMULATION_SWITCH_STEP = 1400
@@ -50,26 +44,10 @@ LANDSCAPE_PRESETS = {
 }
 
 
-def blobs_4c(seed: int = 0):
-    return make_blobs(classes=4, per_class=500, spread=1.0, seed=seed)
-
-
+# name -> the ``make_blobs`` arguments other than the seed
 DATASET_PRESETS = {
-    "blobs-4c": blobs_4c,
+    "blobs-4c": {"classes": 4, "per_class": 500, "spread": 1.0, "n_features": 20},
 }
-
-
-def default_adam() -> AdamHyperParams:
-    return AdamHyperParams(**ADAM_DEFAULTS)
-
-
-def default_miadam(order_n: int = 1, switch_step: int = 1) -> MIAdamHyperParams:
-    return MIAdamHyperParams(
-        adam=default_adam(),
-        order_n=order_n,
-        kappa=MIADAM_KAPPA_DEFAULT,
-        switch_step=switch_step,
-    )
 
 
 def get_landscape(name: str) -> LandscapeSpec:
@@ -81,6 +59,8 @@ def get_landscape(name: str) -> LandscapeSpec:
 
 def list_presets() -> list[dict]:
     """Names, kinds, and descriptions of every shipped preset."""
+    adam = asdict(AdamHyperParams())
+    del adam["eps_in_sqrt"]
     return [
         {
             "name": "landscape-A",
@@ -98,16 +78,16 @@ def list_presets() -> list[dict]:
             "name": "blobs-4c",
             "kind": "dataset",
             "description": "4-class Gaussian blobs, 500 points per class, 20 features",
-            "values": {"classes": 4, "per_class": 500, "spread": 1.0, "n_features": 20},
+            "values": dict(DATASET_PRESETS["blobs-4c"]),
         },
         {
             "name": "table-defaults",
             "kind": "optimizer",
             "description": "training defaults: Adam base plus kappa=0.98, switch at 20 epochs",
             "values": {
-                **ADAM_DEFAULTS,
-                "kappa": MIADAM_KAPPA_DEFAULT,
-                "switch_epochs": MIADAM_SWITCH_EPOCHS_DEFAULT,
+                **adam,
+                "kappa": MIAdamHyperParams().kappa,
+                "switch_epochs": 20,
             },
         },
         {
@@ -115,7 +95,7 @@ def list_presets() -> list[dict]:
             "kind": "optimizer",
             "description": "landscape-simulation extras: kappa=0.885, switch at step 1400 of 1500",
             "values": {
-                **ADAM_DEFAULTS,
+                **adam,
                 "kappa": SIMULATION_KAPPA,
                 "switch_step": SIMULATION_SWITCH_STEP,
                 "total_steps": SIMULATION_TOTAL_STEPS,

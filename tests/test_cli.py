@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, stdout shape, and file side effects."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,18 @@ def test_run_trajectory(tmp_path, capsys):
     assert "report.json" in capsys.readouterr().out
     assert (out_dir / "report.json").exists()
     assert (out_dir / "trajectory_adam.csv").exists()
+
+
+def test_readme_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out_dir)]) == 0
+    assert "report.json" in capsys.readouterr().out
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == ["report.json", "trajectory_adam.csv", "trajectory_miadam1.csv"]
 
 
 def test_output_dir_override(tmp_path):
@@ -230,6 +244,14 @@ def _grid(out_dir, **fields):
     return cfg
 
 
+def _blobs(out_dir):
+    return _train(out_dir, dataset="blobs-4c")
+
+
+def _no_steps(out_dir):
+    return dict(_trajectory(out_dir), total_steps=0)
+
+
 @pytest.mark.parametrize(
     "build,field,value,path",
     [
@@ -273,6 +295,32 @@ def _grid(out_dir, **fields):
          "config.optimizers[0].switch_epochs"),
         (_grid, "optimizers", [{"name": "mi", "kind": "miadam", "switch_epochs": 2}],
          "config.optimizers[0].switch_epochs"),
+        # a model that does not fit its dataset (20 features, 4 classes)
+        (_train, "model", {"layer_sizes": [10, 8, 4]}, "config.model.layer_sizes"),
+        (_train, "model", {"layer_sizes": [20, 8, 3]}, "config.model.layer_sizes"),
+        (_train, "dataset", {"classes": 5}, "config.model.layer_sizes"),
+        (_train, "dataset", {"n_features": 5}, "config.model.layer_sizes"),
+        (_blobs, "model", {"layer_sizes": [2, 8, 4]}, "config.model.layer_sizes"),
+        (_blobs, "model", {"layer_sizes": [20, 3]}, "config.model.layer_sizes"),
+        (_train, "dataset", {"classes": 1}, "config.dataset.classes"),
+        (_train, "dataset", {"per_class": 0}, "config.dataset.per_class"),
+        (_train, "dataset", {"n_features": 1}, "config.dataset.n_features"),
+        (_train, "dataset", {"noise_rate": 1.0}, "config.dataset.noise_rate"),
+        (_train, "dataset", {"noise_rate": 1.5}, "config.dataset.noise_rate"),
+        (_train, "dataset", {"noise_rate": -0.1}, "config.dataset.noise_rate"),
+        (_trajectory, "landscape", {"wells": [{"center": [0.0, 0.0], "depth": 0.0, "width": 0.5}]},
+         "config.landscape.wells[0]"),
+        (_trajectory, "landscape", {"wells": [{"center": [0.0, 0.0], "depth": 1.0, "width": -1}]},
+         "config.landscape.wells[0]"),
+        (_trajectory, "schedule", {"kind": "milestones", "milestones": [3, 1]}, "config.schedule"),
+        (_trajectory, "schedule", {"kind": "milestones", "gamma": 0.0}, "config.schedule"),
+        (_trajectory, "schedule", {"kind": "milestones", "gamma": 1.5}, "config.schedule"),
+        (_trajectory, "schedule", {"kind": "cosine_annealing", "total": 0}, "config.schedule"),
+        (_train, "schedule", {"kind": "cosine_annealing", "total": -2, "unit": "epochs"},
+         "config.schedule"),
+        (_no_steps, "schedule", {"kind": "cosine_annealing"}, "config.schedule"),
+        (_trajectory, "output_dir", None, "config.output_dir"),
+        (_trajectory, "output_dir", 3, "config.output_dir"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -284,6 +332,12 @@ def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, val
     assert not out_dir.exists()
 
 
+_SCENARIO = {
+    "alpha": 0.01, "beta1": 0.9, "batch_size_b": 32, "delta_L": 0.5,
+    "h_a_eigs": [1.0, 2.0], "h_u_eigs": [-0.5, 1.0], "escape_index": 0, "rho": 1.0,
+}
+
+
 @pytest.mark.parametrize(
     "kind,block,field,value",
     [
@@ -292,16 +346,22 @@ def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, val
         ("regret", None, "lr_decay_h", float("inf")),
         ("hessian-report", "hessian", "probes", 2.5),
         ("escape-theory", "scenario", "h_a_eigs", [1.0, "2"]),
+        ("escape-theory", None, "scenario", dict(_SCENARIO, alpha=0)),
+        ("escape-theory", None, "scenario", dict(_SCENARIO, escape_index=5)),
+        ("escape-theory", None, "scenario", dict(_SCENARIO, h_u_eigs=[0.5, 1.0])),
+        ("regret", "problem", "dim", 0),
+        ("regret", "problem", "dim", -1),
+        ("regret", None, "lr_decay_h", -1000),
+        ("hessian-report", "hessian", "max_iters", 0),
+        ("hessian-report", "hessian", "probes", 0),
+        ("regret", None, "output_dir", None),
     ],
 )
 def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, field, value):
     base = {
         "regret": {"horizon": 10, "optimizers": [{"name": "adam", "kind": "adam"}]},
         "hessian-report": dict(_train(tmp_path), kind="hessian-report"),
-        "escape-theory": {"scenario": {
-            "alpha": 0.01, "beta1": 0.9, "batch_size_b": 32, "delta_L": 0.5,
-            "h_a_eigs": [1.0, 2.0], "h_u_eigs": [-0.5, 1.0], "escape_index": 0, "rho": 1.0,
-        }},
+        "escape-theory": {"scenario": _SCENARIO},
     }[kind]
     cfg = dict(base, kind=kind, seed=0, output_dir=str(tmp_path / "out"))
     if block is None:
@@ -311,6 +371,7 @@ def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, fiel
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     prefix = "config." + (f"{block}." if block else "") + field
     assert f"error: {prefix}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):

@@ -168,6 +168,54 @@ class TestValidation:
         assert adam["weight_decay"] == 5e-5 and adam["eps_in_sqrt"] is False
         assert norm["schedule"] == {"kind": "constant", "unit": "steps"}
 
+        # the whole normalized dict of a minimal config of each kind
+        out = str(tmp_path)
+        adam = {"name": "adam", "kind": "adam", "alpha": 1e-3, "beta1": 0.9, "beta2": 0.999,
+                "epsilon": 1e-8, "weight_decay": 5e-5, "eps_in_sqrt": False}
+        miadam = dict(adam, name="mi", kind="miadam", order_n=1, kappa=0.98, switch_step=20)
+        every_optimizer = [
+            {"name": "sgd", "kind": "sgd"}, {"name": "sgdm", "kind": "sgdm"},
+            {"name": "adam", "kind": "adam"}, {"name": "mi", "kind": "miadam"},
+        ]
+        every_optimizer_filled = [
+            {"name": "sgd", "kind": "sgd", "alpha": 1e-3},
+            {"name": "sgdm", "kind": "sgdm", "alpha": 1e-3, "beta": 0.9},
+            adam, miadam,
+        ]
+        constant = {"kind": "constant", "unit": "steps"}
+        scenario = {"alpha": 0.01, "beta1": 0.9, "batch_size_b": 32, "delta_L": 0.5,
+                    "h_a_eigs": [1.0, 2.0], "h_u_eigs": [-0.5, 1.0], "escape_index": 0, "rho": 1.0}
+        cases = [
+            ({"kind": "trajectory", "landscape": "landscape-A", "start": [1, 2], "total_steps": 5,
+              "optimizers": every_optimizer},
+             {"landscape": "landscape-A", "start": [1.0, 2.0], "total_steps": 5,
+              "schedule": constant, "optimizers": every_optimizer_filled}),
+            ({"kind": "grid-flatness", "landscape": "landscape-B", "region": [[0, 1], [2, 3]],
+              "grid": [2, 3], "total_steps": 5, "optimizers": [{"name": "mi", "kind": "miadam"}]},
+             {"landscape": "landscape-B", "region": [[0.0, 1.0], [2.0, 3.0]], "grid": [2, 3],
+              "total_steps": 5, "schedule": constant, "optimizers": [miadam]}),
+            ({"kind": "train", "model": {"layer_sizes": [20, 4]}, "dataset": {}, "epochs": 1,
+              "batch_size": 8, "optimizers": every_optimizer},
+             {"model": {"layer_sizes": [20, 4], "activation": "tanh"},
+              "dataset": {"classes": 4, "per_class": 500, "spread": 1.0, "n_features": 20,
+                          "noise_rate": 0.0},
+              "epochs": 1, "batch_size": 8, "schedule": constant,
+              "optimizers": every_optimizer_filled}),
+            ({"kind": "escape-theory", "scenario": scenario},
+             {"scenario": dict(scenario, t_tilde=1.0)}),
+            ({"kind": "regret", "horizon": 3, "optimizers": every_optimizer},
+             {"problem": {"dim": 4, "target_low": -1.0, "target_high": 1.0, "theta0": 1.0},
+              "horizon": 3, "lr_decay_h": 0.5, "optimizers": every_optimizer_filled}),
+            ({"kind": "hessian-report", "model": {"layer_sizes": [20, 4]}, "dataset": "blobs-4c",
+              "epochs": 1, "batch_size": 8, "optimizers": [{"name": "adam", "kind": "adam"}]},
+             {"model": {"layer_sizes": [20, 4], "activation": "tanh"}, "dataset": "blobs-4c",
+              "epochs": 1, "batch_size": 8, "schedule": constant, "optimizers": [adam],
+              "hessian": {"max_iters": 200, "tol": 1e-6, "probes": 200}}),
+        ]
+        for raw, filled in cases:
+            raw = dict(raw, seed=3, output_dir=out)
+            assert normalize_config(raw) == dict(filled, kind=raw["kind"], seed=3, output_dir=out)
+
 
 class TestRuns:
     def test_trajectory_outputs(self, tmp_path):
@@ -332,6 +380,9 @@ class TestRuns:
         report = run(cfg)
         joined = " ".join(report["warnings"])
         assert "override" in joined and "order_n=4" in joined
+        # the highest tested order runs without a warning
+        cfg["optimizers"] = [{"name": "mi", "kind": "miadam", "switch_step": 10, "order_n": 3}]
+        assert run(cfg)["warnings"] == []
 
     @pytest.mark.parametrize("kind", sorted(ALONE_CONFIGS))
     def test_each_optimizer_runs_as_if_alone(self, tmp_path, kind):

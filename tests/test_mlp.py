@@ -1,6 +1,5 @@
 """Tests for the MLP, its gradient, synthetic datasets, and the training loop."""
 
-import struct
 import tracemalloc
 
 import numpy as np
@@ -13,10 +12,8 @@ from flatmin.mlp import (
     Mlp,
     MlpSpec,
     accuracy,
-    dataset_from_idx,
     forward_loss,
     inject_label_noise,
-    load_idx,
     loss_and_grad,
     make_blobs,
     steps_per_epoch,
@@ -356,37 +353,6 @@ class TestLabelNoise:
             inject_label_noise(ds, 1.0, seed=0)
         with pytest.raises(ContractViolationError):
             inject_label_noise(ds, -0.1, seed=0)
-
-
-class TestIdx:
-    def test_round_trip_synthetic_files(self, tmp_path):
-        rng = np.random.Generator(np.random.PCG64(80))
-        images = rng.integers(0, 256, size=(10, 4, 4), dtype=np.uint8)
-        labels = rng.integers(0, 3, size=10, dtype=np.uint8)
-        img_path = tmp_path / "img.idx"
-        lab_path = tmp_path / "lab.idx"
-        img_path.write_bytes(struct.pack(">IIII", 0x803, 10, 4, 4) + images.tobytes())
-        lab_path.write_bytes(struct.pack(">II", 0x801, 10) + labels.tobytes())
-        assert np.array_equal(load_idx(img_path), images)
-        assert np.array_equal(load_idx(lab_path), labels)
-        ds = dataset_from_idx(img_path, lab_path, seed=0)
-        assert ds.inputs.shape == (10, 16)
-        assert ds.inputs.max() <= 1.0 and ds.inputs.min() >= 0.0
-        assert np.array_equal(ds.labels, labels.astype(np.int64))
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.idx"
-        p.write_bytes(struct.pack(">II", 0xDEAD, 1))
-        with pytest.raises(ContractViolationError):
-            load_idx(p)
-
-    def test_mismatched_counts(self, tmp_path):
-        img_path = tmp_path / "img.idx"
-        lab_path = tmp_path / "lab.idx"
-        img_path.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(8))
-        lab_path.write_bytes(struct.pack(">II", 0x801, 3) + bytes(3))
-        with pytest.raises(ContractViolationError):
-            dataset_from_idx(img_path, lab_path, seed=0)
 
 
 class TestTraining:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatmin.errors import ContractViolationError, NonFiniteError
+from flatmin.harness import _optimizer_warnings, normalize_config
 from flatmin.mlp import Mlp, MlpSpec, make_blobs, train_classifier
 from flatmin.optim import (
     AdamHyperParams,
@@ -378,9 +379,18 @@ class TestMIAdam:
         assert hp2.pre_switch_alpha == 0.05
 
     def test_order_flagging(self):
-        base = AdamHyperParams()
-        assert MIAdamHyperParams(adam=base, order_n=3, switch_step=5).order_is_tested
-        assert not MIAdamHyperParams(adam=base, order_n=4, switch_step=5).order_is_tested
+        def warnings_for(order_n):
+            cfg = normalize_config({
+                "kind": "trajectory", "seed": 0, "output_dir": "unused",
+                "landscape": "landscape-A", "start": [1.6, -0.3], "total_steps": 5,
+                "optimizers": [
+                    {"name": "mi", "kind": "miadam", "order_n": order_n, "switch_step": 5},
+                ],
+            })
+            return _optimizer_warnings(cfg["optimizers"])
+
+        assert warnings_for(3) == []
+        assert len(warnings_for(4)) == 1 and "order_n=4" in warnings_for(4)[0]
 
     def test_determinism(self):
         base = AdamHyperParams()
