@@ -3,8 +3,9 @@
 Configs are strict JSON: unknown keys are rejected with a field path, and
 every run report embeds the fully resolved config so that re-running
 from the report reproduces the numeric payload bitwise on one platform.
-Outputs are report.json plus kind-specific CSV files; on any failure the
-files written so far are removed.
+Outputs are report.json plus kind-specific CSV files.  A run computes every
+result before it writes its first file; on any failure the files written so
+far are removed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,11 @@ from .mlp import (
     make_blobs,
     steps_per_epoch,
     train_classifier,
+    train_size,
 )
-from .optim import AdamHyperParams, LrSchedule, MIAdamHyperParams, SgdParams, SgdmParams
+from .optim import (
+    AdamHyperParams, LrSchedule, MIAdamHyperParams, SgdParams, SgdmParams, schedule_multiplier,
+)
 from .presets import DATASET_PRESETS, get_landscape
 from .reporting import write_csv, write_report
 from .seeding import derive_seed
@@ -64,16 +69,16 @@ def _check_keys(block: dict, allowed: set[str], required: set[str], path: str) -
         raise ContractViolationError(f"{path}: missing required field(s) {sorted(missing)}")
 
 
-_OPT_COMMON = {"name", "kind"}
-_OPT_ADAM_FIELDS = {"alpha", "beta1", "beta2", "epsilon", "weight_decay", "eps_in_sqrt"}
-_OPT_FIELDS = {
-    "sgd": _OPT_COMMON | {"alpha"},
-    "sgdm": _OPT_COMMON | {"alpha", "beta"},
-    "adam": _OPT_COMMON | _OPT_ADAM_FIELDS,
-    "miadam": _OPT_COMMON
-    | _OPT_ADAM_FIELDS
-    | {"order_n", "kappa", "switch_step", "switch_epochs", "pre_switch_lr_override"},
+# each optimizer kind's typed params, whose fields are its config fields;
+# miadam adds its own fields to Adam's
+_OPT_PARAMS = {
+    "sgd": SgdParams, "sgdm": SgdmParams, "adam": AdamHyperParams, "miadam": AdamHyperParams,
 }
+_MIADAM_FIELDS = {"order_n", "kappa", "switch_step", "switch_epochs", "pre_switch_lr_override"}
+_OPT_FIELDS = {
+    kind: {"name", "kind", *(f.name for f in fields(cls))} for kind, cls in _OPT_PARAMS.items()
+}
+_OPT_FIELDS["miadam"] |= _MIADAM_FIELDS
 
 
 # optimizer names become parts of output file names
@@ -139,7 +144,7 @@ def _build(path: str, make, *args, **kwargs):
 def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
     _check_keys(block, set().union(*_OPT_FIELDS.values()), {"name", "kind"}, path)
     kind = block["kind"]
-    if kind not in _OPT_FIELDS:
+    if not isinstance(kind, str) or kind not in _OPT_FIELDS:
         raise ContractViolationError(f"{path}.kind: unknown optimizer kind {kind!r}")
     _check_keys(block, _OPT_FIELDS[kind], {"name", "kind"}, path)
     name = block["name"]
@@ -148,60 +153,39 @@ def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
             f"{path}.name: expected a name matching {_NAME_RE.pattern}, got {name!r}"
         )
 
-    def num(key, params):
-        # an omitted field takes the default of the typed params class
-        return _float(block.get(key, getattr(params, key)), f"{path}.{key}")
-
     out = {"name": name, "kind": kind}
-    if kind == "sgd":
-        out["alpha"] = num("alpha", SgdParams)
-    elif kind == "sgdm":
-        out["alpha"] = num("alpha", SgdmParams)
-        out["beta"] = num("beta", SgdmParams)
-    else:
-        for key in ("alpha", "beta1", "beta2", "epsilon", "weight_decay"):
-            out[key] = num(key, AdamHyperParams)
-        out["eps_in_sqrt"] = block.get("eps_in_sqrt", AdamHyperParams.eps_in_sqrt)
-        if not isinstance(out["eps_in_sqrt"], bool):
-            raise ContractViolationError(
-                f"{path}.eps_in_sqrt: expected true or false, got {out['eps_in_sqrt']!r}"
-            )
-        if kind == "miadam":
-            mi = MIAdamHyperParams
-            out["order_n"] = _int(block.get("order_n", mi.order_n), f"{path}.order_n")
-            out["kappa"] = num("kappa", mi)
-            if "switch_epochs" in block:
-                if not trains:
-                    raise ContractViolationError(
-                        f"{path}.switch_epochs: only valid for training runs"
-                    )
-                out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
-            else:
-                switch = block.get("switch_step", mi.switch_step)
-                out["switch_step"] = None if switch is None else _int(switch, f"{path}.switch_step")
-            if block.get("pre_switch_lr_override") is not None:
-                out["pre_switch_lr_override"] = num("pre_switch_lr_override", mi)
+    for f in fields(_OPT_PARAMS[kind]):
+        # an omitted field takes the default of the typed params class
+        value = block.get(f.name, f.default)
+        if not isinstance(f.default, bool):
+            value = _float(value, f"{path}.{f.name}")
+        elif not isinstance(value, bool):
+            raise ContractViolationError(f"{path}.{f.name}: expected true or false, got {value!r}")
+        out[f.name] = value
+    if kind == "miadam":
+        mi = MIAdamHyperParams
+        out["order_n"] = _int(block.get("order_n", mi.order_n), f"{path}.order_n")
+        out["kappa"] = _float(block.get("kappa", mi.kappa), f"{path}.kappa")
+        if "switch_epochs" in block:
+            if not trains:
+                raise ContractViolationError(f"{path}.switch_epochs: only valid for training runs")
+            out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
+        else:
+            switch = block.get("switch_step", mi.switch_step)
+            out["switch_step"] = None if switch is None else _int(switch, f"{path}.switch_step")
+        if block.get("pre_switch_lr_override") is not None:
+            override = block["pre_switch_lr_override"]
+            out["pre_switch_lr_override"] = _float(override, f"{path}.pre_switch_lr_override")
     _build(path, _optimizer_params, out)  # the typed params check the values' ranges
     return out
 
 
 def _optimizer_params(block: dict, spe: int = 1):
     """Typed params of a normalized optimizer block; ``spe`` is steps per epoch."""
-    kind = block["kind"]
-    if kind == "sgd":
-        return SgdParams(alpha=block["alpha"])
-    if kind == "sgdm":
-        return SgdmParams(alpha=block["alpha"], beta=block["beta"])
-    adam = AdamHyperParams(
-        alpha=block["alpha"],
-        beta1=block["beta1"],
-        beta2=block["beta2"],
-        epsilon=block["epsilon"],
-        weight_decay=block["weight_decay"],
-        eps_in_sqrt=block["eps_in_sqrt"],
-    )
-    if kind == "adam":
-        return adam
+    cls = _OPT_PARAMS[block["kind"]]
+    params = cls(**{f.name: block[f.name] for f in fields(cls)})
+    if block["kind"] != "miadam":
+        return params
     if "switch_epochs" in block:
         switch = block["switch_epochs"] * spe
     else:
@@ -209,7 +193,7 @@ def _optimizer_params(block: dict, spe: int = 1):
         if switch is None:
             switch = SWITCH_DISABLED
     return MIAdamHyperParams(
-        adam=adam,
+        adam=params,
         order_n=block["order_n"],
         kappa=block["kappa"],
         switch_step=switch,
@@ -337,8 +321,18 @@ def _normalize_model(block: dict, path: str) -> dict:
     return out
 
 
+def _dataset_dims(dataset) -> dict:
+    return DATASET_PRESETS[dataset] if isinstance(dataset, str) else dataset
+
+
+def _steps_per_epoch(cfg: dict) -> int:
+    """Optimizer steps per epoch of a normalized training config."""
+    dims = _dataset_dims(cfg["dataset"])
+    return steps_per_epoch(train_size(dims["classes"] * dims["per_class"]), cfg["batch_size"])
+
+
 def _check_model_fits(model: dict, dataset) -> None:
-    dims = DATASET_PRESETS[dataset] if isinstance(dataset, str) else dataset
+    dims = _dataset_dims(dataset)
     sizes = model["layer_sizes"]
     if sizes[0] != dims["n_features"] or sizes[-1] < dims["classes"]:
         raise ContractViolationError(
@@ -380,19 +374,19 @@ def normalize_config(raw: dict) -> dict:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ContractViolationError(f"config.kind: expected one of {KINDS}, got {kind!r}")
-    fields = _KIND_FIELDS[kind]
-    _check_keys(raw, base | fields, base | (fields - _KIND_OPTIONAL), "config")
-    if not isinstance(raw["output_dir"], str):
+    kind_fields = _KIND_FIELDS[kind]
+    _check_keys(raw, base | kind_fields, base | (kind_fields - _KIND_OPTIONAL), "config")
+    if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise ContractViolationError(
-            f"config.output_dir: expected a string, got {raw['output_dir']!r}"
+            f"config.output_dir: expected a non-empty string, got {raw['output_dir']!r}"
         )
 
     out = {"kind": kind, "seed": _int(raw["seed"], "config.seed"), "output_dir": raw["output_dir"]}
-    if "optimizers" in fields:
+    trains = kind in ("train", "hessian-report")
+    if "optimizers" in kind_fields:
         blocks = raw["optimizers"]
         if not isinstance(blocks, list) or not blocks:
             raise ContractViolationError("config.optimizers: expected a non-empty list")
-        trains = kind in ("train", "hessian-report")
         out["optimizers"] = [
             _normalize_optimizer(b, f"config.optimizers[{i}]", trains) for i, b in enumerate(blocks)
         ]
@@ -409,16 +403,19 @@ def normalize_config(raw: dict) -> dict:
         region = _list(raw["region"], "config.region", 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
         out["grid"] = _ints(raw["grid"], "config.grid", 2, minimum=1)
-    if kind in ("train", "hessian-report"):
+    if trains:
         out["model"] = _normalize_model(raw["model"], "config.model")
         out["dataset"] = _normalize_dataset(raw["dataset"], "config.dataset")
         _check_model_fits(out["model"], out["dataset"])
         out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
         out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
-    if "schedule" in fields:
+    if "schedule" in kind_fields:
         out["schedule"] = _normalize_schedule(raw.get("schedule"), "config.schedule")
-        # a training run's length is known only once its dataset is built: 1 stands in
-        _build("config.schedule", _build_schedule, out["schedule"], out.get("total_steps", 1))
+        spe = _steps_per_epoch(out) if trains else 1
+        steps = out["epochs"] * spe if trains else out["total_steps"]
+        sched = _build("config.schedule", _build_schedule, out["schedule"], steps, spe)
+        if steps:  # a run evaluates the multiplier at completed steps 0 .. steps - 1
+            _build("config.schedule", schedule_multiplier, sched, steps - 1)
     if kind == "escape-theory":
         sp = "config.scenario"
         _check_keys(raw["scenario"], set(_SCENARIO_FIELDS), set(_SCENARIO_FIELDS) - {"t_tilde"}, sp)
@@ -470,38 +467,7 @@ def _optimizer_warnings(blocks: list[dict]) -> list[str]:
     return warnings
 
 
-class _RunWriter:
-    """Funnels all file writes for one run and cleans up on failure."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-        # directories this run creates, deepest first
-        self.created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def csv(self, name: str, header, rows):
-        path = self.out_dir / name
-        write_csv(path, header, rows)
-        self.written.append(path)
-
-    def report(self, report: dict):
-        path = self.out_dir / "report.json"
-        write_report(path, report)
-        self.written.append(path)
-
-    def cleanup(self):
-        """Remove the files written so far, then each created directory left empty."""
-        for path in self.written:
-            path.unlink(missing_ok=True)
-        for directory in self.created:
-            try:
-                directory.rmdir()
-            except OSError:  # not empty: something else wrote there
-                break
-
-
-def _run_trajectory(cfg: dict, writer: _RunWriter) -> dict:
+def _run_trajectory(cfg: dict, csvs: dict) -> dict:
     spec = _build_landscape(cfg["landscape"])
     sched = _build_schedule(cfg["schedule"], cfg["total_steps"])
     start = (cfg["start"][0], cfg["start"][1])
@@ -509,10 +475,9 @@ def _run_trajectory(cfg: dict, writer: _RunWriter) -> dict:
     for block in cfg["optimizers"]:
         name = block["name"]
         rec = simulate_trajectory(spec, start, _optimizer_params(block), sched, cfg["total_steps"])
-        writer.csv(
-            f"trajectory_{name}.csv",
+        csvs[f"trajectory_{name}.csv"] = (
             ["t", "theta1", "theta2", "loss"],
-            [(t, th[0], th[1], loss) for t, th, loss in rec.steps],
+            ((t, th[0], th[1], loss) for t, th, loss in rec.steps),
         )
         results[name] = {
             "final_theta": list(rec.final_theta),
@@ -522,7 +487,7 @@ def _run_trajectory(cfg: dict, writer: _RunWriter) -> dict:
     return results
 
 
-def _run_grid_flatness(cfg: dict, writer: _RunWriter) -> dict:
+def _run_grid_flatness(cfg: dict, csvs: dict) -> dict:
     spec = _build_landscape(cfg["landscape"])
     sched = _build_schedule(cfg["schedule"], cfg["total_steps"])
     region = (tuple(cfg["region"][0]), tuple(cfg["region"][1]))
@@ -530,26 +495,23 @@ def _run_grid_flatness(cfg: dict, writer: _RunWriter) -> dict:
     names = [b["name"] for b in cfg["optimizers"]]
     params = [_optimizer_params(block) for block in cfg["optimizers"]]
     flats = grid_flatness_study(spec, region, grid, params, sched, cfg["total_steps"])
-    starts = grid_starts(region, grid)
-    rows, cols = grid
-    table = []
-    for i in range(len(starts)):
-        table.append(
-            [i // cols, i % cols, starts[i, 0], starts[i, 1]] + [float(f[i]) for f in flats]
-        )
-    writer.csv("flatness.csv", ["row", "col", "theta1_0", "theta2_0"] + names, table)
+    cols = grid[1]
+    table = [
+        [i // cols, i % cols, x, y] + [float(f[i]) for f in flats]
+        for i, (x, y) in enumerate(grid_starts(region, grid))
+    ]
+    csvs["flatness.csv"] = (["row", "col", "theta1_0", "theta2_0"] + names, table)
     return {
         name: {"mean_flatness": float(np.mean(f)), "median_flatness": float(np.median(f))}
         for name, f in zip(names, flats)
     }
 
 
-def _run_train(cfg: dict, writer: _RunWriter) -> dict:
+def _run_train(cfg: dict, csvs: dict) -> dict:
     seed = cfg["seed"]
     ds = _build_dataset(cfg["dataset"], seed)
-    spe = steps_per_epoch(len(ds.train_idx), cfg["batch_size"])
-    total_steps = spe * cfg["epochs"]
-    sched = _build_schedule(cfg["schedule"], total_steps, spe=spe)
+    spe = _steps_per_epoch(cfg)
+    sched = _build_schedule(cfg["schedule"], spe * cfg["epochs"], spe=spe)
     model_spec = MlpSpec(
         layer_sizes=tuple(cfg["model"]["layer_sizes"]),
         activation=cfg["model"]["activation"],
@@ -564,20 +526,20 @@ def _run_train(cfg: dict, writer: _RunWriter) -> dict:
         model, metrics = train_classifier(
             model_spec, ds, params, sched, cfg["epochs"], cfg["batch_size"], shuffle_seed
         )
-        writer.csv(
-            f"metrics_{name}.csv",
-            ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"],
-            [
-                (m["epoch"], m["train_loss"], m["train_acc"], m["test_loss"], m["test_acc"])
-                for m in metrics
-            ],
-        )
+        header = ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]
+        csvs[f"metrics_{name}.csv"] = (header, [[m[k] for k in header] for m in metrics])
         results[name] = {"final": metrics[-1], "steps_per_epoch": spe}
         trained[name] = model
     return results, trained, ds
 
 
-def _run_regret(cfg: dict, writer: _RunWriter) -> dict:
+def _regret_rows(series):
+    # a generator, so the rows' Python lists are built only as the CSV is written
+    ts = range(1, series.horizon + 1)
+    yield from zip(ts, series.cumulative_regret.tolist(), series.average_regret.tolist())
+
+
+def _run_regret(cfg: dict, csvs: dict) -> dict:
     problem = DriftingQuadraticProblem(
         **cfg["problem"], seed=derive_seed(cfg["seed"], "regret-problem")
     )
@@ -587,11 +549,9 @@ def _run_regret(cfg: dict, writer: _RunWriter) -> dict:
         series = run_regret_experiment(
             problem, params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"], label=block["name"]
         )
-        ts = np.arange(1, series.horizon + 1)
-        writer.csv(
-            f"regret_{series.optimizer_label}.csv",
+        csvs[f"regret_{series.optimizer_label}.csv"] = (
             ["t", "cumulative_regret", "average_regret"],
-            zip(ts.tolist(), series.cumulative_regret.tolist(), series.average_regret.tolist()),
+            _regret_rows(series),
         )
         results[series.optimizer_label] = {
             "final_average_regret": float(series.average_regret[-1]),
@@ -600,8 +560,8 @@ def _run_regret(cfg: dict, writer: _RunWriter) -> dict:
     return results
 
 
-def _run_hessian_report(cfg: dict, writer: _RunWriter) -> dict:
-    train_results, trained, ds = _run_train(cfg, writer)
+def _run_hessian_report(cfg: dict, csvs: dict) -> dict:
+    train_results, trained, ds = _run_train(cfg, csvs)
     h = cfg["hessian"]
     x_train = ds.inputs[ds.train_idx]
     y_train = ds.labels[ds.train_idx]
@@ -642,37 +602,54 @@ def _run_hessian_report(cfg: dict, writer: _RunWriter) -> dict:
     return results
 
 
+# each kind's runner computes its results and adds each CSV to ``csvs``; none writes a file
+_RUNNERS = {
+    "trajectory": _run_trajectory,
+    "grid-flatness": _run_grid_flatness,
+    "train": lambda cfg, csvs: _run_train(cfg, csvs)[0],
+    "escape-theory": lambda cfg, csvs: escape_report(_build_scenario(cfg["scenario"])),
+    "regret": _run_regret,
+    "hessian-report": _run_hessian_report,
+}
+
+
 def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
-    """Execute a normalized config; returns the report dict (also written to disk)."""
+    """Execute a normalized config; returns the report dict (also written to disk).
+
+    Every result is computed before the first file is written.  On any
+    failure the files written so far are removed, then each directory the
+    run created, deepest first, as long as it is empty.
+    """
     out_dir = Path(output_dir if output_dir is not None else cfg["output_dir"])
-    writer = _RunWriter(out_dir)
-    start_time = time.perf_counter()
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written: list[Path] = []
     try:
-        kind = cfg["kind"]
-        if kind == "trajectory":
-            results = _run_trajectory(cfg, writer)
-        elif kind == "grid-flatness":
-            results = _run_grid_flatness(cfg, writer)
-        elif kind == "train":
-            results = _run_train(cfg, writer)[0]
-        elif kind == "escape-theory":
-            results = escape_report(_build_scenario(cfg["scenario"]))
-        elif kind == "regret":
-            results = _run_regret(cfg, writer)
-        else:
-            results = _run_hessian_report(cfg, writer)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        start_time = time.perf_counter()
+        csvs = {}  # file name -> (header, rows)
+        results = _RUNNERS[cfg["kind"]](cfg, csvs)
         report = {
             "artifact_version": __version__,
-            "kind": kind,
+            "kind": cfg["kind"],
             "config": cfg,
             "results": results,
             "warnings": _optimizer_warnings(cfg.get("optimizers", [])),
             "duration_s": time.perf_counter() - start_time,
         }
-        writer.report(report)
+        for name, (header, rows) in csvs.items():
+            written.append(out_dir / name)
+            write_csv(written[-1], header, rows)
+        written.append(out_dir / "report.json")
+        write_report(written[-1], report)
         return report
     except BaseException:
-        writer.cleanup()
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: something else wrote there
+                break
         raise
 
 

@@ -190,6 +190,11 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
+def train_size(n: int) -> int:
+    """Number of the ``n`` examples in the 80/20 split's train part."""
+    return int(round(0.8 * n))
+
+
 def make_blobs(
     classes: int,
     per_class: int,
@@ -219,7 +224,7 @@ def make_blobs(
     inputs[:, 0] += 3.0 * spread * np.cos(angles)
     inputs[:, 1] += 3.0 * spread * np.sin(angles)
     perm = rng.permutation(n)
-    n_train = int(round(0.8 * n))
+    n_train = train_size(n)
     return Dataset(
         inputs=inputs,
         labels=labels.astype(np.int64),

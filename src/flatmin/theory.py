@@ -58,6 +58,8 @@ class EscapeScenario:
             raise ContractViolationError("escape_index out of range")
         if any(x <= 0 for x in self.h_a_eigs):
             raise ContractViolationError("all minimum eigenvalues must be > 0")
+        if 0 in self.h_u_eigs:  # both escape times would be 0
+            raise ContractViolationError("saddle eigenvalues must be nonzero")
         negatives = [i for i, x in enumerate(self.h_u_eigs) if x < 0]
         if negatives != [self.escape_index]:
             raise ContractViolationError(

@@ -1,10 +1,21 @@
 """CLI behavior: exit codes, stdout shape, and file side effects."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin import __version__
 from flatmin.cli import main
@@ -44,6 +55,8 @@ def test_run_trajectory(tmp_path, capsys):
         "landscape": "landscape-A",
         "start": [1.0, 1.0],
         "total_steps": 20,
+        # the run evaluates the multiplier at steps 0 .. 19, so 19 is the shortest total
+        "schedule": {"kind": "cosine_annealing", "total": 19},
         "optimizers": [{"name": "adam", "kind": "adam", "alpha": 0.05}],
     }
     path = write_config(tmp_path, cfg)
@@ -53,11 +66,14 @@ def test_run_trajectory(tmp_path, capsys):
     assert (out_dir / "trajectory_adam.csv").exists()
 
 
-def test_readme_example_runs(tmp_path, capsys):
+def _readme_example():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
-    path = tmp_path / "config.json"
-    path.write_text(example)
+    return json.loads(example)
+
+
+def test_readme_example_runs(tmp_path, capsys):
+    path = write_config(tmp_path, _readme_example())
     out_dir = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out_dir)]) == 0
     assert "report.json" in capsys.readouterr().out
@@ -125,6 +141,34 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
     assert "regret run diverged" in capsys.readouterr().err
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
+def test_killed_run_leaves_no_file(tmp_path):
+    # 40 regret runs of 20,000 steps: well over 10 s of work, and each run
+    # alone finishes in a fraction of a second
+    out_dir = tmp_path / "out" / "deep"
+    cfg = {
+        "kind": "regret",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "horizon": 20000,
+        "optimizers": [{"name": f"adam{i}", "kind": "adam"} for i in range(40)],
+    }
+    path = write_config(tmp_path, cfg)
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.Popen([sys.executable, "-m", "flatmin.cli", "run", str(path)], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while not out_dir.exists() and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(1.0)  # the run is under way
+        assert child.poll() is None, "the run ended before it could be killed"
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.kill()
+        child.wait()
+    assert [p for p in (tmp_path / "out").rglob("*") if not p.is_dir()] == []
 
 
 def test_no_command_is_usage_error(capsys):
@@ -252,6 +296,15 @@ def _no_steps(out_dir):
     return dict(_trajectory(out_dir), total_steps=0)
 
 
+def _long_train(out_dir):
+    # 32 training examples in batches of 16: 2 steps per epoch, 6 steps in all
+    return _train(out_dir, epochs=3)
+
+
+def _long_hessian(out_dir):
+    return _train(out_dir, kind="hessian-report", epochs=3)
+
+
 @pytest.mark.parametrize(
     "build,field,value,path",
     [
@@ -321,6 +374,15 @@ def _no_steps(out_dir):
         (_no_steps, "schedule", {"kind": "cosine_annealing"}, "config.schedule"),
         (_trajectory, "output_dir", None, "config.output_dir"),
         (_trajectory, "output_dir", 3, "config.output_dir"),
+        (_trajectory, "output_dir", "", "config.output_dir"),
+        # a cosine total shorter than the run's steps - 1 (5 trajectory, 3 grid, 6 training steps)
+        (_trajectory, "schedule", {"kind": "cosine_annealing", "total": 3}, "config.schedule"),
+        (_grid, "schedule", {"kind": "cosine_annealing", "total": 1}, "config.schedule"),
+        (_long_train, "schedule", {"kind": "cosine_annealing", "total": 1, "unit": "epochs"},
+         "config.schedule"),
+        (_long_hessian, "schedule", {"kind": "cosine_annealing", "total": 4}, "config.schedule"),
+        (_trajectory, "optimizers", [{"name": "a", "kind": ["adam"]}], "config.optimizers[0].kind"),
+        (_trajectory, "optimizers", [{"name": "a", "kind": {"a": 1}}], "config.optimizers[0].kind"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -355,6 +417,7 @@ _SCENARIO = {
         ("hessian-report", "hessian", "max_iters", 0),
         ("hessian-report", "hessian", "probes", 0),
         ("regret", None, "output_dir", None),
+        ("escape-theory", None, "scenario", dict(_SCENARIO, h_u_eigs=[-0.5, 0.0])),
     ],
 )
 def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, field, value):
@@ -387,3 +450,69 @@ def test_runtime_failure_keeps_an_existing_output_dir_and_its_files(tmp_path):
     (out_dir / "keep.txt").write_text("mine")
     assert main(["run", str(write_config(tmp_path, _diverging(out_dir)))]) == 1
     assert sorted(p.name for p in out_dir.iterdir()) == ["keep.txt"]
+
+
+def test_unwritable_output_dir_exit_1(tmp_path, capsys):
+    (tmp_path / "some_file").write_text("")
+    path = write_config(tmp_path, _trajectory(tmp_path / "out"))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "some_file" / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "some_file"]
+
+
+# the README example, shortened, and one small config of each other kind
+_BASES = [
+    dict(_readme_example(), total_steps=30),
+    _grid(Path("out"), schedule={"kind": "cosine_annealing", "total": 5}),
+    _train(Path("out"), schedule={"kind": "milestones", "milestones": [1], "unit": "epochs"}),
+    {"kind": "escape-theory", "seed": 0, "output_dir": "out", "scenario": _SCENARIO},
+    {"kind": "regret", "seed": 0, "output_dir": "out", "horizon": 10, "problem": {"dim": 2},
+     "optimizers": [{"name": "mi", "kind": "miadam"}]},
+    dict(_train(Path("out")), kind="hessian-report", hessian={"max_iters": 3, "probes": 2}),
+]
+
+
+_DROP = object()
+_FUZZ_VALUES = (_DROP, None, True, "x", [], {}, [1.0], {"a": 1}, 2.5, -1, 0)
+
+
+def _mutations(node, path=()):
+    """Each (path, value) that drops or replaces one field or list item of a JSON tree."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from ((path + (key,), value) for value in _FUZZ_VALUES)
+        if isinstance(child, (dict, list)):
+            yield from _mutations(child, path + (key,))
+
+
+_MUTATIONS = [(i, path, value) for i, base in enumerate(_BASES) for path, value in _mutations(base)]
+
+
+@settings(max_examples=len(_MUTATIONS), deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(_MUTATIONS))
+def test_mutated_config_exits_0_1_or_2(mutation):
+    i, path, value = mutation
+    cfg = copy.deepcopy(_BASES[i])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            Path("config.json").write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "config.json"])
+            left = sorted(os.listdir("."))
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+        assert left == ["config.json"]
+    if code == 1:
+        assert "diverged" in err.getvalue()

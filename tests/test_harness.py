@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flatmin import harness
 from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import SWITCH_DISABLED, normalize_config, run, run_config
 from flatmin.reporting import fmt_value, write_csv
@@ -302,6 +303,9 @@ class TestRuns:
         final = report["results"]["adam"]["final"]
         assert 0.0 <= final["test_acc"] <= 1.0
         assert report["results"]["adam"]["steps_per_epoch"] == 5  # ceil(72/16)
+        # 15 steps evaluate the multiplier at steps 0 .. 14, so 14 is the shortest cosine total
+        cfg["schedule"] = {"kind": "cosine_annealing", "total": 14}
+        run(dict(cfg, output_dir=str(tmp_path / "boundary")))
 
     def test_escape_theory_run(self, tmp_path):
         cfg = {
@@ -353,8 +357,8 @@ class TestRuns:
         assert r["trace_probes"] == 20
 
     def test_failure_cleans_outputs(self, tmp_path):
-        # adam's CSV is written before sgd diverges (at a constant rate of 3
-        # SGD doubles its distance to the target every step)
+        # sgd diverges after adam's run has finished (at a constant rate of 3
+        # SGD doubles its distance to the target every step); no file is left
         cfg = {
             "kind": "regret",
             "seed": 0,
@@ -370,6 +374,43 @@ class TestRuns:
             run(cfg)
         leftover = list((tmp_path / "out").iterdir()) if (tmp_path / "out").exists() else []
         assert leftover == []
+
+    def test_no_file_is_written_before_every_result_is_computed(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(sorted(p.name for p in out_dir.iterdir()))
+            return run_regret_experiment(*args, **kwargs)
+
+        run_regret_experiment = harness.run_regret_experiment
+        monkeypatch.setattr(harness, "run_regret_experiment", spy)
+        cfg = {
+            "kind": "regret",
+            "seed": 0,
+            "output_dir": str(out_dir),
+            "horizon": 20,
+            "optimizers": [{"name": "adam", "kind": "adam"}, {"name": "sgd", "kind": "sgd"}],
+        }
+        run(cfg)
+        assert seen == [[], []]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "regret_adam.csv", "regret_sgd.csv", "report.json"
+        ]
+
+    def test_failed_write_removes_written_csvs_and_created_dirs(self, tmp_path, monkeypatch):
+        written = []
+
+        def fail(path, report):
+            written.extend(sorted(p.name for p in path.parent.iterdir()))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "write_report", fail)
+        cfg = trajectory_config(tmp_path / "new" / "out")
+        with pytest.raises(OSError, match="disk full"):
+            run(cfg)
+        assert written == ["trajectory_adam.csv", "trajectory_sgd.csv"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_warnings_for_override_and_high_order(self, tmp_path):
         cfg = trajectory_config(tmp_path / "out")
