@@ -44,12 +44,15 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        raw = json.loads(args.config.read_text())
+        raw = json.loads(args.config.read_text(encoding="utf-8"))
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as err:
         print(f"error: {args.config}:{err.lineno}:{err.colno}: {err.msg}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: cannot read config file {args.config}: {err}", file=sys.stderr)
         return 2
     try:
         cfg = normalize_config(raw)

@@ -46,8 +46,6 @@ from .reporting import write_csv, write_report
 from .seeding import derive_seed
 from .theory import DriftingQuadraticProblem, EscapeScenario, escape_report, run_regret_experiment
 
-# switch_step value used when a config disables the MIAdam switch
-SWITCH_DISABLED = 2 ** 62
 # MIAdam orders above this run, but the report warns that they are untested
 TESTED_MAX_ORDER = 3
 
@@ -186,12 +184,7 @@ def _optimizer_params(block: dict, spe: int = 1):
     params = cls(**{f.name: block[f.name] for f in fields(cls)})
     if block["kind"] != "miadam":
         return params
-    if "switch_epochs" in block:
-        switch = block["switch_epochs"] * spe
-    else:
-        switch = block["switch_step"]
-        if switch is None:
-            switch = SWITCH_DISABLED
+    switch = block["switch_epochs"] * spe if "switch_epochs" in block else block["switch_step"]
     return MIAdamHyperParams(
         adam=params,
         order_n=block["order_n"],
@@ -290,25 +283,29 @@ def _normalize_dataset(block, path: str):
         raise ContractViolationError(
             f"{path}.noise_rate: must lie in [0, 1), got {out['noise_rate']!r}"
         )
+    n = out["classes"] * out["per_class"]
+    if train_size(n) == n:
+        raise ContractViolationError(f"{path}: {n} examples leave the 80/20 split no test example")
     if "seed" in block:
-        out["seed"] = _int(block["seed"], f"{path}.seed")
+        out["seed"] = _int(block["seed"], f"{path}.seed", 0)
     return out
 
 
+def _dataset_dims(dataset) -> dict:
+    return DATASET_PRESETS[dataset] if isinstance(dataset, str) else dataset
+
+
 def _build_dataset(norm, root_seed: int) -> Dataset:
-    if isinstance(norm, str):
-        return make_blobs(**DATASET_PRESETS[norm], seed=derive_seed(root_seed, "dataset"))
-    seed = norm.get("seed", derive_seed(root_seed, "dataset"))
+    dims = _dataset_dims(norm)
     ds = make_blobs(
-        classes=norm["classes"],
-        per_class=norm["per_class"],
-        spread=norm["spread"],
-        seed=seed,
-        n_features=norm["n_features"],
+        classes=dims["classes"],
+        per_class=dims["per_class"],
+        spread=dims["spread"],
+        seed=dims.get("seed", derive_seed(root_seed, "dataset")),
+        n_features=dims["n_features"],
     )
-    if norm["noise_rate"] > 0:
-        ds = inject_label_noise(ds, norm["noise_rate"], derive_seed(root_seed, "label-noise"))
-    return ds
+    rate = dims.get("noise_rate", 0.0)  # a preset has no label noise
+    return inject_label_noise(ds, rate, derive_seed(root_seed, "label-noise"))
 
 
 def _normalize_model(block: dict, path: str) -> dict:
@@ -319,10 +316,6 @@ def _normalize_model(block: dict, path: str) -> dict:
     }
     _build(path, MlpSpec, layer_sizes=tuple(out["layer_sizes"]), activation=out["activation"])
     return out
-
-
-def _dataset_dims(dataset) -> dict:
-    return DATASET_PRESETS[dataset] if isinstance(dataset, str) else dataset
 
 
 def _steps_per_epoch(cfg: dict) -> int:
@@ -429,6 +422,7 @@ def normalize_config(raw: dict) -> dict:
         out["problem"] = {"dim": _int(p.get("dim", problem.dim), "config.problem.dim", 1)}
         for key in ("target_low", "target_high", "theta0"):
             out["problem"][key] = _float(p.get(key, getattr(problem, key)), f"config.problem.{key}")
+        _build("config.problem", DriftingQuadraticProblem, **out["problem"])
         out["horizon"] = _int(raw["horizon"], "config.horizon", minimum=1)
         out["lr_decay_h"] = _float(raw.get("lr_decay_h", 0.5), "config.lr_decay_h")
         if out["lr_decay_h"] < 0:
@@ -589,7 +583,6 @@ def _run_hessian_report(cfg: dict, csvs: dict) -> dict:
             probes=h["probes"],
             seed=derive_seed(cfg["seed"], "hessian-trace", name),
         )
-        model.set_flat(theta)
         results[name] = {
             "train": train_results[name],
             "top_eigenvalue": top.top_eigenvalue,

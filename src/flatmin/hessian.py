@@ -55,7 +55,6 @@ def top_eigenvalue(
     max_iters: int = 100,
     tol: float = 1e-6,
     seed: int = 0,
-    h: float | None = None,
 ) -> HessianSummary:
     """Power iteration for the dominant-magnitude eigenvalue (signed).
 
@@ -74,7 +73,7 @@ def top_eigenvalue(
     count = 0
     reached = False
     for _ in range(max_iters):
-        w = hvp(grad_fn, theta, v, h=h)
+        w = hvp(grad_fn, theta, v)
         count += 1
         lam = float(v @ w)
         w_norm = float(np.linalg.norm(w))
@@ -97,7 +96,6 @@ def hutchinson_trace(
     theta: np.ndarray,
     probes: int = 100,
     seed: int = 0,
-    h: float | None = None,
 ) -> HessianSummary:
     """Rademacher-probe trace estimate: mean over probes of z . Hz.
 
@@ -112,7 +110,7 @@ def hutchinson_trace(
     zs = rng.integers(0, 2, size=(probes, dim)) * 2.0 - 1.0
     estimates = np.empty(probes)
     for i in range(probes):
-        estimates[i] = float(zs[i] @ hvp(grad_fn, theta, zs[i], h=h))
+        estimates[i] = float(zs[i] @ hvp(grad_fn, theta, zs[i]))
     mean = float(np.mean(estimates))
     stderr = (
         float(np.std(estimates, ddof=1) / np.sqrt(probes)) if probes > 1 else float("nan")

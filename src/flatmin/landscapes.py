@@ -5,9 +5,9 @@ so loss, gradient and Hessian are available in closed form everywhere.
 
 One evaluator, :func:`evaluate_batch`, computes loss, gradient and, on
 request, the 2x2 Hessian and its flatness (sum of absolute eigenvalues) for
-a whole batch of points at once; ``batch_loss_grad``, ``landscape_eval``
-and ``flatness_from_hessian`` are thin views of it. Its outputs are
-bit-identical to evaluating each point on its own.
+a whole batch of points at once; ``batch_loss_grad`` and ``landscape_eval``
+are thin views of it. Its outputs are bit-identical to evaluating each
+point on its own.
 
 Trajectory simulation and the grid flatness study share one descent loop.
 It runs every start as part of one big parameter vector (every optimizer
@@ -149,12 +149,6 @@ def landscape_eval(spec: LandscapeSpec, theta: Point):
     """Loss, exact gradient (2,) and exact Hessian (2, 2) at one point."""
     ev = evaluate_batch(spec, np.asarray(theta, dtype=np.float64).reshape(1, 2), hessian=True)
     return float(ev.loss[0]), ev.grad[0], ev.hess[0]
-
-
-def flatness_from_hessian(hess: np.ndarray):
-    """Sum of absolute eigenvalues of symmetric 2x2 matrices (..., 2, 2), in closed form."""
-    hess = np.asarray(hess)
-    return _abs_eig_sum(hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1])
 
 
 def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:

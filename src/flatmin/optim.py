@@ -64,15 +64,16 @@ class MIAdamHyperParams:
     """MIAdam hyperparameters on top of an Adam base.
 
     ``switch_step`` is always counted in optimizer steps; callers working
-    in epochs convert before constructing this.  ``pre_switch_lr_override``
-    replaces the alpha**order_n pre-switch learning rate when set (useful
-    on landscapes where alpha**n would make steps vanish for n >= 2).
+    in epochs convert before constructing this, and ``None`` never switches.
+    ``pre_switch_lr_override`` replaces the alpha**order_n pre-switch
+    learning rate when set (useful on landscapes where alpha**n would make
+    steps vanish for n >= 2).
     """
 
     adam: AdamHyperParams = field(default_factory=AdamHyperParams)
     order_n: int = 1
     kappa: float = 0.98
-    switch_step: int = 20
+    switch_step: int | None = 20
     pre_switch_lr_override: float | None = None
 
     def __post_init__(self):
@@ -80,7 +81,7 @@ class MIAdamHyperParams:
             raise ContractViolationError("order_n must be >= 1")
         if not (0 < self.kappa <= 1):
             raise ContractViolationError("kappa must lie in (0, 1]")
-        if self.switch_step < 1:
+        if self.switch_step is not None and self.switch_step < 1:
             raise ContractViolationError("switch_step must be >= 1")
         if self.pre_switch_lr_override is not None and self.pre_switch_lr_override <= 0:
             raise ContractViolationError("pre_switch_lr_override must be > 0")
@@ -283,7 +284,7 @@ class MIAdam(Adam):
         hp = self.params
         ahp = hp.adam
         self._moments(theta, grad, ahp)
-        if t >= hp.switch_step:
+        if hp.switch_step is not None and t >= hp.switch_step:
             return self._apply(theta, self.state.m, t, ahp, ahp.alpha, lr_multiplier)
         below = self.state.m
         for level in self.state.mbar_stack:
@@ -380,6 +381,8 @@ class LrSchedule:
             raise ContractViolationError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "cosine_annealing" and self.total_steps < 1:
             raise ContractViolationError("cosine schedule needs total_steps >= 1")
+        if self.kind == "cosine_annealing" and self.eta_min < 0:
+            raise ContractViolationError("cosine schedule needs eta_min >= 0")
         if self.kind == "milestones":
             if list(self.milestones) != sorted(self.milestones):
                 raise ContractViolationError("milestones must be sorted")

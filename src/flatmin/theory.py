@@ -88,23 +88,22 @@ class EscapeScenario:
 
 
 def _escape_time(s: EscapeScenario, t_tilde: float) -> float:
-    b = float(s.batch_size_b)
-    hue = s.h_ue_abs
-    prefactor = math.pi * (
-        math.sqrt(1.0 + 4.0 * s.alpha * math.sqrt(b * hue) / (t_tilde * (1.0 - s.beta1)))
-        + 1.0
-    )
-    geometry = s.det_ratio ** 0.25 / hue
-    exponent = (2.0 * math.sqrt(b) * s.delta_L / (t_tilde * s.alpha)) * (
-        s.rho / math.sqrt(s.h_ae) + (1.0 - s.rho) / math.sqrt(hue)
-    )
-    # Escape times legitimately explode for deep sharp wells; overflow is
-    # reported as +inf rather than raised.
+    # Escape times legitimately explode for deep sharp wells: a factor that
+    # overflows, or a denominator that underflows to 0, gives +inf, not an error.
     try:
-        exp_term = math.exp(exponent)
-    except OverflowError:
+        b = float(s.batch_size_b)
+        hue = s.h_ue_abs
+        prefactor = math.pi * (
+            math.sqrt(1.0 + 4.0 * s.alpha * math.sqrt(b * hue) / (t_tilde * (1.0 - s.beta1)))
+            + 1.0
+        )
+        geometry = s.det_ratio ** 0.25 / hue
+        exponent = (2.0 * math.sqrt(b) * s.delta_L / (t_tilde * s.alpha)) * (
+            s.rho / math.sqrt(s.h_ae) + (1.0 - s.rho) / math.sqrt(hue)
+        )
+        return prefactor * geometry * math.exp(exponent)
+    except (OverflowError, ZeroDivisionError):
         return math.inf
-    return prefactor * geometry * exp_term
 
 
 def escape_time_miadam1(s: EscapeScenario) -> float:
@@ -118,15 +117,15 @@ def escape_time_adam(s: EscapeScenario) -> float:
 
 
 def escape_report(s: EscapeScenario) -> dict:
-    """Both escape times, their ratio, and overflow flags, for run reports."""
+    """Both escape times, their ratio (None unless both are finite and non-zero), overflow flag."""
     phi_mi = escape_time_miadam1(s)
     phi_adam = escape_time_adam(s)
-    ratio = phi_mi / phi_adam if math.isfinite(phi_mi) and math.isfinite(phi_adam) else None
+    finite = math.isfinite(phi_mi) and math.isfinite(phi_adam)
     return {
         "phi_miadam1": phi_mi,
         "phi_adam": phi_adam,
-        "ratio_miadam1_over_adam": ratio,
-        "overflowed": not (math.isfinite(phi_mi) and math.isfinite(phi_adam)),
+        "ratio_miadam1_over_adam": phi_mi / phi_adam if finite and phi_mi and phi_adam else None,
+        "overflowed": not finite,
     }
 
 
@@ -150,9 +149,12 @@ class DriftingQuadraticProblem:
     theta0: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        spread = self.target_high - self.target_low  # numpy's uniform rejects any other
+        if not 0 <= spread < math.inf:
+            raise ContractViolationError("target_high - target_low must be finite and >= 0")
+
     def targets(self, horizon: int) -> np.ndarray:
-        if self.target_low == self.target_high:
-            return np.full((horizon, self.dim), self.target_low)
         rng = np.random.Generator(np.random.PCG64(self.seed))
         return rng.uniform(self.target_low, self.target_high, size=(horizon, self.dim))
 
@@ -176,7 +178,7 @@ def run_regret_experiment(
 
     The learning-rate multiplier decays as t**(-lr_decay_h); pass 0 to
     disable the decay.  MIAdam callers should disable the switch
-    (switch_step beyond the horizon) to probe pre-switch behavior.
+    (``switch_step=None``) to probe pre-switch behavior.
     """
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
@@ -193,9 +195,8 @@ def run_regret_experiment(
         np.subtract(theta, targets[t - 1], out=diff_t)
         running += 0.5 * float(diff_t @ diff_t) - comparator[t - 1]
         cumulative[t - 1] = running
-        mult = t ** (-lr_decay_h) if lr_decay_h != 0.0 else 1.0
         try:
-            opt.step(theta, diff_t, lr_multiplier=mult)
+            opt.step(theta, diff_t, lr_multiplier=t ** -lr_decay_h)
         except NonFiniteError as err:
             raise NonFiniteError("regret run diverged to non-finite iterates", step=t) from err
     average = cumulative / np.arange(1, horizon + 1)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -108,6 +109,19 @@ def test_malformed_json(tmp_path, capsys):
     p.write_text("{not json")
     assert main(["run", str(p)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_config_path_is_a_directory_exit_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}")
+
+
+def test_config_file_not_utf8_exit_2(tmp_path, capsys):
+    p = tmp_path / "config.json"
+    p.write_bytes(b'{"kind": "\xff"}')
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {p}")
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_invalid_config_exit_2_no_outputs(tmp_path, capsys):
@@ -383,6 +397,10 @@ def _long_hessian(out_dir):
         (_long_hessian, "schedule", {"kind": "cosine_annealing", "total": 4}, "config.schedule"),
         (_trajectory, "optimizers", [{"name": "a", "kind": ["adam"]}], "config.optimizers[0].kind"),
         (_trajectory, "optimizers", [{"name": "a", "kind": {"a": 1}}], "config.optimizers[0].kind"),
+        (_train, "dataset", {"classes": 4, "per_class": 10, "seed": -1}, "config.dataset.seed"),
+        # 2 examples: the 80/20 split trains on both and tests on none
+        (_train, "dataset", {"classes": 2, "per_class": 1}, "config.dataset"),
+        (_train, "schedule", {"kind": "cosine_annealing", "eta_min": -50}, "config.schedule"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -418,6 +436,8 @@ _SCENARIO = {
         ("hessian-report", "hessian", "probes", 0),
         ("regret", None, "output_dir", None),
         ("escape-theory", None, "scenario", dict(_SCENARIO, h_u_eigs=[-0.5, 0.0])),
+        ("regret", None, "problem", {"target_low": 1e308, "target_high": -1e308}),
+        ("regret", None, "problem", {"target_low": 1.0, "target_high": -1.0}),
     ],
 )
 def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, field, value):
@@ -435,6 +455,27 @@ def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, fiel
     prefix = "config." + (f"{block}." if block else "") + field
     assert f"error: {prefix}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "scenario,phi",
+    [
+        # det_ratio underflows to 0, and with it both times
+        (dict(_SCENARIO, h_a_eigs=[1e200, 1e200], h_u_eigs=[-1e-200, 1e-200]), 0.0),
+        # t_tilde * alpha underflows to 0 in a denominator
+        (dict(_SCENARIO, alpha=1e-300, t_tilde=1e-300), math.inf),
+        # the batch size overflows a float
+        (dict(_SCENARIO, batch_size_b=10 ** 400), math.inf),
+    ],
+)
+def test_extreme_escape_scenario_exit_0(tmp_path, scenario, phi):
+    out_dir = tmp_path / "out"
+    cfg = {"kind": "escape-theory", "seed": 0, "output_dir": str(out_dir), "scenario": scenario}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    results = json.loads((out_dir / "report.json").read_text())["results"]
+    assert results["phi_miadam1"] == results["phi_adam"] == phi
+    assert results["ratio_miadam1_over_adam"] is None
+    assert results["overflowed"] is (phi == math.inf)
 
 
 def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flatmin import harness
 from flatmin.errors import ContractViolationError, NonFiniteError
-from flatmin.harness import SWITCH_DISABLED, normalize_config, run, run_config
+from flatmin.harness import normalize_config, run, run_config
 from flatmin.reporting import fmt_value, write_csv
 from flatmin.seeding import derive_seed, splitmix64
 
@@ -156,11 +156,18 @@ class TestValidation:
             normalize_config(cfg)
 
     def test_null_switch_step_disables(self, tmp_path):
-        cfg = trajectory_config(tmp_path)
-        cfg["optimizers"] = [{"name": "mi", "kind": "miadam", "switch_step": None}]
-        norm = normalize_config(cfg)
-        assert norm["optimizers"][0]["switch_step"] is None
-        assert SWITCH_DISABLED > 10 ** 18
+        def trajectory_csv(switch_step):
+            cfg = trajectory_config(tmp_path / str(switch_step))
+            cfg["optimizers"] = [{"name": "mi", "kind": "miadam", "switch_step": switch_step}]
+            norm = normalize_config(cfg)
+            assert norm["optimizers"][0]["switch_step"] == switch_step
+            run_config(norm)
+            return (tmp_path / str(switch_step) / "trajectory_mi.csv").read_bytes()
+
+        never = trajectory_csv(None)
+        # the run takes 50 steps: a switch at step 51 never fires, one at 50 does
+        assert never == trajectory_csv(51)
+        assert never != trajectory_csv(50)
 
     def test_defaults_filled(self, tmp_path):
         norm = normalize_config(trajectory_config(tmp_path))
@@ -306,6 +313,19 @@ class TestRuns:
         # 15 steps evaluate the multiplier at steps 0 .. 14, so 14 is the shortest cosine total
         cfg["schedule"] = {"kind": "cosine_annealing", "total": 14}
         run(dict(cfg, output_dir=str(tmp_path / "boundary")))
+
+    def test_preset_dataset_equals_its_object(self, tmp_path):
+        def train(name, dataset):
+            cfg = {
+                "kind": "train", "seed": 2, "output_dir": str(tmp_path / name),
+                "model": {"layer_sizes": [20, 4]}, "dataset": dataset, "epochs": 2,
+                "batch_size": 400, "optimizers": [{"name": "adam", "kind": "adam"}],
+            }
+            results = run(cfg)["results"]
+            return results, (tmp_path / name / "metrics_adam.csv").read_bytes()
+
+        blobs_4c = {"classes": 4, "per_class": 500, "spread": 1.0, "n_features": 20}
+        assert train("preset", "blobs-4c") == train("object", blobs_4c)
 
     def test_escape_theory_run(self, tmp_path):
         cfg = {

@@ -9,10 +9,10 @@ from flatmin.errors import ContractViolationError
 from flatmin.landscapes import (
     LandscapeSpec,
     WellSpec,
+    _abs_eig_sum,
     batch_loss_grad,
     classify_converged_well,
     evaluate_batch,
-    flatness_from_hessian,
     grid_flatness_study,
     grid_starts,
     landscape_eval,
@@ -70,6 +70,17 @@ def reference_flatness(hess):
     return abs(lam1) + abs(lam2)
 
 
+def abs_eig_sum(hess):
+    """The flatness kernel on symmetric 2x2 matrices (..., 2, 2)."""
+    hess = np.asarray(hess)
+    return _abs_eig_sum(hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1])
+
+
+def flatness_at(spec, theta):
+    points = np.asarray(theta, dtype=np.float64).reshape(1, 2)
+    return evaluate_batch(spec, points, hessian=True).flatness[0]
+
+
 def same_bits(x, y):
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     return x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -109,7 +120,7 @@ class TestBitExactOracle:
             assert same_bits(ev.grad[i], grad) and same_bits(grads[i], grad)
             assert same_bits(ev.hess[i], hess)
             assert same_bits(ev.flatness[i], flat)
-        assert same_bits(flatness_from_hessian(ev.hess), ev.flatness)
+        assert same_bits(abs_eig_sum(ev.hess), ev.flatness)
 
     @settings(max_examples=150, deadline=None)
     @given(spec=_landscapes, x=_coord, y=_coord)
@@ -118,7 +129,7 @@ class TestBitExactOracle:
         ref_loss, ref_grad, ref_hess = reference_landscape_eval(spec, (x, y))
         assert loss == ref_loss
         assert same_bits(grad, ref_grad) and same_bits(hess, ref_hess)
-        assert same_bits(flatness_from_hessian(hess), reference_flatness(ref_hess))
+        assert same_bits(flatness_at(spec, (x, y)), reference_flatness(ref_hess))
 
     def test_nine_wells_single_point(self):
         # at B = 1 with >= 8 wells, np.sum over the well axis goes pairwise
@@ -136,8 +147,8 @@ class TestBitExactOracle:
             pytest.skip("this platform's pow rounds the pinned square like x * x")
         hess = np.array([[a, b], [b, d]])
         expected = reference_flatness(hess)
-        assert flatness_from_hessian(hess) == expected
-        assert same_bits(flatness_from_hessian(hess[None]), [expected])
+        assert abs_eig_sum(hess) == expected
+        assert same_bits(abs_eig_sum(hess[None]), [expected])
 
 
 class TestSurface:
@@ -213,18 +224,16 @@ class TestFlatness:
             a, b, d = rng.standard_normal(3)
             hess = np.array([[a, b], [b, d]])
             expected = np.sum(np.abs(np.linalg.eigvalsh(hess)))
-            assert flatness_from_hessian(hess) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert abs_eig_sum(hess) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_positive_definite_equals_trace(self):
         hess = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert flatness_from_hessian(hess) == pytest.approx(np.trace(hess), rel=1e-14)
+        assert abs_eig_sum(hess) == pytest.approx(np.trace(hess), rel=1e-14)
 
     def test_sharp_well_flatter_than_wide(self):
         sharp = LandscapeSpec(wells=(WellSpec(center=(0, 0), depth=1.0, width=0.1),))
         wide = LandscapeSpec(wells=(WellSpec(center=(0, 0), depth=1.0, width=2.0),))
-        _, _, hs = landscape_eval(sharp, (0.0, 0.0))
-        _, _, hw = landscape_eval(wide, (0.0, 0.0))
-        assert flatness_from_hessian(hs) > flatness_from_hessian(hw)
+        assert flatness_at(sharp, (0.0, 0.0)) > flatness_at(wide, (0.0, 0.0))
 
 
 class TestClassification:
@@ -315,8 +324,7 @@ class TestPresets:
         # flanking wells are sharper than the middle one at their centers
         flats = []
         for w in spec.wells:
-            _, _, hess = landscape_eval(spec, w.center)
-            flats.append(flatness_from_hessian(hess))
+            flats.append(flatness_at(spec, w.center))
         assert flats[0] > flats[1] and flats[2] > flats[1]
 
     def test_landscape_b_checkerboard(self):

@@ -407,6 +407,32 @@ class TestMIAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_null_switch_step_never_switches(self):
+        steps = 40
+        base = AdamHyperParams()
+        rng = np.random.Generator(np.random.PCG64(12))
+        grads = [rng.standard_normal(5) for _ in range(steps)]
+
+        def run(switch_step):
+            opt = build_optimizer(
+                MIAdamHyperParams(adam=base, order_n=2, kappa=0.9, switch_step=switch_step), 5
+            )
+            theta = np.ones(5)
+            for g in grads:
+                opt.step(theta, g)
+            return theta, opt.state
+
+        theta, state = run(None)
+        late_theta, late_state = run(steps + 1)
+        assert theta.tobytes() == late_theta.tobytes()
+        assert state.m.tobytes() == late_state.m.tobytes()
+        for level, late_level in zip(state.mbar_stack, late_state.mbar_stack):
+            assert level.tobytes() == late_level.tobytes()
+        # a switch inside the run changes the result, so the comparison above has teeth
+        assert run(steps)[0].tobytes() != theta.tobytes()
+        with pytest.raises(ContractViolationError, match="switch_step must be >= 1"):
+            MIAdamHyperParams(switch_step=0)
+
 
 class TestElementwise:
     @settings(max_examples=50, deadline=None)

@@ -150,6 +150,21 @@ class TestRegret:
         diffs = np.diff(series.cumulative_regret)
         assert np.all(diffs >= -1e-12)
 
+    @pytest.mark.parametrize("target", [-0.0, 0.5])
+    def test_constant_problem_draws_its_target(self, target):
+        class FullTargets(DriftingQuadraticProblem):
+            def targets(self, horizon):
+                return np.full((horizon, self.dim), self.target_low)
+
+        fields = dict(dim=3, target_low=target, target_high=target, theta0=-1.0, seed=4)
+        prob = DriftingQuadraticProblem(**fields)
+        assert np.array_equal(prob.targets(20), np.full((20, 3), target))
+        # a -0.0 target is drawn as +0.0; regret squares it, so no value changes
+        hp = AdamHyperParams(alpha=0.1)
+        drawn = run_regret_experiment(prob, hp, horizon=40)
+        full = run_regret_experiment(FullTargets(**fields), hp, horizon=40)
+        assert drawn.cumulative_regret.tobytes() == full.cumulative_regret.tobytes()
+
     def test_adam_average_regret_decays(self):
         prob = DriftingQuadraticProblem(seed=5)
         series = run_regret_experiment(
