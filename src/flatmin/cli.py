@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_config(cfg, args.output_dir)
-    except (NonFiniteError, ContractViolationError, OSError) as err:
+    except (NonFiniteError, ContractViolationError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out_dir = args.output_dir if args.output_dir is not None else cfg["output_dir"]

@@ -1,11 +1,16 @@
 """Config-driven experiment runner.
 
-Configs are strict JSON: unknown keys are rejected with a field path, and
-every run report embeds the fully resolved config so that re-running
-from the report reproduces the numeric payload bitwise on one platform.
-Outputs are report.json plus kind-specific CSV files.  A run computes every
-result before it writes its first file; on any failure the files written so
-far are removed.
+Configs are strict JSON: unknown keys are rejected with a field path.  One
+function, ``_resolve``, turns a config into its resolved form (every default
+filled in) and its typed run (the optimizer params, schedule, landscape,
+model, scenario and problem it describes), building each typed object once.
+``normalize_config`` returns the resolved form, and ``run_config`` resolves
+whatever it is given before it runs, so an invalid config never starts.  The
+resolved form resolves to itself, and every run report embeds it, so a
+report's config runs again unchanged and reproduces the numeric payload
+bitwise on one platform.  Outputs are report.json plus kind-specific CSV
+files.  A run computes every result before it writes its first file; on any
+failure the files written so far are removed.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ def _check_keys(block: dict, allowed: set[str], required: set[str], path: str) -
         raise ContractViolationError(f"{path}: unknown field(s) {sorted(unknown)}")
     missing = required - set(block)
     if missing:
-        raise ContractViolationError(f"{path}: missing required field(s) {sorted(missing)}")
+        names = ", ".join(f"{path}.{name}" for name in sorted(missing))
+        raise ContractViolationError(f"{names}: missing required field(s)")
 
 
 # each optimizer kind's typed params, whose fields are its config fields;
@@ -139,7 +145,8 @@ def _build(path: str, make, *args, **kwargs):
         raise ContractViolationError(f"{path}: {err}") from None
 
 
-def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
+def _optimizer(block: dict, path: str, trains: bool, spe: int):
+    """A resolved optimizer block and its typed params; ``spe`` is steps per epoch."""
     _check_keys(block, set().union(*_OPT_FIELDS.values()), {"name", "kind"}, path)
     kind = block["kind"]
     if not isinstance(kind, str) or kind not in _OPT_FIELDS:
@@ -152,7 +159,8 @@ def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
         )
 
     out = {"name": name, "kind": kind}
-    for f in fields(_OPT_PARAMS[kind]):
+    cls = _OPT_PARAMS[kind]
+    for f in fields(cls):
         # an omitted field takes the default of the typed params class
         value = block.get(f.name, f.default)
         if not isinstance(f.default, bool):
@@ -160,81 +168,69 @@ def _normalize_optimizer(block: dict, path: str, trains: bool) -> dict:
         elif not isinstance(value, bool):
             raise ContractViolationError(f"{path}.{f.name}: expected true or false, got {value!r}")
         out[f.name] = value
-    if kind == "miadam":
-        mi = MIAdamHyperParams
-        out["order_n"] = _int(block.get("order_n", mi.order_n), f"{path}.order_n")
-        out["kappa"] = _float(block.get("kappa", mi.kappa), f"{path}.kappa")
-        if "switch_epochs" in block:
-            if not trains:
-                raise ContractViolationError(f"{path}.switch_epochs: only valid for training runs")
-            out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
-        else:
-            switch = block.get("switch_step", mi.switch_step)
-            out["switch_step"] = None if switch is None else _int(switch, f"{path}.switch_step")
-        if block.get("pre_switch_lr_override") is not None:
-            override = block["pre_switch_lr_override"]
-            out["pre_switch_lr_override"] = _float(override, f"{path}.pre_switch_lr_override")
-    _build(path, _optimizer_params, out)  # the typed params check the values' ranges
-    return out
-
-
-def _optimizer_params(block: dict, spe: int = 1):
-    """Typed params of a normalized optimizer block; ``spe`` is steps per epoch."""
-    cls = _OPT_PARAMS[block["kind"]]
-    params = cls(**{f.name: block[f.name] for f in fields(cls)})
-    if block["kind"] != "miadam":
-        return params
-    switch = block["switch_epochs"] * spe if "switch_epochs" in block else block["switch_step"]
-    return MIAdamHyperParams(
-        adam=params,
-        order_n=block["order_n"],
-        kappa=block["kappa"],
-        switch_step=switch,
-        pre_switch_lr_override=block.get("pre_switch_lr_override"),
+    # the typed params check the values' ranges
+    params = _build(path, cls, **{f.name: out[f.name] for f in fields(cls)})
+    if kind != "miadam":
+        return out, params
+    mi = MIAdamHyperParams
+    out["order_n"] = _int(block.get("order_n", mi.order_n), f"{path}.order_n")
+    out["kappa"] = _float(block.get("kappa", mi.kappa), f"{path}.kappa")
+    if "switch_epochs" in block:
+        if not trains:
+            raise ContractViolationError(f"{path}.switch_epochs: only valid for training runs")
+        out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
+        switch = out["switch_epochs"] * spe
+    else:
+        switch = block.get("switch_step", mi.switch_step)
+        if switch is not None:
+            switch = _int(switch, f"{path}.switch_step")
+        out["switch_step"] = switch
+    override = block.get("pre_switch_lr_override")
+    if override is not None:
+        override = _float(override, f"{path}.pre_switch_lr_override")
+        out["pre_switch_lr_override"] = override
+    return out, _build(
+        path, mi, adam=params, order_n=out["order_n"], kappa=out["kappa"], switch_step=switch,
+        pre_switch_lr_override=override,
     )
 
 
-def _normalize_schedule(block: dict | None, path: str) -> dict:
-    if block is None:
-        return {"kind": "constant", "unit": "steps"}
-    allowed = {"kind", "total", "eta_min", "milestones", "gamma", "unit"}
-    _check_keys(block, allowed, {"kind"}, path)
+def _schedule(block: dict | None, path: str, steps: int, spe: int):
+    """A resolved schedule block and its LrSchedule, for a run of ``steps`` steps.
+
+    A cosine ``total`` that is omitted or null spans the whole run.
+    """
+    block = {"kind": "constant"} if block is None else block
+    _check_keys(block, {"kind", "total", "eta_min", "milestones", "gamma", "unit"}, {"kind"}, path)
     out = {"kind": block["kind"], "unit": block.get("unit", "steps")}
     if out["unit"] not in ("steps", "epochs"):
         raise ContractViolationError(f"{path}.unit: must be 'steps' or 'epochs'")
+    scale = spe if out["unit"] == "epochs" else 1
+    kwargs = {}  # the LrSchedule fields beyond its kind
     if block["kind"] == "cosine_annealing":
-        out["total"] = _int(block["total"], f"{path}.total") if "total" in block else None
-        out["eta_min"] = _float(block.get("eta_min", 0.0), f"{path}.eta_min")
+        total = block.get("total")
+        out["total"] = None if total is None else _int(total, f"{path}.total")
+        out["eta_min"] = kwargs["eta_min"] = _float(block.get("eta_min", 0.0), f"{path}.eta_min")
+        kwargs["total_steps"] = steps if total is None else out["total"] * scale
     elif block["kind"] == "milestones":
         out["milestones"] = _ints(block.get("milestones", []), f"{path}.milestones")
-        out["gamma"] = _float(block.get("gamma", 0.1), f"{path}.gamma")
+        out["gamma"] = kwargs["gamma"] = _float(block.get("gamma", 0.1), f"{path}.gamma")
+        kwargs["milestones"] = tuple(m * scale for m in out["milestones"])
     elif block["kind"] != "constant":
         raise ContractViolationError(f"{path}.kind: unknown schedule kind {block['kind']!r}")
-    return out
+    sched = _build(path, LrSchedule, kind=block["kind"], **kwargs)
+    if steps:  # a run evaluates the multiplier at completed steps 0 .. steps - 1
+        _build(path, schedule_multiplier, sched, steps - 1)
+    return out, sched
 
 
-def _build_schedule(norm: dict, total_steps: int, spe: int = 1) -> LrSchedule:
-    scale = spe if norm["unit"] == "epochs" else 1
-    if norm["kind"] == "cosine_annealing":
-        total = norm.get("total")
-        total = total_steps if total is None else total * scale
-        return LrSchedule(kind="cosine_annealing", total_steps=total, eta_min=norm["eta_min"])
-    if norm["kind"] == "milestones":
-        return LrSchedule(
-            kind="milestones",
-            milestones=tuple(m * scale for m in norm["milestones"]),
-            gamma=norm["gamma"],
-        )
-    return LrSchedule(kind="constant")
-
-
-def _normalize_landscape(block, path: str):
+def _landscape(block, path: str):
+    """A resolved landscape (a preset name or an object) and its LandscapeSpec."""
     if isinstance(block, str):
-        get_landscape(block)  # validate the preset name early
-        return block
+        return block, get_landscape(block)
     allowed = {"wells", "base_level"}
     _check_keys(block, allowed, {"wells"}, path)
-    wells = []
+    wells, specs = [], []
     for i, w in enumerate(_list(block["wells"], f"{path}.wells", min_length=1)):
         wpath = f"{path}.wells[{i}]"
         _check_keys(w, {"center", "depth", "width"}, {"center", "depth", "width"}, wpath)
@@ -243,22 +239,11 @@ def _normalize_landscape(block, path: str):
             "depth": _float(w["depth"], f"{wpath}.depth"),
             "width": _float(w["width"], f"{wpath}.width"),
         }
-        _build(wpath, WellSpec, **well)
+        specs.append(_build(wpath, WellSpec, tuple(well["center"]), well["depth"], well["width"]))
         wells.append(well)
     base_level = _float(block.get("base_level", 0.0), f"{path}.base_level")
-    return {"wells": wells, "base_level": base_level}
-
-
-def _build_landscape(norm) -> LandscapeSpec:
-    if isinstance(norm, str):
-        return get_landscape(norm)
-    return LandscapeSpec(
-        wells=tuple(
-            WellSpec(center=(w["center"][0], w["center"][1]), depth=w["depth"], width=w["width"])
-            for w in norm["wells"]
-        ),
-        base_level=norm["base_level"],
-    )
+    spec = LandscapeSpec(wells=tuple(specs), base_level=base_level)
+    return {"wells": wells, "base_level": base_level}, spec
 
 
 def _normalize_dataset(block, path: str):
@@ -308,14 +293,15 @@ def _build_dataset(norm, root_seed: int) -> Dataset:
     return inject_label_noise(ds, rate, derive_seed(root_seed, "label-noise"))
 
 
-def _normalize_model(block: dict, path: str) -> dict:
+def _model(block: dict, path: str, init_seed: int):
+    """A resolved model block and its MlpSpec."""
     _check_keys(block, {"layer_sizes", "activation"}, {"layer_sizes"}, path)
     out = {
         "layer_sizes": _ints(block["layer_sizes"], f"{path}.layer_sizes", min_length=2, minimum=1),
         "activation": block.get("activation", "tanh"),
     }
-    _build(path, MlpSpec, layer_sizes=tuple(out["layer_sizes"]), activation=out["activation"])
-    return out
+    sizes = tuple(out["layer_sizes"])
+    return out, _build(path, MlpSpec, sizes, activation=out["activation"], init_seed=init_seed)
 
 
 def _steps_per_epoch(cfg: dict) -> int:
@@ -343,10 +329,6 @@ _SCENARIO_FIELDS = {
 }
 
 
-def _build_scenario(norm: dict) -> EscapeScenario:
-    return EscapeScenario(**{k: tuple(v) if isinstance(v, list) else v for k, v in norm.items()})
-
-
 _KIND_FIELDS = {
     "trajectory": {"landscape", "start", "total_steps", "optimizers", "schedule"},
     "grid-flatness": {"landscape", "region", "grid", "total_steps", "optimizers", "schedule"},
@@ -359,8 +341,14 @@ _KIND_FIELDS = {
 _KIND_OPTIONAL = {"schedule", "problem", "lr_decay_h", "hessian"}
 
 
-def normalize_config(raw: dict) -> dict:
-    """Validate a raw config dict and fill every default in."""
+def _resolve(raw: dict) -> tuple[dict, dict]:
+    """Validate a raw config; return its resolved form and its typed run.
+
+    The resolved form fills every default in and resolves to itself.  The
+    typed run maps each block to the object built from it ("optimizers" to
+    their typed params, "schedule", "landscape", "model", "scenario",
+    "problem") and, for a training run, holds its "steps_per_epoch".
+    """
     base = {"kind", "seed", "output_dir"}
     if not isinstance(raw, dict):
         raise ContractViolationError("config root: expected an object")
@@ -374,21 +362,12 @@ def normalize_config(raw: dict) -> dict:
             f"config.output_dir: expected a non-empty string, got {raw['output_dir']!r}"
         )
 
-    out = {"kind": kind, "seed": _int(raw["seed"], "config.seed"), "output_dir": raw["output_dir"]}
+    seed = _int(raw["seed"], "config.seed")
+    out = {"kind": kind, "seed": seed, "output_dir": raw["output_dir"]}
+    typed = {}
     trains = kind in ("train", "hessian-report")
-    if "optimizers" in kind_fields:
-        blocks = raw["optimizers"]
-        if not isinstance(blocks, list) or not blocks:
-            raise ContractViolationError("config.optimizers: expected a non-empty list")
-        out["optimizers"] = [
-            _normalize_optimizer(b, f"config.optimizers[{i}]", trains) for i, b in enumerate(blocks)
-        ]
-        names = [b["name"] for b in out["optimizers"]]
-        if len(set(names)) != len(names):
-            raise ContractViolationError("config.optimizers: names must be unique")
-
     if kind in ("trajectory", "grid-flatness"):
-        out["landscape"] = _normalize_landscape(raw["landscape"], "config.landscape")
+        out["landscape"], typed["landscape"] = _landscape(raw["landscape"], "config.landscape")
         out["total_steps"] = _int(raw["total_steps"], "config.total_steps", minimum=0)
     if kind == "trajectory":
         out["start"] = _floats(raw["start"], "config.start", 2)
@@ -396,25 +375,39 @@ def normalize_config(raw: dict) -> dict:
         region = _list(raw["region"], "config.region", 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
         out["grid"] = _ints(raw["grid"], "config.grid", 2, minimum=1)
+    spe = 1
     if trains:
-        out["model"] = _normalize_model(raw["model"], "config.model")
+        init_seed = derive_seed(seed, "model-init")
+        out["model"], typed["model"] = _model(raw["model"], "config.model", init_seed)
         out["dataset"] = _normalize_dataset(raw["dataset"], "config.dataset")
         _check_model_fits(out["model"], out["dataset"])
         out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
         out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
+        typed["steps_per_epoch"] = spe = _steps_per_epoch(out)
+    if "optimizers" in kind_fields:
+        blocks = raw["optimizers"]
+        if not isinstance(blocks, list) or not blocks:
+            raise ContractViolationError("config.optimizers: expected a non-empty list")
+        resolved = [
+            _optimizer(b, f"config.optimizers[{i}]", trains, spe) for i, b in enumerate(blocks)
+        ]
+        out["optimizers"] = [block for block, _ in resolved]
+        typed["optimizers"] = [params for _, params in resolved]
+        names = [b["name"] for b in out["optimizers"]]
+        if len(set(names)) != len(names):
+            raise ContractViolationError("config.optimizers: names must be unique")
     if "schedule" in kind_fields:
-        out["schedule"] = _normalize_schedule(raw.get("schedule"), "config.schedule")
-        spe = _steps_per_epoch(out) if trains else 1
         steps = out["epochs"] * spe if trains else out["total_steps"]
-        sched = _build("config.schedule", _build_schedule, out["schedule"], steps, spe)
-        if steps:  # a run evaluates the multiplier at completed steps 0 .. steps - 1
-            _build("config.schedule", schedule_multiplier, sched, steps - 1)
+        out["schedule"], typed["schedule"] = _schedule(
+            raw.get("schedule"), "config.schedule", steps, spe
+        )
     if kind == "escape-theory":
         sp = "config.scenario"
         _check_keys(raw["scenario"], set(_SCENARIO_FIELDS), set(_SCENARIO_FIELDS) - {"t_tilde"}, sp)
         s = {"t_tilde": EscapeScenario.t_tilde, **raw["scenario"]}
         out["scenario"] = {k: parse(s[k], f"{sp}.{k}") for k, parse in _SCENARIO_FIELDS.items()}
-        _build(sp, _build_scenario, out["scenario"])
+        spec = {k: tuple(v) if isinstance(v, list) else v for k, v in out["scenario"].items()}
+        typed["scenario"] = _build(sp, EscapeScenario, **spec)
     if kind == "regret":
         p = raw.get("problem", {})
         _check_keys(p, {"dim", "target_low", "target_high", "theta0"}, set(), "config.problem")
@@ -422,7 +415,9 @@ def normalize_config(raw: dict) -> dict:
         out["problem"] = {"dim": _int(p.get("dim", problem.dim), "config.problem.dim", 1)}
         for key in ("target_low", "target_high", "theta0"):
             out["problem"][key] = _float(p.get(key, getattr(problem, key)), f"config.problem.{key}")
-        _build("config.problem", DriftingQuadraticProblem, **out["problem"])
+        typed["problem"] = _build(
+            "config.problem", problem, **out["problem"], seed=derive_seed(seed, "regret-problem")
+        )
         out["horizon"] = _int(raw["horizon"], "config.horizon", minimum=1)
         out["lr_decay_h"] = _float(raw.get("lr_decay_h", 0.5), "config.lr_decay_h")
         if out["lr_decay_h"] < 0:
@@ -437,7 +432,12 @@ def normalize_config(raw: dict) -> dict:
             "tol": _float(h.get("tol", 1e-6), "config.hessian.tol"),
             "probes": _int(h.get("probes", 200), "config.hessian.probes", 1),
         }
-    return out
+    return out, typed
+
+
+def normalize_config(raw: dict) -> dict:
+    """Validate a raw config dict and fill every default in; the result normalizes to itself."""
+    return _resolve(raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +461,14 @@ def _optimizer_warnings(blocks: list[dict]) -> list[str]:
     return warnings
 
 
-def _run_trajectory(cfg: dict, csvs: dict) -> dict:
-    spec = _build_landscape(cfg["landscape"])
-    sched = _build_schedule(cfg["schedule"], cfg["total_steps"])
+def _run_trajectory(cfg: dict, typed: dict, csvs: dict) -> dict:
     start = (cfg["start"][0], cfg["start"][1])
     results = {}
-    for block in cfg["optimizers"]:
+    for block, params in zip(cfg["optimizers"], typed["optimizers"]):
         name = block["name"]
-        rec = simulate_trajectory(spec, start, _optimizer_params(block), sched, cfg["total_steps"])
+        rec = simulate_trajectory(
+            typed["landscape"], start, params, typed["schedule"], cfg["total_steps"]
+        )
         csvs[f"trajectory_{name}.csv"] = (
             ["t", "theta1", "theta2", "loss"],
             ((t, th[0], th[1], loss) for t, th, loss in rec.steps),
@@ -481,14 +481,13 @@ def _run_trajectory(cfg: dict, csvs: dict) -> dict:
     return results
 
 
-def _run_grid_flatness(cfg: dict, csvs: dict) -> dict:
-    spec = _build_landscape(cfg["landscape"])
-    sched = _build_schedule(cfg["schedule"], cfg["total_steps"])
+def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
     region = (tuple(cfg["region"][0]), tuple(cfg["region"][1]))
     grid = (cfg["grid"][0], cfg["grid"][1])
     names = [b["name"] for b in cfg["optimizers"]]
-    params = [_optimizer_params(block) for block in cfg["optimizers"]]
-    flats = grid_flatness_study(spec, region, grid, params, sched, cfg["total_steps"])
+    flats = grid_flatness_study(
+        typed["landscape"], region, grid, typed["optimizers"], typed["schedule"], cfg["total_steps"]
+    )
     cols = grid[1]
     table = [
         [i // cols, i % cols, x, y] + [float(f[i]) for f in flats]
@@ -501,28 +500,20 @@ def _run_grid_flatness(cfg: dict, csvs: dict) -> dict:
     }
 
 
-def _run_train(cfg: dict, csvs: dict) -> dict:
-    seed = cfg["seed"]
-    ds = _build_dataset(cfg["dataset"], seed)
-    spe = _steps_per_epoch(cfg)
-    sched = _build_schedule(cfg["schedule"], spe * cfg["epochs"], spe=spe)
-    model_spec = MlpSpec(
-        layer_sizes=tuple(cfg["model"]["layer_sizes"]),
-        activation=cfg["model"]["activation"],
-        init_seed=derive_seed(seed, "model-init"),
-    )
-    shuffle_seed = derive_seed(seed, "train-shuffle")
+def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
+    ds = _build_dataset(cfg["dataset"], cfg["seed"])
+    shuffle_seed = derive_seed(cfg["seed"], "train-shuffle")
     results = {}
     trained = {}
-    for block in cfg["optimizers"]:
+    for block, params in zip(cfg["optimizers"], typed["optimizers"]):
         name = block["name"]
-        params = _optimizer_params(block, spe=spe)
         model, metrics = train_classifier(
-            model_spec, ds, params, sched, cfg["epochs"], cfg["batch_size"], shuffle_seed
+            typed["model"], ds, params, typed["schedule"], cfg["epochs"], cfg["batch_size"],
+            shuffle_seed,
         )
         header = ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]
         csvs[f"metrics_{name}.csv"] = (header, [[m[k] for k in header] for m in metrics])
-        results[name] = {"final": metrics[-1], "steps_per_epoch": spe}
+        results[name] = {"final": metrics[-1], "steps_per_epoch": typed["steps_per_epoch"]}
         trained[name] = model
     return results, trained, ds
 
@@ -533,15 +524,12 @@ def _regret_rows(series):
     yield from zip(ts, series.cumulative_regret.tolist(), series.average_regret.tolist())
 
 
-def _run_regret(cfg: dict, csvs: dict) -> dict:
-    problem = DriftingQuadraticProblem(
-        **cfg["problem"], seed=derive_seed(cfg["seed"], "regret-problem")
-    )
+def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     results = {}
-    for block in cfg["optimizers"]:
-        params = _optimizer_params(block)
+    for block, params in zip(cfg["optimizers"], typed["optimizers"]):
         series = run_regret_experiment(
-            problem, params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"], label=block["name"]
+            typed["problem"], params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"],
+            label=block["name"],
         )
         csvs[f"regret_{series.optimizer_label}.csv"] = (
             ["t", "cumulative_regret", "average_regret"],
@@ -554,8 +542,8 @@ def _run_regret(cfg: dict, csvs: dict) -> dict:
     return results
 
 
-def _run_hessian_report(cfg: dict, csvs: dict) -> dict:
-    train_results, trained, ds = _run_train(cfg, csvs)
+def _run_hessian_report(cfg: dict, typed: dict, csvs: dict) -> dict:
+    train_results, trained, ds = _run_train(cfg, typed, csvs)
     h = cfg["hessian"]
     x_train = ds.inputs[ds.train_idx]
     y_train = ds.labels[ds.train_idx]
@@ -599,20 +587,22 @@ def _run_hessian_report(cfg: dict, csvs: dict) -> dict:
 _RUNNERS = {
     "trajectory": _run_trajectory,
     "grid-flatness": _run_grid_flatness,
-    "train": lambda cfg, csvs: _run_train(cfg, csvs)[0],
-    "escape-theory": lambda cfg, csvs: escape_report(_build_scenario(cfg["scenario"])),
+    "train": lambda cfg, typed, csvs: _run_train(cfg, typed, csvs)[0],
+    "escape-theory": lambda cfg, typed, csvs: escape_report(typed["scenario"]),
     "regret": _run_regret,
     "hessian-report": _run_hessian_report,
 }
 
 
 def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
-    """Execute a normalized config; returns the report dict (also written to disk).
+    """Validate and execute a config; returns the report dict (also written to disk).
 
-    Every result is computed before the first file is written.  On any
-    failure the files written so far are removed, then each directory the
-    run created, deepest first, as long as it is empty.
+    An invalid config raises before anything is created.  Every result is
+    computed before the first file is written.  On any failure the files
+    written so far are removed, then each directory the run created,
+    deepest first, as long as it is empty.
     """
+    cfg, typed = _resolve(cfg)
     out_dir = Path(output_dir if output_dir is not None else cfg["output_dir"])
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     written: list[Path] = []
@@ -620,7 +610,7 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         start_time = time.perf_counter()
         csvs = {}  # file name -> (header, rows)
-        results = _RUNNERS[cfg["kind"]](cfg, csvs)
+        results = _RUNNERS[cfg["kind"]](cfg, typed, csvs)
         report = {
             "artifact_version": __version__,
             "kind": cfg["kind"],
@@ -648,4 +638,4 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
 
 def run(config: dict, output_dir: str | Path | None = None) -> dict:
     """Validate and execute a raw config dict."""
-    return run_config(normalize_config(config), output_dir)
+    return run_config(config, output_dir)

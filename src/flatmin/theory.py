@@ -90,6 +90,7 @@ class EscapeScenario:
 def _escape_time(s: EscapeScenario, t_tilde: float) -> float:
     # Escape times legitimately explode for deep sharp wells: a factor that
     # overflows, or a denominator that underflows to 0, gives +inf, not an error.
+    # So does an overflowed factor times one that underflowed to 0 (inf * 0 = NaN).
     try:
         b = float(s.batch_size_b)
         hue = s.h_ue_abs
@@ -101,7 +102,8 @@ def _escape_time(s: EscapeScenario, t_tilde: float) -> float:
         exponent = (2.0 * math.sqrt(b) * s.delta_L / (t_tilde * s.alpha)) * (
             s.rho / math.sqrt(s.h_ae) + (1.0 - s.rho) / math.sqrt(hue)
         )
-        return prefactor * geometry * math.exp(exponent)
+        phi = prefactor * geometry * math.exp(exponent)
+        return math.inf if math.isnan(phi) else phi
     except (OverflowError, ZeroDivisionError):
         return math.inf
 

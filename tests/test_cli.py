@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from flatmin import __version__
 from flatmin.cli import main
+from flatmin.harness import normalize_config
 
 
 def write_config(tmp_path, cfg):
@@ -466,13 +467,17 @@ def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, fiel
         (dict(_SCENARIO, alpha=1e-300, t_tilde=1e-300), math.inf),
         # the batch size overflows a float
         (dict(_SCENARIO, batch_size_b=10 ** 400), math.inf),
+        # the prefactor overflows while the geometry factor underflows to 0
+        (dict(_SCENARIO, alpha=1e300, h_a_eigs=[1, 1e300], h_u_eigs=[-1e200, 1e-300]), math.inf),
     ],
 )
 def test_extreme_escape_scenario_exit_0(tmp_path, scenario, phi):
     out_dir = tmp_path / "out"
     cfg = {"kind": "escape-theory", "seed": 0, "output_dir": str(out_dir), "scenario": scenario}
     assert main(["run", str(write_config(tmp_path, cfg))]) == 0
-    results = json.loads((out_dir / "report.json").read_text())["results"]
+    text = (out_dir / "report.json").read_text()
+    assert "NaN" not in text
+    results = json.loads(text)["results"]
     assert results["phi_miadam1"] == results["phi_adam"] == phi
     assert results["ratio_miadam1_over_adam"] is None
     assert results["overflowed"] is (phi == math.inf)
@@ -491,6 +496,15 @@ def test_runtime_failure_keeps_an_existing_output_dir_and_its_files(tmp_path):
     (out_dir / "keep.txt").write_text("mine")
     assert main(["run", str(write_config(tmp_path, _diverging(out_dir)))]) == 1
     assert sorted(p.name for p in out_dir.iterdir()) == ["keep.txt"]
+
+
+def test_out_of_memory_exit_1_no_outputs(tmp_path, capsys):
+    # a valid config whose regret targets would take petabytes: numpy refuses at once
+    cfg = {"kind": "regret", "seed": 0, "output_dir": str(tmp_path / "out"),
+           "horizon": 10 ** 14, "optimizers": [{"name": "adam", "kind": "adam"}]}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_unwritable_output_dir_exit_1(tmp_path, capsys):
@@ -549,6 +563,8 @@ def test_mutated_config_exits_0_1_or_2(mutation):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["run", "config.json"])
             left = sorted(os.listdir("."))
+            if code == 0:
+                report = json.loads((Path(cfg["output_dir"]) / "report.json").read_text())
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2)
@@ -557,3 +573,5 @@ def test_mutated_config_exits_0_1_or_2(mutation):
         assert left == ["config.json"]
     if code == 1:
         assert "diverged" in err.getvalue()
+    if code == 0:  # the report's config resolves to itself
+        assert normalize_config(report["config"]) == report["config"]

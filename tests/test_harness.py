@@ -244,6 +244,16 @@ class TestRuns:
         assert on_disk["config"] == report["config"]
         assert on_disk["config"]["optimizers"][0]["beta2"] == 0.999
 
+    def test_run_config_validates_its_input(self, tmp_path):
+        cfg = normalize_config({
+            "kind": "regret", "seed": 0, "output_dir": str(tmp_path / "out"), "horizon": 10,
+            "optimizers": [{"name": "adam", "kind": "adam"}],
+        })
+        del cfg["horizon"]
+        with pytest.raises(ContractViolationError, match=r"config\.horizon"):
+            run_config(cfg)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_from_embedded_config_identical_csv_bytes(self, tmp_path):
         report = run(trajectory_config(tmp_path / "a"))
         run_config(report["config"], output_dir=tmp_path / "b")
