@@ -34,7 +34,6 @@ from .landscapes import (
     simulate_trajectory,
 )
 from .mlp import (
-    Dataset,
     MlpSpec,
     inject_label_noise,
     loss_and_grad,
@@ -227,7 +226,7 @@ def _schedule(block: dict | None, path: str, steps: int, spe: int):
 def _landscape(block, path: str):
     """A resolved landscape (a preset name or an object) and its LandscapeSpec."""
     if isinstance(block, str):
-        return block, get_landscape(block)
+        return block, _build(path, get_landscape, block)
     allowed = {"wells", "base_level"}
     _check_keys(block, allowed, {"wells"}, path)
     wells, specs = [], []
@@ -246,11 +245,19 @@ def _landscape(block, path: str):
     return {"wells": wells, "base_level": base_level}, spec
 
 
-def _normalize_dataset(block, path: str):
+def _dataset(block, path: str, root_seed: int):
+    """A resolved dataset and the recipe a run builds it from.
+
+    A preset name resolves to itself and builds as the object it names.  The
+    recipe holds the ``make_blobs`` arguments ("blobs") and the "noise_rate"
+    and "noise_seed" of ``inject_label_noise``; a dataset with no seed of its
+    own takes one derived from the config's.
+    """
+    name = None
     if isinstance(block, str):
         if block not in DATASET_PRESETS:
             raise ContractViolationError(f"{path}: unknown dataset preset {block!r}")
-        return block
+        name, block = block, DATASET_PRESETS[block]
     allowed = {"classes", "per_class", "spread", "seed", "n_features", "noise_rate"}
     _check_keys(block, allowed, set(), path)
     preset = DATASET_PRESETS["blobs-4c"]  # an omitted field takes this preset's value
@@ -273,24 +280,10 @@ def _normalize_dataset(block, path: str):
         raise ContractViolationError(f"{path}: {n} examples leave the 80/20 split no test example")
     if "seed" in block:
         out["seed"] = _int(block["seed"], f"{path}.seed", 0)
-    return out
-
-
-def _dataset_dims(dataset) -> dict:
-    return DATASET_PRESETS[dataset] if isinstance(dataset, str) else dataset
-
-
-def _build_dataset(norm, root_seed: int) -> Dataset:
-    dims = _dataset_dims(norm)
-    ds = make_blobs(
-        classes=dims["classes"],
-        per_class=dims["per_class"],
-        spread=dims["spread"],
-        seed=dims.get("seed", derive_seed(root_seed, "dataset")),
-        n_features=dims["n_features"],
-    )
-    rate = dims.get("noise_rate", 0.0)  # a preset has no label noise
-    return inject_label_noise(ds, rate, derive_seed(root_seed, "label-noise"))
+    blobs = {key: out[key] for key in ("classes", "per_class", "spread", "n_features")}
+    blobs["seed"] = out.get("seed", derive_seed(root_seed, "dataset"))
+    noise = {"noise_rate": out["noise_rate"], "noise_seed": derive_seed(root_seed, "label-noise")}
+    return out if name is None else name, {"blobs": blobs, **noise}
 
 
 def _model(block: dict, path: str, init_seed: int):
@@ -304,19 +297,12 @@ def _model(block: dict, path: str, init_seed: int):
     return out, _build(path, MlpSpec, sizes, activation=out["activation"], init_seed=init_seed)
 
 
-def _steps_per_epoch(cfg: dict) -> int:
-    """Optimizer steps per epoch of a normalized training config."""
-    dims = _dataset_dims(cfg["dataset"])
-    return steps_per_epoch(train_size(dims["classes"] * dims["per_class"]), cfg["batch_size"])
-
-
-def _check_model_fits(model: dict, dataset) -> None:
-    dims = _dataset_dims(dataset)
+def _check_model_fits(model: dict, blobs: dict) -> None:
     sizes = model["layer_sizes"]
-    if sizes[0] != dims["n_features"] or sizes[-1] < dims["classes"]:
+    if sizes[0] != blobs["n_features"] or sizes[-1] < blobs["classes"]:
         raise ContractViolationError(
             f"config.model.layer_sizes: {sizes} does not fit a dataset of "
-            f"{dims['n_features']} features and {dims['classes']} classes "
+            f"{blobs['n_features']} features and {blobs['classes']} classes "
             "(the input width must equal n_features, the output width be >= classes)"
         )
 
@@ -347,7 +333,8 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
     The resolved form fills every default in and resolves to itself.  The
     typed run maps each block to the object built from it ("optimizers" to
     their typed params, "schedule", "landscape", "model", "scenario",
-    "problem") and, for a training run, holds its "steps_per_epoch".
+    "problem") and, for a training run, holds its "steps_per_epoch" and the
+    "dataset" recipe, whose seeds are derived here.
     """
     base = {"kind", "seed", "output_dir"}
     if not isinstance(raw, dict):
@@ -379,11 +366,13 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
     if trains:
         init_seed = derive_seed(seed, "model-init")
         out["model"], typed["model"] = _model(raw["model"], "config.model", init_seed)
-        out["dataset"] = _normalize_dataset(raw["dataset"], "config.dataset")
-        _check_model_fits(out["model"], out["dataset"])
+        out["dataset"], typed["dataset"] = _dataset(raw["dataset"], "config.dataset", seed)
+        blobs = typed["dataset"]["blobs"]
+        _check_model_fits(out["model"], blobs)
         out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
         out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
-        typed["steps_per_epoch"] = spe = _steps_per_epoch(out)
+        n_train = train_size(blobs["classes"] * blobs["per_class"])
+        typed["steps_per_epoch"] = spe = steps_per_epoch(n_train, out["batch_size"])
     if "optimizers" in kind_fields:
         blocks = raw["optimizers"]
         if not isinstance(blocks, list) or not blocks:
@@ -501,10 +490,10 @@ def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
 
 
 def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
-    ds = _build_dataset(cfg["dataset"], cfg["seed"])
+    data = typed["dataset"]
+    ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
     shuffle_seed = derive_seed(cfg["seed"], "train-shuffle")
     results = {}
-    trained = {}
     for block, params in zip(cfg["optimizers"], typed["optimizers"]):
         name = block["name"]
         model, metrics = train_classifier(
@@ -514,8 +503,42 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
         header = ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]
         csvs[f"metrics_{name}.csv"] = (header, [[m[k] for k in header] for m in metrics])
         results[name] = {"final": metrics[-1], "steps_per_epoch": typed["steps_per_epoch"]}
-        trained[name] = model
-    return results, trained, ds
+        if cfg["kind"] != "hessian-report":
+            continue
+        # a hessian report measures each model right after training it
+        h = cfg["hessian"]
+        x_train = ds.inputs[ds.train_idx]
+        y_train = ds.labels[ds.train_idx]
+        theta = model.get_flat()
+
+        def grad_fn(p, _model=model):
+            _model.set_flat(p)
+            _, g, _ = loss_and_grad(_model, x_train, y_train)
+            return g
+
+        top = top_eigenvalue(
+            grad_fn,
+            theta,
+            max_iters=h["max_iters"],
+            tol=h["tol"],
+            seed=derive_seed(cfg["seed"], "hessian-top", name),
+        )
+        trace = hutchinson_trace(
+            grad_fn,
+            theta,
+            probes=h["probes"],
+            seed=derive_seed(cfg["seed"], "hessian-trace", name),
+        )
+        results[name] = {
+            "train": results[name],
+            "top_eigenvalue": top.top_eigenvalue,
+            "top_tolerance_reached": top.tolerance_reached,
+            "top_hvp_count": top.hvp_count,
+            "trace_estimate": trace.trace_estimate,
+            "trace_stderr": trace.trace_stderr,
+            "trace_probes": trace.probe_count,
+        }
+    return results
 
 
 def _regret_rows(series):
@@ -542,55 +565,14 @@ def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     return results
 
 
-def _run_hessian_report(cfg: dict, typed: dict, csvs: dict) -> dict:
-    train_results, trained, ds = _run_train(cfg, typed, csvs)
-    h = cfg["hessian"]
-    x_train = ds.inputs[ds.train_idx]
-    y_train = ds.labels[ds.train_idx]
-    results = {}
-    for block in cfg["optimizers"]:
-        name = block["name"]
-        model = trained[name]
-        theta = model.get_flat()
-
-        def grad_fn(p, _model=model):
-            _model.set_flat(p)
-            _, g, _ = loss_and_grad(_model, x_train, y_train)
-            return g
-
-        top = top_eigenvalue(
-            grad_fn,
-            theta,
-            max_iters=h["max_iters"],
-            tol=h["tol"],
-            seed=derive_seed(cfg["seed"], "hessian-top", name),
-        )
-        trace = hutchinson_trace(
-            grad_fn,
-            theta,
-            probes=h["probes"],
-            seed=derive_seed(cfg["seed"], "hessian-trace", name),
-        )
-        results[name] = {
-            "train": train_results[name],
-            "top_eigenvalue": top.top_eigenvalue,
-            "top_tolerance_reached": top.tolerance_reached,
-            "top_hvp_count": top.hvp_count,
-            "trace_estimate": trace.trace_estimate,
-            "trace_stderr": trace.trace_stderr,
-            "trace_probes": trace.probe_count,
-        }
-    return results
-
-
 # each kind's runner computes its results and adds each CSV to ``csvs``; none writes a file
 _RUNNERS = {
     "trajectory": _run_trajectory,
     "grid-flatness": _run_grid_flatness,
-    "train": lambda cfg, typed, csvs: _run_train(cfg, typed, csvs)[0],
+    "train": _run_train,
     "escape-theory": lambda cfg, typed, csvs: escape_report(typed["scenario"]),
     "regret": _run_regret,
-    "hessian-report": _run_hessian_report,
+    "hessian-report": _run_train,
 }
 
 

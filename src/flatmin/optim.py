@@ -402,5 +402,5 @@ def schedule_multiplier(sched: LrSchedule, t: int) -> float:
         return sched.eta_min + 0.5 * (1.0 - sched.eta_min) * (
             1.0 + math.cos(math.pi * t / sched.total_steps)
         )
-    return sched.gamma ** bisect_right(list(sched.milestones), t)
+    return sched.gamma ** bisect_right(sched.milestones, t)
 

@@ -1,4 +1,9 @@
-"""Named presets: landscapes, datasets, and the optimizer settings ``flatmin presets`` lists."""
+"""Named presets: landscapes, datasets, and the optimizer settings ``flatmin presets`` lists.
+
+The landscape and dataset presets are data: a landscape preset is a table of
+its wells, a dataset preset its ``make_blobs`` arguments.  A config may name a
+preset or write the same values out as an object.
+"""
 
 from __future__ import annotations
 
@@ -14,33 +19,17 @@ SIMULATION_SWITCH_STEP = 1400
 SIMULATION_TOTAL_STEPS = 1500
 
 
-def landscape_a() -> LandscapeSpec:
-    """One wide flat well flanked by two narrow deep wells."""
-    return LandscapeSpec(
-        wells=(
-            WellSpec(center=(-1.0, -1.0), depth=2.0, width=0.18),
-            WellSpec(center=(0.5, 0.5), depth=2.5, width=1.3),
-            WellSpec(center=(2.0, 2.0), depth=2.0, width=0.18),
-        )
-    )
-
-
-def landscape_b() -> LandscapeSpec:
-    """Checkerboard of sharp and flat wells covering [-2, 3]^2."""
-    wells = []
-    coords = (-1.5, 0.5, 2.5)
-    for i, x in enumerate(coords):
-        for j, y in enumerate(coords):
-            if (i + j) % 2 == 0:
-                wells.append(WellSpec(center=(x, y), depth=1.5, width=0.15))
-            else:
-                wells.append(WellSpec(center=(x, y), depth=1.0, width=0.8))
-    return LandscapeSpec(wells=tuple(wells))
-
-
+# name -> its wells as (center, depth, width), in the order the landscape sums
+# them (the order fixes the loss bits); every preset's base level is 0
 LANDSCAPE_PRESETS = {
-    "landscape-A": landscape_a,
-    "landscape-B": landscape_b,
+    # one wide flat well flanked by two narrow deep wells
+    "landscape-A": (((-1.0, -1.0), 2.0, 0.18), ((0.5, 0.5), 2.5, 1.3), ((2.0, 2.0), 2.0, 0.18)),
+    # checkerboard of sharp and flat wells covering [-2, 3]^2, row by row
+    "landscape-B": (
+        ((-1.5, -1.5), 1.5, 0.15), ((-1.5, 0.5), 1.0, 0.8), ((-1.5, 2.5), 1.5, 0.15),
+        ((0.5, -1.5), 1.0, 0.8), ((0.5, 0.5), 1.5, 0.15), ((0.5, 2.5), 1.0, 0.8),
+        ((2.5, -1.5), 1.5, 0.15), ((2.5, 0.5), 1.0, 0.8), ((2.5, 2.5), 1.5, 0.15),
+    ),
 }
 
 
@@ -51,10 +40,9 @@ DATASET_PRESETS = {
 
 
 def get_landscape(name: str) -> LandscapeSpec:
-    try:
-        return LANDSCAPE_PRESETS[name]()
-    except KeyError:
-        raise ContractViolationError(f"unknown landscape preset {name!r}") from None
+    if name not in LANDSCAPE_PRESETS:
+        raise ContractViolationError(f"unknown landscape preset {name!r}")
+    return LandscapeSpec(wells=tuple(WellSpec(*well) for well in LANDSCAPE_PRESETS[name]))
 
 
 def list_presets() -> list[dict]:
@@ -66,13 +54,13 @@ def list_presets() -> list[dict]:
             "name": "landscape-A",
             "kind": "landscape",
             "description": "one wide flat well between two narrow deep wells",
-            "values": {"wells": 3},
+            "values": {"wells": len(LANDSCAPE_PRESETS["landscape-A"])},
         },
         {
             "name": "landscape-B",
             "kind": "landscape",
             "description": "3x3 checkerboard of sharp and flat wells over [-2,3]^2",
-            "values": {"wells": 9},
+            "values": {"wells": len(LANDSCAPE_PRESETS["landscape-B"])},
         },
         {
             "name": "blobs-4c",

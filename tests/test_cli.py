@@ -402,6 +402,7 @@ def _long_hessian(out_dir):
         # 2 examples: the 80/20 split trains on both and tests on none
         (_train, "dataset", {"classes": 2, "per_class": 1}, "config.dataset"),
         (_train, "schedule", {"kind": "cosine_annealing", "eta_min": -50}, "config.schedule"),
+        (_trajectory, "landscape", "nope", "config.landscape"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -571,6 +572,8 @@ def test_mutated_config_exits_0_1_or_2(mutation):
     if code:
         assert err.getvalue().startswith("error: ")
         assert left == ["config.json"]
+    if code == 2:  # an invalid field is named by its path
+        assert err.getvalue().startswith("error: config")
     if code == 1:
         assert "diverged" in err.getvalue()
     if code == 0:  # the report's config resolves to itself

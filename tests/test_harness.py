@@ -337,6 +337,27 @@ class TestRuns:
         blobs_4c = {"classes": 4, "per_class": 500, "spread": 1.0, "n_features": 20}
         assert train("preset", "blobs-4c") == train("object", blobs_4c)
 
+    @pytest.mark.parametrize("preset", ["landscape-A", "landscape-B"])
+    def test_preset_landscape_equals_its_object(self, tmp_path, preset):
+        coords = (-1.5, 0.5, 2.5)
+        wells = {  # in the order the preset sums them, which fixes the loss bits
+            "landscape-A": [([-1.0, -1.0], 2.0, 0.18), ([0.5, 0.5], 2.5, 1.3),
+                            ([2.0, 2.0], 2.0, 0.18)],
+            "landscape-B": [
+                ([x, y], 1.5, 0.15) if (i + j) % 2 == 0 else ([x, y], 1.0, 0.8)
+                for i, x in enumerate(coords) for j, y in enumerate(coords)
+            ],
+        }[preset]
+        landscape = {"wells": [{"center": c, "depth": d, "width": w} for c, d, w in wells]}
+
+        def trajectory(name, landscape):
+            cfg = dict(trajectory_config(tmp_path / name), landscape=landscape)
+            results = run(cfg)["results"]
+            csvs = [(tmp_path / name / f"trajectory_{o}.csv").read_bytes() for o in ("adam", "sgd")]
+            return results, csvs
+
+        assert trajectory("preset", preset) == trajectory("object", landscape)
+
     def test_escape_theory_run(self, tmp_path):
         cfg = {
             "kind": "escape-theory",
@@ -385,6 +406,26 @@ class TestRuns:
         assert np.isfinite(r["top_eigenvalue"])
         assert np.isfinite(r["trace_estimate"])
         assert r["trace_probes"] == 20
+
+    def test_hessian_report_trains_as_a_train_run(self, tmp_path):
+        cfg = {
+            "kind": "train", "seed": 3, "output_dir": str(tmp_path / "train"),
+            "model": {"layer_sizes": [20, 6, 3]},
+            "dataset": {"classes": 3, "per_class": 20, "noise_rate": 0.2},
+            "epochs": 2, "batch_size": 16,
+            "optimizers": [
+                {"name": "adam", "kind": "adam"},
+                {"name": "mi", "kind": "miadam", "switch_epochs": 1},
+            ],
+        }
+        train = run(cfg)["results"]
+        report = dict(cfg, kind="hessian-report", output_dir=str(tmp_path / "hessian"),
+                      hessian={"max_iters": 3, "probes": 2})
+        results = run(report)["results"]
+        for name in ("adam", "mi"):
+            csv = f"metrics_{name}.csv"
+            assert (tmp_path / "hessian" / csv).read_bytes() == (tmp_path / "train" / csv).read_bytes()
+            assert results[name]["train"] == train[name]
 
     def test_failure_cleans_outputs(self, tmp_path):
         # sgd diverges after adam's run has finished (at a constant rate of 3
