@@ -53,8 +53,6 @@ from .theory import DriftingQuadraticProblem, EscapeScenario, escape_report, run
 # MIAdam orders above this run, but the report warns that they are untested
 TESTED_MAX_ORDER = 3
 
-KINDS = ("trajectory", "grid-flatness", "train", "escape-theory", "regret", "hessian-report")
-
 
 # ---------------------------------------------------------------------------
 # Strict config validation
@@ -205,15 +203,18 @@ def _schedule(block: dict | None, path: str, steps: int, spe: int):
     if out["unit"] not in ("steps", "epochs"):
         raise ContractViolationError(f"{path}.unit: must be 'steps' or 'epochs'")
     scale = spe if out["unit"] == "epochs" else 1
-    kwargs = {}  # the LrSchedule fields beyond its kind
+    kwargs = {}  # the LrSchedule fields beyond its kind; an omitted one takes the class default
     if block["kind"] == "cosine_annealing":
         total = block.get("total")
         out["total"] = None if total is None else _int(total, f"{path}.total")
-        out["eta_min"] = kwargs["eta_min"] = _float(block.get("eta_min", 0.0), f"{path}.eta_min")
+        eta_min = block.get("eta_min", LrSchedule.eta_min)
+        out["eta_min"] = kwargs["eta_min"] = _float(eta_min, f"{path}.eta_min")
         kwargs["total_steps"] = steps if total is None else out["total"] * scale
     elif block["kind"] == "milestones":
-        out["milestones"] = _ints(block.get("milestones", []), f"{path}.milestones")
-        out["gamma"] = kwargs["gamma"] = _float(block.get("gamma", 0.1), f"{path}.gamma")
+        milestones = block.get("milestones", list(LrSchedule.milestones))
+        out["milestones"] = _ints(milestones, f"{path}.milestones")
+        gamma = block.get("gamma", LrSchedule.gamma)
+        out["gamma"] = kwargs["gamma"] = _float(gamma, f"{path}.gamma")
         kwargs["milestones"] = tuple(m * scale for m in out["milestones"])
     elif block["kind"] != "constant":
         raise ContractViolationError(f"{path}.kind: unknown schedule kind {block['kind']!r}")
@@ -240,7 +241,7 @@ def _landscape(block, path: str):
         }
         specs.append(_build(wpath, WellSpec, tuple(well["center"]), well["depth"], well["width"]))
         wells.append(well)
-    base_level = _float(block.get("base_level", 0.0), f"{path}.base_level")
+    base_level = _float(block.get("base_level", LandscapeSpec.base_level), f"{path}.base_level")
     spec = LandscapeSpec(wells=tuple(specs), base_level=base_level)
     return {"wells": wells, "base_level": base_level}, spec
 
@@ -291,7 +292,7 @@ def _model(block: dict, path: str, init_seed: int):
     _check_keys(block, {"layer_sizes", "activation"}, {"layer_sizes"}, path)
     out = {
         "layer_sizes": _ints(block["layer_sizes"], f"{path}.layer_sizes", min_length=2, minimum=1),
-        "activation": block.get("activation", "tanh"),
+        "activation": block.get("activation", MlpSpec.activation),
     }
     sizes = tuple(out["layer_sizes"])
     return out, _build(path, MlpSpec, sizes, activation=out["activation"], init_seed=init_seed)
@@ -323,8 +324,12 @@ _KIND_FIELDS = {
     "regret": {"problem", "horizon", "lr_decay_h", "optimizers"},
     "hessian-report": {"model", "dataset", "epochs", "batch_size", "optimizers", "schedule", "hessian"},
 }
+# a tuple, so that a membership test on an unhashable kind returns False
+KINDS = tuple(_KIND_FIELDS)
 # the kind fields a config may leave out; every other one is required
 _KIND_OPTIONAL = {"schedule", "problem", "lr_decay_h", "hessian"}
+# the fixed columns of a grid run's flatness.csv; each optimizer adds one more
+_GRID_COLUMNS = ("row", "col", "theta1_0", "theta2_0")
 
 
 def _resolve(raw: dict) -> tuple[dict, dict]:
@@ -385,6 +390,11 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         names = [b["name"] for b in out["optimizers"]]
         if len(set(names)) != len(names):
             raise ContractViolationError("config.optimizers: names must be unique")
+        for i, name in enumerate(names):
+            if kind == "grid-flatness" and name in _GRID_COLUMNS:
+                raise ContractViolationError(
+                    f"config.optimizers[{i}].name: {name!r} is a fixed column of flatness.csv"
+                )
     if "schedule" in kind_fields:
         steps = out["epochs"] * spe if trains else out["total_steps"]
         out["schedule"], typed["schedule"] = _schedule(
@@ -451,12 +461,11 @@ def _optimizer_warnings(blocks: list[dict]) -> list[str]:
 
 
 def _run_trajectory(cfg: dict, typed: dict, csvs: dict) -> dict:
-    start = (cfg["start"][0], cfg["start"][1])
     results = {}
     for block, params in zip(cfg["optimizers"], typed["optimizers"]):
         name = block["name"]
         rec = simulate_trajectory(
-            typed["landscape"], start, params, typed["schedule"], cfg["total_steps"]
+            typed["landscape"], cfg["start"], params, typed["schedule"], cfg["total_steps"]
         )
         csvs[f"trajectory_{name}.csv"] = (
             ["t", "theta1", "theta2", "loss"],
@@ -471,8 +480,7 @@ def _run_trajectory(cfg: dict, typed: dict, csvs: dict) -> dict:
 
 
 def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
-    region = (tuple(cfg["region"][0]), tuple(cfg["region"][1]))
-    grid = (cfg["grid"][0], cfg["grid"][1])
+    region, grid = cfg["region"], cfg["grid"]
     names = [b["name"] for b in cfg["optimizers"]]
     flats = grid_flatness_study(
         typed["landscape"], region, grid, typed["optimizers"], typed["schedule"], cfg["total_steps"]
@@ -482,7 +490,7 @@ def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
         [i // cols, i % cols, x, y] + [float(f[i]) for f in flats]
         for i, (x, y) in enumerate(grid_starts(region, grid))
     ]
-    csvs["flatness.csv"] = (["row", "col", "theta1_0", "theta2_0"] + names, table)
+    csvs["flatness.csv"] = ([*_GRID_COLUMNS, *names], table)
     return {
         name: {"mean_flatness": float(np.mean(f)), "median_flatness": float(np.median(f))}
         for name, f in zip(names, flats)
@@ -500,8 +508,7 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
             typed["model"], ds, params, typed["schedule"], cfg["epochs"], cfg["batch_size"],
             shuffle_seed,
         )
-        header = ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]
-        csvs[f"metrics_{name}.csv"] = (header, [[m[k] for k in header] for m in metrics])
+        csvs[f"metrics_{name}.csv"] = (list(metrics[0]), [list(m.values()) for m in metrics])
         results[name] = {"final": metrics[-1], "steps_per_epoch": typed["steps_per_epoch"]}
         if cfg["kind"] != "hessian-report":
             continue
@@ -543,22 +550,22 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
 
 def _regret_rows(series):
     # a generator, so the rows' Python lists are built only as the CSV is written
-    ts = range(1, series.horizon + 1)
+    ts = range(1, len(series.cumulative_regret) + 1)
     yield from zip(ts, series.cumulative_regret.tolist(), series.average_regret.tolist())
 
 
 def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     results = {}
     for block, params in zip(cfg["optimizers"], typed["optimizers"]):
+        name = block["name"]
         series = run_regret_experiment(
-            typed["problem"], params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"],
-            label=block["name"],
+            typed["problem"], params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"]
         )
-        csvs[f"regret_{series.optimizer_label}.csv"] = (
+        csvs[f"regret_{name}.csv"] = (
             ["t", "cumulative_regret", "average_regret"],
             _regret_rows(series),
         )
-        results[series.optimizer_label] = {
+        results[name] = {
             "final_average_regret": float(series.average_regret[-1]),
             "final_cumulative_regret": float(series.cumulative_regret[-1]),
         }

@@ -215,8 +215,7 @@ def grid_starts(region, grid) -> np.ndarray:
         raise ContractViolationError("grid dimensions must be >= 1")
     xs = np.linspace(x0, x1, cols) if cols > 1 else np.array([0.5 * (x0 + x1)])
     ys = np.linspace(y0, y1, rows) if rows > 1 else np.array([0.5 * (y0 + y1)])
-    pts = [(x, y) for y in ys for x in xs]
-    return np.array(pts)
+    return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
 
 def grid_flatness_study(

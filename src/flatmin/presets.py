@@ -1,8 +1,9 @@
 """Named presets: landscapes, datasets, and the optimizer settings ``flatmin presets`` lists.
 
-The landscape and dataset presets are data: a landscape preset is a table of
-its wells, a dataset preset its ``make_blobs`` arguments.  A config may name a
-preset or write the same values out as an object.
+The landscape and dataset presets are data: a landscape preset is its
+description plus a table of its wells, a dataset preset its ``make_blobs``
+arguments.  A config may name a preset or write the same values out as an
+object.
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ SIMULATION_SWITCH_STEP = 1400
 SIMULATION_TOTAL_STEPS = 1500
 
 
-# name -> its wells as (center, depth, width), in the order the landscape sums
-# them (the order fixes the loss bits); every preset's base level is 0
+# name -> description and wells as (center, depth, width), in the order the
+# landscape sums them (the order fixes the loss bits); every base level is 0
 LANDSCAPE_PRESETS = {
-    # one wide flat well flanked by two narrow deep wells
-    "landscape-A": (((-1.0, -1.0), 2.0, 0.18), ((0.5, 0.5), 2.5, 1.3), ((2.0, 2.0), 2.0, 0.18)),
-    # checkerboard of sharp and flat wells covering [-2, 3]^2, row by row
-    "landscape-B": (
-        ((-1.5, -1.5), 1.5, 0.15), ((-1.5, 0.5), 1.0, 0.8), ((-1.5, 2.5), 1.5, 0.15),
-        ((0.5, -1.5), 1.0, 0.8), ((0.5, 0.5), 1.5, 0.15), ((0.5, 2.5), 1.0, 0.8),
-        ((2.5, -1.5), 1.5, 0.15), ((2.5, 0.5), 1.0, 0.8), ((2.5, 2.5), 1.5, 0.15),
-    ),
+    "landscape-A": {
+        "description": "one wide flat well between two narrow deep wells",
+        "wells": (((-1.0, -1.0), 2.0, 0.18), ((0.5, 0.5), 2.5, 1.3), ((2.0, 2.0), 2.0, 0.18)),
+    },
+    "landscape-B": {
+        "description": "3x3 checkerboard of sharp and flat wells over [-2,3]^2",
+        "wells": (  # row by row
+            ((-1.5, -1.5), 1.5, 0.15), ((-1.5, 0.5), 1.0, 0.8), ((-1.5, 2.5), 1.5, 0.15),
+            ((0.5, -1.5), 1.0, 0.8), ((0.5, 0.5), 1.5, 0.15), ((0.5, 2.5), 1.0, 0.8),
+            ((2.5, -1.5), 1.5, 0.15), ((2.5, 0.5), 1.0, 0.8), ((2.5, 2.5), 1.5, 0.15),
+        ),
+    },
 }
 
 
@@ -42,7 +47,7 @@ DATASET_PRESETS = {
 def get_landscape(name: str) -> LandscapeSpec:
     if name not in LANDSCAPE_PRESETS:
         raise ContractViolationError(f"unknown landscape preset {name!r}")
-    return LandscapeSpec(wells=tuple(WellSpec(*well) for well in LANDSCAPE_PRESETS[name]))
+    return LandscapeSpec(wells=tuple(WellSpec(*w) for w in LANDSCAPE_PRESETS[name]["wells"]))
 
 
 def list_presets() -> list[dict]:
@@ -51,17 +56,13 @@ def list_presets() -> list[dict]:
     del adam["eps_in_sqrt"]
     return [
         {
-            "name": "landscape-A",
+            "name": name,
             "kind": "landscape",
-            "description": "one wide flat well between two narrow deep wells",
-            "values": {"wells": len(LANDSCAPE_PRESETS["landscape-A"])},
-        },
-        {
-            "name": "landscape-B",
-            "kind": "landscape",
-            "description": "3x3 checkerboard of sharp and flat wells over [-2,3]^2",
-            "values": {"wells": len(LANDSCAPE_PRESETS["landscape-B"])},
-        },
+            "description": preset["description"],
+            "values": {"wells": len(preset["wells"])},
+        }
+        for name, preset in LANDSCAPE_PRESETS.items()
+    ] + [
         {
             "name": "blobs-4c",
             "kind": "dataset",

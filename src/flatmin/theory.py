@@ -15,7 +15,7 @@ from zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,10 +163,8 @@ class DriftingQuadraticProblem:
 
 @dataclass
 class RegretSeries:
-    horizon: int
     cumulative_regret: np.ndarray
     average_regret: np.ndarray
-    optimizer_label: str
 
 
 def run_regret_experiment(
@@ -174,7 +172,6 @@ def run_regret_experiment(
     optimizer: OptimizerParams,
     horizon: int,
     lr_decay_h: float = 0.5,
-    label: str = "",
 ) -> RegretSeries:
     """Track cumulative and average regret of one optimizer over the stream.
 
@@ -202,9 +199,4 @@ def run_regret_experiment(
         except NonFiniteError as err:
             raise NonFiniteError("regret run diverged to non-finite iterates", step=t) from err
     average = cumulative / np.arange(1, horizon + 1)
-    return RegretSeries(
-        horizon=horizon,
-        cumulative_regret=cumulative,
-        average_regret=average,
-        optimizer_label=label,
-    )
+    return RegretSeries(cumulative_regret=cumulative, average_regret=average)

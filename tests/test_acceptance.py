@@ -42,8 +42,6 @@ from flatmin.theory import (
     run_regret_experiment,
 )
 
-SWITCH_DISABLED = 2 ** 62
-
 
 def test_criterion_01_momentum_identity(acceptance_log):
     """First-moment recurrence equals the explicit geometric sum."""
@@ -283,9 +281,9 @@ def test_criterion_08_regret_divergence(acceptance_log):
     unswitched multiple-integral variant keeps a constant-order average."""
     prob = DriftingQuadraticProblem()
     adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
-    mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=SWITCH_DISABLED)
-    s_ad = run_regret_experiment(prob, adam, 100000, label="adam")
-    s_mi = run_regret_experiment(prob, mi, 100000, label="miadam-unswitched")
+    mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
+    s_ad = run_regret_experiment(prob, adam, 100000)
+    s_mi = run_regret_experiment(prob, mi, 100000)
     at_100 = s_ad.average_regret[99]
     at_end = s_ad.average_regret[-1]
     mi_end = s_mi.average_regret[-1]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from flatmin import __version__
 from flatmin.cli import main
 from flatmin.harness import normalize_config
+from flatmin.presets import DATASET_PRESETS, LANDSCAPE_PRESETS, get_landscape
 
 
 def write_config(tmp_path, cfg):
@@ -46,6 +47,17 @@ def test_presets_json(capsys):
     names = {p["name"] for p in data}
     assert {"landscape-A", "landscape-B", "blobs-4c"} <= names
     assert all({"name", "kind", "description", "values"} <= set(p) for p in data)
+
+
+def test_presets_json_values_match_the_tables(capsys):
+    assert main(["presets", "--json"]) == 0
+    data = {p["name"]: p for p in json.loads(capsys.readouterr().out)}
+    landscapes = [p for p in data.values() if p["kind"] == "landscape"]
+    assert {p["name"] for p in landscapes} == set(LANDSCAPE_PRESETS)
+    for p in landscapes:
+        assert p["values"]["wells"] == len(get_landscape(p["name"]).wells)
+        assert p["description"]
+    assert data["blobs-4c"]["values"] == DATASET_PRESETS["blobs-4c"]
 
 
 def test_run_trajectory(tmp_path, capsys):
@@ -403,6 +415,10 @@ def _long_hessian(out_dir):
         (_train, "dataset", {"classes": 2, "per_class": 1}, "config.dataset"),
         (_train, "schedule", {"kind": "cosine_annealing", "eta_min": -50}, "config.schedule"),
         (_trajectory, "landscape", "nope", "config.landscape"),
+        # a grid optimizer named like a fixed column of flatness.csv
+        (_grid, "optimizers", [{"name": "row", "kind": "adam"}], "config.optimizers[0].name"),
+        (_grid, "optimizers", [{"name": "a", "kind": "adam"}, {"name": "theta2_0", "kind": "sgd"}],
+         "config.optimizers[1].name"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -503,6 +519,14 @@ def test_out_of_memory_exit_1_no_outputs(tmp_path, capsys):
     # a valid config whose regret targets would take petabytes: numpy refuses at once
     cfg = {"kind": "regret", "seed": 0, "output_dir": str(tmp_path / "out"),
            "horizon": 10 ** 14, "optimizers": [{"name": "adam", "kind": "adam"}]}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_grid_too_large_to_allocate_exit_1_no_outputs(tmp_path, capsys):
+    # 2**40 grid starts would take 16 TiB: numpy refuses at once
+    cfg = _grid(tmp_path / "out", grid=[2 ** 20, 2 ** 20])
     assert main(["run", str(write_config(tmp_path, cfg))]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -16,8 +16,6 @@ from flatmin.theory import (
     run_regret_experiment,
 )
 
-SWITCH_DISABLED = 2 ** 62
-
 # Reference scenario: 3-dim spectra, one negative saddle direction.
 BASE = dict(
     beta1=0.9,
@@ -177,7 +175,7 @@ class TestRegret:
     def test_unswitched_miadam_average_regret_stalls(self):
         prob = DriftingQuadraticProblem(seed=5)
         adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
-        mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=SWITCH_DISABLED)
+        mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
         s_ad = run_regret_experiment(prob, adam, horizon=4000)
         s_mi = run_regret_experiment(prob, mi, horizon=4000)
         assert s_mi.average_regret[-1] > 10.0 * s_ad.average_regret[-1]
