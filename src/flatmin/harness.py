@@ -134,6 +134,20 @@ def _ints(
     return [_int(x, f"{path}[{i}]", minimum) for i, x in enumerate(items)]
 
 
+def _check_size(*dims: tuple[str, int]) -> None:
+    """Refuse a float64 array of (path, length) dimensions that numpy cannot index.
+
+    numpy fails on more than ``intp`` max bytes with a ValueError or an
+    IndexError, not MemoryError.  The error names the first path at which
+    the running size passes that limit.
+    """
+    nbytes = 8
+    for path, length in dims:
+        nbytes *= length
+        if nbytes > np.iinfo(np.intp).max:
+            raise ContractViolationError(f"{path}: {nbytes} bytes is beyond numpy's array limit")
+
+
 def _build(path: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with any range error it raises prefixed by ``path``."""
     try:
@@ -367,6 +381,9 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         region = _list(raw["region"], "config.region", 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
         out["grid"] = _ints(raw["grid"], "config.grid", 2, minimum=1)
+        # the descent's (W, B) planes and (2, B) points for B = rows * cols starts
+        planes = ("config.landscape", max(2, len(typed["landscape"].wells)))
+        _check_size(planes, *zip(("config.grid[0]", "config.grid[1]"), out["grid"]))
     spe = 1
     if trains:
         init_seed = derive_seed(seed, "model-init")
@@ -376,6 +393,10 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         _check_model_fits(out["model"], blobs)
         out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
         out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
+        # the flat parameters, then the inputs and each layer's activations
+        _check_size(("config.model.layer_sizes", typed["model"].num_params))
+        examples = [(f"config.dataset.{key}", blobs[key]) for key in ("classes", "per_class")]
+        _check_size(*examples, ("config.model.layer_sizes", max(out["model"]["layer_sizes"])))
         n_train = train_size(blobs["classes"] * blobs["per_class"])
         typed["steps_per_epoch"] = spe = steps_per_epoch(n_train, out["batch_size"])
     if "optimizers" in kind_fields:
@@ -418,6 +439,9 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
             "config.problem", problem, **out["problem"], seed=derive_seed(seed, "regret-problem")
         )
         out["horizon"] = _int(raw["horizon"], "config.horizon", minimum=1)
+        # the (horizon, dim) targets
+        dims = ("config.problem.dim", out["problem"]["dim"]), ("config.horizon", out["horizon"])
+        _check_size(*dims)
         out["lr_decay_h"] = _float(raw.get("lr_decay_h", 0.5), "config.lr_decay_h")
         if out["lr_decay_h"] < 0:
             raise ContractViolationError(
@@ -431,6 +455,9 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
             "tol": _float(h.get("tol", 1e-6), "config.hessian.tol"),
             "probes": _int(h.get("probes", 200), "config.hessian.probes", 1),
         }
+        # the (probes, parameters) Rademacher probes
+        probes = ("config.hessian.probes", out["hessian"]["probes"])
+        _check_size(("config.model.layer_sizes", typed["model"].num_params), probes)
     return out, typed
 
 

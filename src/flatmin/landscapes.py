@@ -3,22 +3,25 @@
 Each well contributes -depth * exp(-||theta - center||^2 / (2 width^2)),
 so loss, gradient and Hessian are available in closed form everywhere.
 
-One evaluator, :func:`evaluate_batch`, computes loss, gradient and, on
-request, the 2x2 Hessian and its flatness (sum of absolute eigenvalues) for
-a whole batch of points at once; ``batch_loss_grad`` and ``landscape_eval``
-are thin views of it. Its outputs are bit-identical to evaluating each
-point on its own.
+One kernel writes the well terms of B points into (W, B) planes, one row
+per well, and the gradient into (2, B) rows; it is the only copy of the
+well formulas.  :func:`evaluate_batch` builds on it the loss, gradient and,
+on request, the 2x2 Hessian and its flatness (sum of absolute eigenvalues)
+of a whole batch of points; ``batch_loss_grad`` and ``landscape_eval`` are
+thin views of it.  Its outputs are bit-identical to evaluating each point
+on its own.
 
 Trajectory simulation and the grid flatness study share one descent loop.
-It runs every start as part of one big parameter vector (every optimizer
-update is elementwise, so this is exactly equivalent to running each start
-separately); a trajectory is a batch of one.
+It holds every start in one (2, B) array, row 0 x and row 1 y, that the
+optimizer steps in place (every update is elementwise, so this is exactly
+equivalent to running each start separately); a trajectory is a batch of
+one.  The descent allocates its kernel buffers once and computes the loss
+only when it records, so a grid run evaluates gradients alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,21 +59,6 @@ class LandscapeSpec:
         if len(self.wells) < 1:
             raise ContractViolationError("landscape needs at least one well")
 
-    @cached_property
-    def well_columns(self):
-        """(W, 1) columns: centre x, centre y, depth, width^2, 2 width^2.
-
-        Built once per spec and shared by every evaluation on it.
-        """
-        cx, cy = np.array([w.center for w in self.wells], dtype=np.float64).T
-        depth = np.array([w.depth for w in self.wells], dtype=np.float64)
-        width = np.array([w.width for w in self.wells], dtype=np.float64)
-        w2 = width * width
-        cols = tuple(c.reshape(-1, 1) for c in (cx, cy, depth, w2, 2.0 * w2))
-        for c in cols:
-            c.flags.writeable = False
-        return cols
-
 
 @dataclass
 class TrajectoryRecord:
@@ -91,16 +79,63 @@ class Evaluation(NamedTuple):
     flatness: np.ndarray | None = None
 
 
-def _sum_wells(terms: np.ndarray) -> np.ndarray:
-    """Sum (W, B) terms over wells, from zero and in well order, for every B.
+def _sum_wells(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum (W, B) terms over wells into ``out`` (B,), from zero and in well order, for every B.
 
     ``np.sum(axis=0)`` keeps this order only while B > 1: at B = 1 with eight
     or more wells numpy sums the column pairwise.
     """
-    total = np.zeros(terms.shape[1])
+    if out is None:
+        out = np.empty(terms.shape[1])
+    out.fill(0.0)
     for row in terms:
-        total += row
-    return total
+        out += row
+    return out
+
+
+class _Wells:
+    """The well terms of one landscape at B points, in (W, B) planes allocated once.
+
+    ``gradient`` is the one implementation of the well formulas: it writes
+    the offsets ``dx``, ``dy`` from the W well centres,
+    ``e = depth * exp(-r^2 / (2 w^2))`` and ``k = e / w^2``, then the
+    gradient rows.  The well constants are spread over B once, because
+    numpy buffers a broadcast operand in a block of its own.
+    """
+
+    def __init__(self, spec: LandscapeSpec, n: int):
+        self.spec = spec
+        cx, cy = np.array([w.center for w in spec.wells], dtype=np.float64).T
+        depth = np.array([w.depth for w in spec.wells], dtype=np.float64)
+        width = np.array([w.width for w in spec.wells], dtype=np.float64)
+        w2 = width * width
+        consts = np.stack((cx, cy, depth, w2, -2.0 * w2))[..., None]
+        planes = np.broadcast_to(consts, (*consts.shape[:2], n)).copy()
+        self.cx, self.cy, self.depth, self.w2, self.neg_two_w2 = planes
+        self.dx, self.dy, self.e, self.k, self._t = np.empty_like(planes)
+
+    def gradient(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Fill the planes at the points (x, y), each (B,), and the gradient rows ``out``."""
+        dx, dy, e, k, t = self.dx, self.dy, self.e, self.k, self._t
+        np.copyto(dx, x)
+        dx -= self.cx
+        np.copyto(dy, y)
+        dy -= self.cy
+        np.multiply(dx, dx, out=e)
+        np.multiply(dy, dy, out=t)
+        e += t
+        # IEEE division is sign-symmetric: r2 / (-2 w^2) has the bits of (-r2) / (2 w^2)
+        e /= self.neg_two_w2
+        np.exp(e, out=e)
+        np.multiply(self.depth, e, out=e)
+        np.divide(e, self.w2, out=k)
+        _sum_wells(np.multiply(k, dx, out=t), out[0])
+        _sum_wells(np.multiply(k, dy, out=t), out[1])
+
+    def loss(self) -> np.ndarray:
+        """Loss (B,) at the points of the last ``gradient`` call."""
+        # numpy sums a contiguous row of 8+ wells pairwise; a (B, W) copy keeps that order
+        return self.spec.base_level - np.ascontiguousarray(self.e.T).sum(axis=1)
 
 
 def _abs_eig_sum(a, b, d):
@@ -121,16 +156,13 @@ def evaluate_batch(spec: LandscapeSpec, thetas: np.ndarray, hessian: bool = Fals
     Each reduction keeps the summation order of the per-point formulas, so
     every output is bit-identical to evaluating the points one at a time.
     """
-    cx, cy, depth, w2, two_w2 = spec.well_columns
-    dx = thetas[:, 0] - cx  # (W, B)
-    dy = thetas[:, 1] - cy
-    e = depth * np.exp(-(dx * dx + dy * dy) / two_w2)
-    # numpy sums a contiguous row of 8+ wells pairwise; a (B, W) copy keeps that order
-    loss = spec.base_level - np.ascontiguousarray(e.T).sum(axis=1)
-    k = e / w2
-    grad = np.stack((_sum_wells(k * dx), _sum_wells(k * dy)), axis=-1)
+    wells = _Wells(spec, len(thetas))
+    grad = np.empty((len(thetas), 2))
+    wells.gradient(thetas[:, 0], thetas[:, 1], grad.T)
+    loss = wells.loss()
     if not hessian:
         return Evaluation(loss, grad)
+    dx, dy, k, w2 = wells.dx, wells.dy, wells.k, wells.w2
     # each term is k * (eye(2) - outer(u, u) / w2), entry by entry
     hxx = _sum_wells(k * (1.0 - dx * dx / w2))
     hxy = _sum_wells(k * (0.0 - dx * dy / w2))
@@ -164,23 +196,27 @@ def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
 
 
 def _descend(spec, starts, optimizer, sched, total_steps, record=None) -> np.ndarray:
-    """Run one optimizer from every start (B, 2) at once; return the final points.
+    """Run one optimizer from every start (B, 2) at once; return the final points (B, 2).
 
-    ``record(t, theta, loss)`` is called after each step with the flat
-    parameter vector and the loss (B,) at the points the step started from.
+    The points are held as (2, B) planes, row 0 x and row 1 y, which the
+    stepper steps in place.  ``record(t, planes, loss)`` is called after each
+    step with the planes and the loss (B,) at the points the step started
+    from; the loss is computed only when there is a ``record``.
     """
     if total_steps < 0:
         raise ContractViolationError("total_steps must be >= 0")
-    n = len(starts)
-    theta = starts.reshape(-1).copy()
-    opt = build_optimizer(optimizer, theta.size)
+    planes = starts.T.copy()
+    x, y = planes
+    wells = _Wells(spec, planes.shape[1])
+    grad = np.empty_like(planes)
+    opt = build_optimizer(optimizer, planes.shape)
     for t in range(1, total_steps + 1):
-        loss, grad = batch_loss_grad(spec, theta.reshape(n, 2))
-        mult = schedule_multiplier(sched, t - 1)
-        opt.step(theta, grad.reshape(-1), lr_multiplier=mult)
+        wells.gradient(x, y, grad)
+        loss = None if record is None else wells.loss()
+        opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
         if record is not None:
-            record(t, theta, loss)
-    return theta.reshape(n, 2)
+            record(t, planes, loss)
+    return planes.T
 
 
 def simulate_trajectory(
@@ -193,8 +229,8 @@ def simulate_trajectory(
     """Run one optimizer from ``start`` on the exact gradient, recording every step."""
     steps: list[tuple[int, Point, float]] = []
 
-    def record(t, theta, loss):
-        steps.append((t, (float(theta[0]), float(theta[1])), float(loss[0])))
+    def record(t, planes, loss):
+        steps.append((t, (float(planes[0, 0]), float(planes[1, 0])), float(loss[0])))
 
     starts = np.asarray(start, dtype=np.float64).reshape(1, 2)
     finals = _descend(spec, starts, optimizer, sched, total_steps, record)
@@ -228,9 +264,9 @@ def grid_flatness_study(
 ) -> list[np.ndarray]:
     """Final-point flatness for every grid start, per optimizer.
 
-    Results are in row-major grid order.  Internally all starts run as a
-    single concatenated parameter vector, which is equivalent to
-    per-start runs because every optimizer update rule is elementwise.
+    Results are in row-major grid order.  Internally all starts run as one
+    (2, B) array, which is equivalent to per-start runs because every
+    optimizer update rule is elementwise.
     """
     starts = grid_starts(region, grid)
     return [

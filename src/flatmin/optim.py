@@ -297,8 +297,8 @@ class MIAdam(Adam):
 _STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHyperParams: MIAdam}
 
 
-def build_optimizer(params: OptimizerParams, dim: int) -> Stepper:
-    """A stepper for ``params`` over vectors of dimension ``dim``, from zero state."""
+def build_optimizer(params: OptimizerParams, dim: int | tuple[int, ...]) -> Stepper:
+    """A stepper for ``params`` over arrays of shape ``dim``, from zero state."""
     cls = _STEPPERS.get(type(params))
     if cls is None:
         raise ContractViolationError(f"unknown optimizer params type {type(params)!r}")

@@ -332,6 +332,16 @@ def _long_hessian(out_dir):
     return _train(out_dir, kind="hessian-report", epochs=3)
 
 
+def _regret(out_dir):
+    return {
+        "kind": "regret",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "horizon": 10,
+        "optimizers": [{"name": "adam", "kind": "adam"}],
+    }
+
+
 @pytest.mark.parametrize(
     "build,field,value,path",
     [
@@ -419,6 +429,16 @@ def _long_hessian(out_dir):
         (_grid, "optimizers", [{"name": "row", "kind": "adam"}], "config.optimizers[0].name"),
         (_grid, "optimizers", [{"name": "a", "kind": "adam"}, {"name": "theta2_0", "kind": "sgd"}],
          "config.optimizers[1].name"),
+        # sizes whose arrays numpy cannot index
+        (_grid, "grid", [2 ** 62, 1], "config.grid[0]"),
+        (_grid, "grid", [2 ** 63, 1], "config.grid[0]"),
+        (_grid, "grid", [2 ** 64, 1], "config.grid[0]"),
+        (_grid, "grid", [1, 2 ** 63], "config.grid[1]"),
+        (_regret, "horizon", 2 ** 64, "config.horizon"),
+        (_regret, "problem", {"dim": 2 ** 64}, "config.problem.dim"),
+        (_long_hessian, "hessian", {"probes": 2 ** 64}, "config.hessian.probes"),
+        (_train, "dataset", {"classes": 4, "per_class": 2 ** 64}, "config.dataset.per_class"),
+        (_train, "model", {"layer_sizes": [20, 2 ** 64, 4]}, "config.model.layer_sizes"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):

@@ -1,5 +1,7 @@
 """Oracle tests for Gaussian-well surfaces and trajectory simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from flatmin.landscapes import (
     LandscapeSpec,
     WellSpec,
     _abs_eig_sum,
+    _descend,
+    _Wells,
     batch_loss_grad,
     classify_converged_well,
     evaluate_batch,
@@ -18,7 +22,15 @@ from flatmin.landscapes import (
     landscape_eval,
     simulate_trajectory,
 )
-from flatmin.optim import AdamHyperParams, LrSchedule, SgdParams
+from flatmin.optim import (
+    AdamHyperParams,
+    LrSchedule,
+    MIAdamHyperParams,
+    SgdmParams,
+    SgdParams,
+    build_optimizer,
+    schedule_multiplier,
+)
 from flatmin.presets import get_landscape
 
 TWO_WELLS = LandscapeSpec(
@@ -68,6 +80,33 @@ def reference_flatness(hess):
     lam1 = 0.5 * (tr + disc)
     lam2 = 0.5 * (tr - disc)
     return abs(lam1) + abs(lam2)
+
+
+# Reference: the descent loop as it was before it held the points as (2, B)
+# planes, kept verbatim: one interleaved parameter vector, stepped on the
+# (B, 2) gradient of ``batch_loss_grad`` with the loss at every step.  Here
+# ``batch_loss_grad`` is the per-point reference above, so the descent's
+# kernel is held to it as well.
+
+
+def reference_batch_loss_grad(spec, thetas):
+    evals = [reference_landscape_eval(spec, p) for p in thetas]
+    return np.array([ev[0] for ev in evals]), np.array([ev[1] for ev in evals])
+
+
+def reference_descend(spec, starts, optimizer, sched, total_steps, record=None) -> np.ndarray:
+    if total_steps < 0:
+        raise ContractViolationError("total_steps must be >= 0")
+    n = len(starts)
+    theta = starts.reshape(-1).copy()
+    opt = build_optimizer(optimizer, theta.size)
+    for t in range(1, total_steps + 1):
+        loss, grad = reference_batch_loss_grad(spec, theta.reshape(n, 2))
+        mult = schedule_multiplier(sched, t - 1)
+        opt.step(theta, grad.reshape(-1), lr_multiplier=mult)
+        if record is not None:
+            record(t, theta, loss)
+    return theta.reshape(n, 2)
 
 
 def abs_eig_sum(hess):
@@ -149,6 +188,82 @@ class TestBitExactOracle:
         expected = reference_flatness(hess)
         assert abs_eig_sum(hess) == expected
         assert same_bits(abs_eig_sum(hess[None]), [expected])
+
+
+DESCENT_STEPS = 24
+_descent_optimizers = st.sampled_from([
+    SgdParams(alpha=0.05),
+    SgdmParams(alpha=0.02, beta=0.9),
+    AdamHyperParams(alpha=0.05, weight_decay=0.1),
+    # switches halfway through the run
+    MIAdamHyperParams(
+        adam=AdamHyperParams(alpha=0.05, weight_decay=0.0),
+        order_n=3,
+        kappa=0.9,
+        switch_step=DESCENT_STEPS // 2,
+        pre_switch_lr_override=0.01,
+    ),
+])
+_descent_schedules = st.sampled_from(
+    [LrSchedule(), LrSchedule(kind="cosine_annealing", total_steps=DESCENT_STEPS)]
+)
+
+
+class TestPlaneDescent:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=_landscapes,
+        n=st.sampled_from([1, 2, 37]),
+        optimizer=_descent_optimizers,
+        sched=_descent_schedules,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_interleaved_loop(self, spec, n, optimizer, sched, seed):
+        starts = np.random.Generator(np.random.PCG64(seed)).uniform(-4.0, 4.0, size=(n, 2))
+        ref_steps, steps = [], []
+
+        def ref_record(t, theta, loss):
+            ref_steps.append((t, theta.reshape(n, 2).copy(), loss.copy()))
+
+        def record(t, planes, loss):
+            steps.append((t, planes.T.copy(), loss.copy()))
+
+        ref = reference_descend(spec, starts, optimizer, sched, DESCENT_STEPS, ref_record)
+        final = _descend(spec, starts, optimizer, sched, DESCENT_STEPS, record)
+        assert same_bits(final, ref)
+        assert len(steps) == len(ref_steps) == DESCENT_STEPS
+        for (t, theta, loss), (ref_t, ref_theta, ref_loss) in zip(steps, ref_steps):
+            assert t == ref_t and same_bits(theta, ref_theta) and same_bits(loss, ref_loss)
+
+    def test_computes_the_loss_only_when_it_records(self, monkeypatch):
+        def no_loss(self):
+            raise AssertionError("the loss was computed without a record")
+
+        starts = grid_starts(((-1.0, 2.0), (-1.0, 2.0)), (3, 3))
+        expected = reference_descend(TWO_WELLS, starts, SgdParams(0.05), LrSchedule(), 5)
+        monkeypatch.setattr(_Wells, "loss", no_loss)
+        final = _descend(TWO_WELLS, starts, SgdParams(0.05), LrSchedule(), 5)
+        assert same_bits(final, expected)
+
+
+class TestAllocation:
+    def test_warm_gradient_allocates_less_than_one_row(self):
+        # every (W, B) plane and the (2, B) gradient live in buffers allocated
+        # once; a warm call may allocate only views and scalars
+        n = 1024
+        spec = get_landscape("landscape-B")
+        planes = np.random.Generator(np.random.PCG64(26)).uniform(-2.0, 3.0, size=(2, n))
+        wells = _Wells(spec, n)
+        grad = np.empty_like(planes)
+        wells.gradient(planes[0], planes[1], grad)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            wells.gradient(planes[0], planes[1], grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8
 
 
 class TestSurface:

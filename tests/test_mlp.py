@@ -226,17 +226,26 @@ class TestBitExactOracle:
     @given(
         n_in=st.integers(1, 24),
         hidden=st.lists(st.sampled_from([1, 7, 64]), min_size=1, max_size=3),
-        n_out=st.integers(2, 5),
+        # 8 or more columns take numpy's other reduction paths
+        n_out=st.integers(2, 10),
         activation=st.sampled_from(["tanh", "relu"]),
         rows=st.lists(st.sampled_from([1, 3, 32, 128, 480]), min_size=2, max_size=5),
         seed=st.integers(0, 2**32 - 1),
+        zero=st.booleans(),
     )
     # 480 x 64 hidden arrays are above glibc's default mmap threshold
-    @example(n_in=20, hidden=[64], n_out=4, activation="relu", rows=[480, 128, 480, 32], seed=0)
-    @example(n_in=20, hidden=[64, 64, 7], n_out=4, activation="tanh", rows=[32, 480, 1], seed=1)
-    def test_matches_reference_bit_for_bit(self, n_in, hidden, n_out, activation, rows, seed):
+    @example(n_in=20, hidden=[64], n_out=4, activation="relu", rows=[480, 128, 480, 32], seed=0,
+             zero=False)
+    @example(n_in=20, hidden=[64, 64, 7], n_out=4, activation="tanh", rows=[32, 480, 1], seed=1,
+             zero=False)
+    # all parameters zero: every logit of the first batch ties at 0.0
+    @example(n_in=20, hidden=[64], n_out=10, activation="relu", rows=[480, 1, 32], seed=2,
+             zero=True)
+    def test_matches_reference_bit_for_bit(self, n_in, hidden, n_out, activation, rows, seed, zero):
         spec = MlpSpec(layer_sizes=(n_in, *hidden, n_out), activation=activation, init_seed=seed)
         model = Mlp(spec)
+        if zero:
+            model.set_flat(np.zeros(model.num_params))
         rng = np.random.Generator(np.random.PCG64(seed))
         for n in rows:
             x = rng.standard_normal((n, n_in)) * 2.0
