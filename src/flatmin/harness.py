@@ -330,16 +330,6 @@ _SCENARIO_FIELDS = {
 }
 
 
-_KIND_FIELDS = {
-    "trajectory": {"landscape", "start", "total_steps", "optimizers", "schedule"},
-    "grid-flatness": {"landscape", "region", "grid", "total_steps", "optimizers", "schedule"},
-    "train": {"model", "dataset", "epochs", "batch_size", "optimizers", "schedule"},
-    "escape-theory": {"scenario"},
-    "regret": {"problem", "horizon", "lr_decay_h", "optimizers"},
-    "hessian-report": {"model", "dataset", "epochs", "batch_size", "optimizers", "schedule", "hessian"},
-}
-# a tuple, so that a membership test on an unhashable kind returns False
-KINDS = tuple(_KIND_FIELDS)
 # the kind fields a config may leave out; every other one is required
 _KIND_OPTIONAL = {"schedule", "problem", "lr_decay_h", "hessian"}
 # the fixed columns of a grid run's flatness.csv; each optimizer adds one more
@@ -361,7 +351,7 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ContractViolationError(f"config.kind: expected one of {KINDS}, got {kind!r}")
-    kind_fields = _KIND_FIELDS[kind]
+    kind_fields = _KINDS[kind][0]
     _check_keys(raw, base | kind_fields, base | (kind_fields - _KIND_OPTIONAL), "config")
     if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise ContractViolationError(
@@ -599,15 +589,22 @@ def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     return results
 
 
-# each kind's runner computes its results and adds each CSV to ``csvs``; none writes a file
-_RUNNERS = {
-    "trajectory": _run_trajectory,
-    "grid-flatness": _run_grid_flatness,
-    "train": _run_train,
-    "escape-theory": lambda cfg, typed, csvs: escape_report(typed["scenario"]),
-    "regret": _run_regret,
-    "hessian-report": _run_train,
+_TRAIN_FIELDS = {"model", "dataset", "epochs", "batch_size", "optimizers", "schedule"}
+# each kind's fields and its runner; a runner computes its results and adds
+# each CSV to ``csvs``, and none writes a file
+_KINDS = {
+    "trajectory": ({"landscape", "start", "total_steps", "optimizers", "schedule"}, _run_trajectory),
+    "grid-flatness": (
+        {"landscape", "region", "grid", "total_steps", "optimizers", "schedule"},
+        _run_grid_flatness,
+    ),
+    "train": (_TRAIN_FIELDS, _run_train),
+    "escape-theory": ({"scenario"}, lambda cfg, typed, csvs: escape_report(typed["scenario"])),
+    "regret": ({"problem", "horizon", "lr_decay_h", "optimizers"}, _run_regret),
+    "hessian-report": (_TRAIN_FIELDS | {"hessian"}, _run_train),
 }
+# a tuple, so that a membership test on an unhashable kind returns False
+KINDS = tuple(_KINDS)
 
 
 def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
@@ -626,7 +623,7 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         start_time = time.perf_counter()
         csvs = {}  # file name -> (header, rows)
-        results = _RUNNERS[cfg["kind"]](cfg, typed, csvs)
+        results = _KINDS[cfg["kind"]][1](cfg, typed, csvs)
         report = {
             "artifact_version": __version__,
             "kind": cfg["kind"],

@@ -5,24 +5,23 @@ so loss, gradient and Hessian are available in closed form everywhere.
 
 One kernel writes the well terms of B points into (W, B) planes, one row
 per well, and the gradient into (2, B) rows; it is the only copy of the
-well formulas.  :func:`evaluate_batch` builds on it the loss, gradient and,
-on request, the 2x2 Hessian and its flatness (sum of absolute eigenvalues)
-of a whole batch of points; ``batch_loss_grad`` and ``landscape_eval`` are
-thin views of it.  Its outputs are bit-identical to evaluating each point
-on its own.
+well formulas and the only evaluator.  The loss and the 2x2 Hessian are
+read off its planes at the points of its last gradient call, bit-identical
+to evaluating each point on its own.  ``batch_loss_grad`` and
+``landscape_eval`` are one-shot views of it.
 
 Trajectory simulation and the grid flatness study share one descent loop.
 It holds every start in one (2, B) array, row 0 x and row 1 y, that the
 optimizer steps in place (every update is elementwise, so this is exactly
 equivalent to running each start separately); a trajectory is a batch of
-one.  The descent allocates its kernel buffers once and computes the loss
-only when it records, so a grid run evaluates gradients alone.
+one.  A run builds one kernel for all its optimizers, reads the final
+flatness (sum of absolute Hessian eigenvalues) off it, and computes the
+loss only when it records, so a grid run evaluates gradients alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +69,6 @@ class TrajectoryRecord:
     flatness: float
 
 
-class Evaluation(NamedTuple):
-    """Loss (B,) and gradient (B, 2); Hessian (B, 2, 2) and flatness (B,) on request."""
-
-    loss: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray | None = None
-    flatness: np.ndarray | None = None
-
-
 def _sum_wells(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum (W, B) terms over wells into ``out`` (B,), from zero and in well order, for every B.
 
@@ -96,11 +86,11 @@ def _sum_wells(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class _Wells:
     """The well terms of one landscape at B points, in (W, B) planes allocated once.
 
-    ``gradient`` is the one implementation of the well formulas: it writes
-    the offsets ``dx``, ``dy`` from the W well centres,
+    ``gradient`` writes the offsets ``dx``, ``dy`` from the W well centres,
     ``e = depth * exp(-r^2 / (2 w^2))`` and ``k = e / w^2``, then the
-    gradient rows.  The well constants are spread over B once, because
-    numpy buffers a broadcast operand in a block of its own.
+    gradient rows; ``loss`` and ``hessian`` read those planes.  The well
+    constants are spread over B once, because numpy buffers a broadcast
+    operand in a block of its own.
     """
 
     def __init__(self, spec: LandscapeSpec, n: int):
@@ -137,6 +127,18 @@ class _Wells:
         # numpy sums a contiguous row of 8+ wells pairwise; a (B, W) copy keeps that order
         return self.spec.base_level - np.ascontiguousarray(self.e.T).sum(axis=1)
 
+    def hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hessian rows (hxx, hxy, hyy), each (B,), at the points of the last ``gradient`` call."""
+        dx, dy, k, w2 = self.dx, self.dy, self.k, self.w2
+        # far out k underflows to 0 while dx * dx / w2 overflows: such a well adds +0.0, not NaN
+        far = k == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each term is k * (eye(2) - outer(u, u) / w2), entry by entry
+            hxx = _sum_wells(np.where(far, 0.0, k * (1.0 - dx * dx / w2)))
+            hxy = _sum_wells(np.where(far, 0.0, k * (0.0 - dx * dy / w2)))
+            hyy = _sum_wells(np.where(far, 0.0, k * (1.0 - dy * dy / w2)))
+        return hxx, hxy, hyy
+
 
 def _abs_eig_sum(a, b, d):
     """|lambda_1| + |lambda_2| of the symmetric 2x2 matrices [[a, b], [b, d]].
@@ -149,38 +151,21 @@ def _abs_eig_sum(a, b, d):
     return np.abs(0.5 * (tr + disc)) + np.abs(0.5 * (tr - disc))
 
 
-def evaluate_batch(spec: LandscapeSpec, thetas: np.ndarray, hessian: bool = False) -> Evaluation:
-    """Evaluate the landscape at a batch of points (B, 2), vectorised over B.
-
-    The batch is held as (W, B) planes of offsets from the W well centres.
-    Each reduction keeps the summation order of the per-point formulas, so
-    every output is bit-identical to evaluating the points one at a time.
-    """
+def batch_loss_grad(spec: LandscapeSpec, thetas: np.ndarray):
+    """Loss (B,) and gradient (B, 2) for a batch of points (B, 2)."""
     wells = _Wells(spec, len(thetas))
     grad = np.empty((len(thetas), 2))
     wells.gradient(thetas[:, 0], thetas[:, 1], grad.T)
-    loss = wells.loss()
-    if not hessian:
-        return Evaluation(loss, grad)
-    dx, dy, k, w2 = wells.dx, wells.dy, wells.k, wells.w2
-    # each term is k * (eye(2) - outer(u, u) / w2), entry by entry
-    hxx = _sum_wells(k * (1.0 - dx * dx / w2))
-    hxy = _sum_wells(k * (0.0 - dx * dy / w2))
-    hyy = _sum_wells(k * (1.0 - dy * dy / w2))
-    hess = np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(-1, 2, 2)
-    return Evaluation(loss, grad, hess, _abs_eig_sum(hxx, hxy, hyy))
-
-
-def batch_loss_grad(spec: LandscapeSpec, thetas: np.ndarray):
-    """Loss (B,) and gradient (B, 2) for a batch of points (B, 2)."""
-    ev = evaluate_batch(spec, thetas)
-    return ev.loss, ev.grad
+    return wells.loss(), grad
 
 
 def landscape_eval(spec: LandscapeSpec, theta: Point):
     """Loss, exact gradient (2,) and exact Hessian (2, 2) at one point."""
-    ev = evaluate_batch(spec, np.asarray(theta, dtype=np.float64).reshape(1, 2), hessian=True)
-    return float(ev.loss[0]), ev.grad[0], ev.hess[0]
+    wells = _Wells(spec, 1)
+    grad = np.empty(2)
+    wells.gradient(*np.asarray(theta, dtype=np.float64).reshape(2, 1), grad[:, None])
+    hxx, hxy, hyy = wells.hessian()
+    return float(wells.loss()[0]), grad, np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(2, 2)
 
 
 def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
@@ -195,19 +180,19 @@ def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
     return best
 
 
-def _descend(spec, starts, optimizer, sched, total_steps, record=None) -> np.ndarray:
-    """Run one optimizer from every start (B, 2) at once; return the final points (B, 2).
+def _descend(wells, starts, optimizer, sched, total_steps, record=None):
+    """Run one optimizer from every start (B, 2) at once on the kernel ``wells``.
 
-    The points are held as (2, B) planes, row 0 x and row 1 y, which the
-    stepper steps in place.  ``record(t, planes, loss)`` is called after each
-    step with the planes and the loss (B,) at the points the step started
-    from; the loss is computed only when there is a ``record``.
+    Returns the final points (B, 2) and their flatness (B,).  The points are
+    held as (2, B) planes, row 0 x and row 1 y, which the stepper steps in
+    place.  ``record(t, planes, loss)`` is called after each step with the
+    planes and the loss (B,) at the points the step started from; the loss
+    is computed only when there is a ``record``.
     """
     if total_steps < 0:
         raise ContractViolationError("total_steps must be >= 0")
     planes = starts.T.copy()
     x, y = planes
-    wells = _Wells(spec, planes.shape[1])
     grad = np.empty_like(planes)
     opt = build_optimizer(optimizer, planes.shape)
     for t in range(1, total_steps + 1):
@@ -216,7 +201,8 @@ def _descend(spec, starts, optimizer, sched, total_steps, record=None) -> np.nda
         opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
         if record is not None:
             record(t, planes, loss)
-    return planes.T
+    wells.gradient(x, y, grad)
+    return planes.T, _abs_eig_sum(*wells.hessian())
 
 
 def simulate_trajectory(
@@ -233,13 +219,13 @@ def simulate_trajectory(
         steps.append((t, (float(planes[0, 0]), float(planes[1, 0])), float(loss[0])))
 
     starts = np.asarray(start, dtype=np.float64).reshape(1, 2)
-    finals = _descend(spec, starts, optimizer, sched, total_steps, record)
+    finals, flatness = _descend(_Wells(spec, 1), starts, optimizer, sched, total_steps, record)
     final = (float(finals[0, 0]), float(finals[0, 1]))
     return TrajectoryRecord(
         steps=steps,
         final_theta=final,
         converged_well=classify_converged_well(spec, final),
-        flatness=evaluate_batch(spec, finals, hessian=True).flatness[0],
+        flatness=flatness[0],
     )
 
 
@@ -269,7 +255,6 @@ def grid_flatness_study(
     optimizer update rule is elementwise.
     """
     starts = grid_starts(region, grid)
-    return [
-        evaluate_batch(spec, _descend(spec, starts, params, sched, total_steps), hessian=True).flatness
-        for params in optimizers
-    ]
+    # every gradient call rewrites the kernel's planes, so the optimizers can share it
+    wells = _Wells(spec, len(starts))
+    return [_descend(wells, starts, params, sched, total_steps)[1] for params in optimizers]

@@ -177,7 +177,8 @@ def run_regret_experiment(
 
     The learning-rate multiplier decays as t**(-lr_decay_h); pass 0 to
     disable the decay.  MIAdam callers should disable the switch
-    (``switch_step=None``) to probe pre-switch behavior.
+    (``switch_step=None``) to probe pre-switch behavior.  A cumulative
+    regret that overflows raises ``NonFiniteError`` with its first step.
     """
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
@@ -198,5 +199,8 @@ def run_regret_experiment(
             opt.step(theta, diff_t, lr_multiplier=t ** -lr_decay_h)
         except NonFiniteError as err:
             raise NonFiniteError("regret run diverged to non-finite iterates", step=t) from err
+    finite = np.isfinite(cumulative)
+    if not finite.all():
+        raise NonFiniteError("cumulative regret overflowed", step=int(np.argmin(finite)) + 1)
     average = cumulative / np.arange(1, horizon + 1)
     return RegretSeries(cumulative_regret=cumulative, average_regret=average)

@@ -170,6 +170,17 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_regret_exit_1(tmp_path, capsys):
+    # targets of 1e200 square to inf on the first step
+    cfg = dict(_regret(tmp_path / "out"), problem={"target_low": -1e200, "target_high": 1e200})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cumulative regret overflowed (at step 1)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_killed_run_leaves_no_file(tmp_path):
     # 40 regret runs of 20,000 steps: well over 10 s of work, and each run
     # alone finishes in a fraction of a second

@@ -277,6 +277,24 @@ class TestRuns:
         assert len(rows) == 17
         assert report["results"]["adam"]["mean_flatness"] > 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_grid_flatness_far_from_every_well_is_zero(self, tmp_path):
+        # a step of 1e308 flings every start far out, where each well's term underflows to 0
+        cfg = {
+            "kind": "grid-flatness",
+            "seed": 0,
+            "output_dir": str(tmp_path / "out"),
+            "landscape": "landscape-B",
+            "region": [[-2.0, 3.0], [-2.0, 3.0]],
+            "grid": [4, 4],
+            "total_steps": 3,
+            "optimizers": [{"name": "sgd", "kind": "sgd", "alpha": 1e308}],
+        }
+        report = run(cfg)
+        rows = (tmp_path / "out" / "flatness.csv").read_text().splitlines()[1:]
+        assert len(rows) == 16 and all(row.endswith(",0.0") for row in rows)
+        assert report["results"]["sgd"] == {"mean_flatness": 0.0, "median_flatness": 0.0}
+
     def test_grid_flatness_csv_cells_are_plain_numbers(self, tmp_path):
         cfg = {
             "kind": "grid-flatness",

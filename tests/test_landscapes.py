@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatmin import landscapes
 from flatmin.errors import ContractViolationError
 from flatmin.landscapes import (
     LandscapeSpec,
@@ -16,7 +17,6 @@ from flatmin.landscapes import (
     _Wells,
     batch_loss_grad,
     classify_converged_well,
-    evaluate_batch,
     grid_flatness_study,
     grid_starts,
     landscape_eval,
@@ -116,8 +116,7 @@ def abs_eig_sum(hess):
 
 
 def flatness_at(spec, theta):
-    points = np.asarray(theta, dtype=np.float64).reshape(1, 2)
-    return evaluate_batch(spec, points, hessian=True).flatness[0]
+    return abs_eig_sum(landscape_eval(spec, theta)[2])
 
 
 def same_bits(x, y):
@@ -150,16 +149,18 @@ class TestBitExactOracle:
     @settings(max_examples=150, deadline=None)
     @given(spec=_landscapes, pts=_batches)
     def test_batched_equals_reference(self, spec, pts):
-        ev = evaluate_batch(spec, pts, hessian=True)
+        wells = _Wells(spec, len(pts))
+        grad = np.empty((2, len(pts)))
+        wells.gradient(pts[:, 0], pts[:, 1], grad)
+        loss, (hxx, hxy, hyy) = wells.loss(), wells.hessian()
+        flatness = _abs_eig_sum(hxx, hxy, hyy)
         losses, grads = batch_loss_grad(spec, pts)
         for i, p in enumerate(pts):
-            loss, grad, hess = reference_landscape_eval(spec, p)
-            flat = reference_flatness(hess)
-            assert ev.loss[i] == loss and losses[i] == loss
-            assert same_bits(ev.grad[i], grad) and same_bits(grads[i], grad)
-            assert same_bits(ev.hess[i], hess)
-            assert same_bits(ev.flatness[i], flat)
-        assert same_bits(abs_eig_sum(ev.hess), ev.flatness)
+            ref_loss, ref_grad, ref_hess = reference_landscape_eval(spec, p)
+            assert loss[i] == ref_loss and losses[i] == ref_loss
+            assert same_bits(grad[:, i], ref_grad) and same_bits(grads[i], ref_grad)
+            assert same_bits([[hxx[i], hxy[i]], [hxy[i], hyy[i]]], ref_hess)
+            assert same_bits(flatness[i], reference_flatness(ref_hess))
 
     @settings(max_examples=150, deadline=None)
     @given(spec=_landscapes, x=_coord, y=_coord)
@@ -229,8 +230,10 @@ class TestPlaneDescent:
             steps.append((t, planes.T.copy(), loss.copy()))
 
         ref = reference_descend(spec, starts, optimizer, sched, DESCENT_STEPS, ref_record)
-        final = _descend(spec, starts, optimizer, sched, DESCENT_STEPS, record)
+        final, flatness = _descend(_Wells(spec, n), starts, optimizer, sched, DESCENT_STEPS, record)
         assert same_bits(final, ref)
+        ref_flatness = [reference_flatness(reference_landscape_eval(spec, p)[2]) for p in ref]
+        assert same_bits(flatness, ref_flatness)
         assert len(steps) == len(ref_steps) == DESCENT_STEPS
         for (t, theta, loss), (ref_t, ref_theta, ref_loss) in zip(steps, ref_steps):
             assert t == ref_t and same_bits(theta, ref_theta) and same_bits(loss, ref_loss)
@@ -242,8 +245,23 @@ class TestPlaneDescent:
         starts = grid_starts(((-1.0, 2.0), (-1.0, 2.0)), (3, 3))
         expected = reference_descend(TWO_WELLS, starts, SgdParams(0.05), LrSchedule(), 5)
         monkeypatch.setattr(_Wells, "loss", no_loss)
-        final = _descend(TWO_WELLS, starts, SgdParams(0.05), LrSchedule(), 5)
+        final, _ = _descend(_Wells(TWO_WELLS, len(starts)), starts, SgdParams(0.05), LrSchedule(), 5)
         assert same_bits(final, expected)
+
+    def test_one_kernel_per_run(self, monkeypatch):
+        built = []
+
+        class CountingWells(_Wells):
+            def __init__(self, spec, n):
+                built.append(n)
+                super().__init__(spec, n)
+
+        monkeypatch.setattr(landscapes, "_Wells", CountingWells)
+        optimizers = [SgdParams(0.05), SgdmParams(0.02, 0.9), AdamHyperParams(alpha=0.05)]
+        grid_flatness_study(TWO_WELLS, ((-1.0, 2.0), (-1.0, 2.0)), (3, 3), optimizers, LrSchedule(), 5)
+        assert built == [9]
+        simulate_trajectory(TWO_WELLS, (0.5, 0.5), SgdParams(0.05), LrSchedule(), 5)
+        assert built == [9, 1]
 
 
 class TestAllocation:
@@ -330,6 +348,24 @@ class TestSurface:
             WellSpec(center=(0, 0), depth=1.0, width=-1.0)
         with pytest.raises(ContractViolationError):
             LandscapeSpec(wells=())
+
+
+# far from every well k underflows to 0 while dx * dx / w2 overflows to inf
+FAR = (1e200, 1e200)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestFarField:
+    def test_eval_is_flat(self):
+        loss, grad, hess = landscape_eval(TWO_WELLS, FAR)
+        assert loss == TWO_WELLS.base_level
+        assert same_bits(grad, np.zeros(2)) and same_bits(hess, np.zeros((2, 2)))
+        assert flatness_at(TWO_WELLS, FAR) == 0.0
+
+    def test_trajectory_flatness_is_zero(self):
+        hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)
+        rec = simulate_trajectory(TWO_WELLS, FAR, hp, LrSchedule(), 5)
+        assert rec.final_theta == FAR and rec.flatness == 0.0
 
 
 class TestFlatness:
