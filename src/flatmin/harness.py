@@ -573,11 +573,11 @@ def _regret_rows(series):
 
 def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     results = {}
-    for block, params in zip(cfg["optimizers"], typed["optimizers"]):
+    all_series = run_regret_experiment(
+        typed["problem"], typed["optimizers"], cfg["horizon"], lr_decay_h=cfg["lr_decay_h"]
+    )
+    for block, series in zip(cfg["optimizers"], all_series):
         name = block["name"]
-        series = run_regret_experiment(
-            typed["problem"], params, cfg["horizon"], lr_decay_h=cfg["lr_decay_h"]
-        )
         csvs[f"regret_{name}.csv"] = (
             ["t", "cumulative_regret", "average_regret"],
             _regret_rows(series),

@@ -163,7 +163,8 @@ def landscape_eval(spec: LandscapeSpec, theta: Point):
     """Loss, exact gradient (2,) and exact Hessian (2, 2) at one point."""
     wells = _Wells(spec, 1)
     grad = np.empty(2)
-    wells.gradient(*np.asarray(theta, dtype=np.float64).reshape(2, 1), grad[:, None])
+    with np.errstate(over="ignore"):  # far from every well, as in a descent
+        wells.gradient(*np.asarray(theta, dtype=np.float64).reshape(2, 1), grad[:, None])
     hxx, hxy, hyy = wells.hessian()
     return float(wells.loss()[0]), grad, np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(2, 2)
 
@@ -174,7 +175,8 @@ def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
     best = None
     best_dist = np.inf
     for i, w in enumerate(spec.wells):
-        dist = float(np.linalg.norm(th - np.asarray(w.center)))
+        with np.errstate(over="ignore"):  # a far-field distance is inf, and no well is near
+            dist = float(np.linalg.norm(th - np.asarray(w.center)))
         if dist <= 3.0 * w.width and dist < best_dist:
             best, best_dist = i, dist
     return best
@@ -195,13 +197,15 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=None):
     x, y = planes
     grad = np.empty_like(planes)
     opt = build_optimizer(optimizer, planes.shape)
-    for t in range(1, total_steps + 1):
+    # far from every well the squared offsets overflow to inf and the well terms to 0
+    with np.errstate(over="ignore"):
+        for t in range(1, total_steps + 1):
+            wells.gradient(x, y, grad)
+            loss = None if record is None else wells.loss()
+            opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
+            if record is not None:
+                record(t, planes, loss)
         wells.gradient(x, y, grad)
-        loss = None if record is None else wells.loss()
-        opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
-        if record is not None:
-            record(t, planes, loss)
-    wells.gradient(x, y, grad)
     return planes.T, _abs_eig_sum(*wells.hessian())
 
 

@@ -6,15 +6,18 @@ step), plus the learning-rate schedules used by the simulations and
 training runs.
 
 Each update rule has one implementation, an in-place stepper
-(:class:`Sgd`, :class:`Sgdm`, :class:`Adam`, :class:`MIAdam`, built by
-:func:`build_optimizer`).  A stepper owns its ``OptimizerState`` and two
-scratch buffers and updates the caller's parameter vector in place, so a
-step allocates no arrays.  The pure ``sgd_step`` / ``sgdm_step`` /
-``adam_step`` / ``miadam_step`` copy theta and the state, run a stepper
-once, and return ``(theta', state')``, leaving their inputs untouched.
-Parameter vectors are 1-D float64 numpy arrays; every update rule is
-elementwise, so a batch of independent problems can be run as one
-concatenated vector.
+(:class:`Sgd`, :class:`Sgdm`, and :class:`Adam`, which runs MIAdam too:
+Adam is a MIAdam lane of order 0), built by :func:`build_optimizer`.  A
+stepper owns its ``OptimizerState`` and two scratch buffers and updates
+the caller's parameter vector in place, so a step allocates no arrays.
+The pure ``sgd_step`` / ``sgdm_step`` / ``adam_step`` / ``miadam_step``
+copy theta and the state, run a stepper once, and return
+``(theta', state')``, leaving their inputs untouched.  Every update rule
+is elementwise, so a batch of independent problems can be run as one
+array, and :func:`build_lanes` steps several optimizers as the rows of one
+(lanes, dim) array: Adam-family optimizers that share their other
+hyperparameters form one group of lanes, and each lane gets the bits it
+would get alone.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,7 +162,8 @@ class Stepper:
     that check fails are the inputs checked, to name the culprit in the
     ``NonFiniteError``.  A non-finite entry of theta or grad always reaches
     theta', so none is missed.  After that error theta is unchanged but the
-    state is not, and the stepper must not be stepped again.
+    state is not, ``diverged`` maps lane 0 to the step, and the stepper must
+    not be stepped again.
     """
 
     name = ""
@@ -169,6 +174,7 @@ class Stepper:
         self._a = np.empty_like(state.m)
         self._b = np.empty_like(state.m)
         self._finite = np.empty(state.m.shape, dtype=bool)
+        self.diverged: dict[int, int] = {}  # lane -> the step its update went non-finite
 
     def step(self, theta: ParamVector, grad: ParamVector, lr_multiplier: float = 1.0) -> None:
         if theta.shape != grad.shape:
@@ -180,13 +186,18 @@ class Stepper:
         t = self.state.step_t + 1
         theta_new = self._update(theta, grad, t, lr_multiplier)
         if not np.isfinite(theta_new, out=self._finite).all():
-            if not np.isfinite(theta).all():
-                raise NonFiniteError("non-finite entries in parameter vector", step=t)
-            if not np.isfinite(grad).all():
-                raise NonFiniteError("non-finite entries in gradient vector", step=t)
-            raise NonFiniteError(f"{self.name} update produced non-finite parameters", step=t)
+            self._non_finite(theta, grad, theta_new, t)
         np.copyto(theta, theta_new)
         self.state.step_t = t
+
+    def _non_finite(self, theta, grad, theta_new, t: int) -> None:
+        """Raise the ``NonFiniteError`` of step ``t``, naming its culprit."""
+        self.diverged[0] = t
+        if not np.isfinite(theta).all():
+            raise NonFiniteError("non-finite entries in parameter vector", step=t)
+        if not np.isfinite(grad).all():
+            raise NonFiniteError("non-finite entries in gradient vector", step=t)
+        raise NonFiniteError(f"{self.name} update produced non-finite parameters", step=t)
 
     def _update(self, theta, grad, t: int, lr_multiplier: float) -> ParamVector:
         """Advance the state to step ``t`` and return theta' in a scratch buffer."""
@@ -216,22 +227,135 @@ class Sgdm(Stepper):
         return np.subtract(theta, self._a, out=self._b)
 
 
-class Adam(Stepper):
-    """Adam with coupled L2 weight decay and bias correction."""
+class _Lane(NamedTuple):
+    """One Adam-family lane; Adam is a lane of order 0 that never runs a stack."""
 
-    name = "Adam"
+    base: AdamHyperParams
+    order: int
+    kappa: float | None
+    switch_step: int | None
+    pre_switch_alpha: float
+
+    @classmethod
+    def of(cls, params: AdamHyperParams | MIAdamHyperParams) -> "_Lane":
+        if isinstance(params, MIAdamHyperParams):
+            return cls(params.adam, params.order_n, params.kappa, params.switch_step,
+                       params.pre_switch_alpha)
+        return cls(params, 0, None, None, params.alpha)
+
+    def height(self, t: int) -> int:
+        """The levels that step ``t`` runs: the order before the switch, else 0."""
+        return self.order if self.switch_step is None or t < self.switch_step else 0
+
+    @property
+    def shared(self) -> tuple:
+        """The hyperparameters that every lane of one group shares."""
+        b = self.base
+        return b.beta1, b.beta2, b.epsilon, b.weight_decay, b.eps_in_sqrt
+
+
+class Adam(Stepper):
+    """Adam and MIAdam, over one lane or over a group of lanes.
+
+    Adam is a MIAdam lane of order 0.  Before its switch step a MIAdam lane
+    pushes the first moment through an n-level stack, each level a
+    kappa-decayed running sum of the one below (level 0 being the Adam first
+    moment), its update uses the top of the stack, and its base learning
+    rate is alpha**n (or its override).  From the switch step on, the step is
+    exactly Adam's; the stack is frozen, not cleared.
+
+    ``params`` is one lane's hyperparameters, which steps arrays of any shape
+    with exactly the operations of a lone Adam or MIAdam.  A list of them is
+    a group of lanes that share beta1, beta2, epsilon, weight_decay and
+    eps_in_sqrt, and step a (lanes, ...) array whose row i is lane i.  A
+    value that the lanes share is a Python float and a per-lane one a full
+    plane, so each lane gets the bits it would get alone.  The stack holds
+    the largest order's levels.  A lane updates only its own levels and only
+    before its switch, and reads its numerator from its own top level; masks
+    select both, and change only at a switch step.
+
+    A lane whose update goes non-finite keeps its row of theta and
+    ``diverged`` records its step; the other lanes finish the step, and then
+    ``step`` raises ``NonFiniteError``.  The group may be stepped on: every
+    operation is elementwise, so a lane's non-finite state never reaches
+    another row, and its row of theta is kept at every step whose update is
+    non-finite.
+    """
+
+    def __init__(self, params, state: OptimizerState):
+        lanes = [_Lane.of(p) for p in params] if isinstance(params, list) else [_Lane.of(params)]
+        order = max(lane.order for lane in lanes)
+        if order and len(state.mbar_stack) != order:  # plain Adam ignores a stack
+            raise ContractViolationError(
+                f"mbar_stack has {len(state.mbar_stack)} levels, expected order_n={order}"
+            )
+        if len(lanes) > 1 and len({lane.shared for lane in lanes}) != 1:
+            raise ContractViolationError(
+                "lanes of one group must share beta1, beta2, epsilon, weight_decay and eps_in_sqrt"
+            )
+        super().__init__(params, state)
+        self.name = "MIAdam" if order else "Adam"
+        self.hp = lanes[0].base
+        self._lanes = lanes
+        self._scale = None
+        self._plan(state.step_t + 1)
+
+    def _rows(self, values: list, dtype=np.float64) -> np.ndarray:
+        """A plane of the state's shape whose row i holds ``values[i]``."""
+        plane = np.empty(self.state.m.shape, dtype=dtype)
+        for row, value in zip(plane, values):
+            row.fill(value)
+        return plane
+
+    def _per_lane(self, values: list):
+        """A float if the lanes that take a value (not ``None``) agree on it, else a plane.
+
+        A plane holds 1.0 in the rows of the lanes without a value.
+        """
+        taken = set(values)
+        taken.discard(None)
+        if len(taken) == 1:
+            return taken.pop()
+        return self._rows([1.0 if v is None else v for v in values])
+
+    def _plan(self, t: int) -> None:
+        """Fix the level updates, the numerators and alpha from step ``t`` to the next switch."""
+        lanes, m, stack = self._lanes, self.state.m, self.state.mbar_stack
+        heights = [lane.height(t) for lane in lanes]
+        # a lane that runs its stack switches at a later step, or never
+        self._replan_at = min(
+            [lane.switch_step or math.inf for lane, h in zip(lanes, heights) if h],
+            default=math.inf,
+        )
+        self._levels = [  # (level, kappa, None if every lane updates it, else their mask)
+            (
+                stack[j],
+                self._per_lane([lane.kappa if h > j else None for lane, h in zip(lanes, heights)]),
+                None if min(heights) > j else self._rows([h > j for h in heights], bool),
+            )
+            for j in range(max(heights))
+        ]
+        # a lane's numerator is the top level that it runs, else m: the first lane's fills
+        # the numerator, and each other one is copied over the rows of its lanes
+        self._numerator = stack[heights[0] - 1] if heights[0] else m
+        self._picks = [
+            (stack[h - 1] if h else m, self._rows([x == h for x in heights], bool))
+            for h in dict.fromkeys(heights) if h != heights[0]
+        ]
+        self._alpha = self._per_lane(
+            [lane.pre_switch_alpha if h else lane.base.alpha for lane, h in zip(lanes, heights)]
+        )
+        if isinstance(self._alpha, np.ndarray) and self._scale is None:
+            self._scale = np.empty_like(m)
 
     def _update(self, theta, grad, t, lr_multiplier):
-        hp = self.params
-        self._moments(theta, grad, hp)
-        return self._apply(theta, self.state.m, t, hp, hp.alpha, lr_multiplier)
-
-    def _moments(self, theta, grad, hp: AdamHyperParams) -> None:
-        """m = beta1*m + (1-beta1)*g and v = beta2*v + ((1-beta2)*g)*g, g = grad + wd*theta."""
-        m, v, a = self.state.m, self.state.v, self._a
+        if t >= self._replan_at:
+            self._plan(t)
+        hp, m, v, a, b = self.hp, self.state.m, self.state.v, self._a, self._b
+        # m = beta1*m + (1-beta1)*g and v = beta2*v + ((1-beta2)*g)*g, g = grad + wd*theta
         g = grad
         if hp.weight_decay != 0.0:
-            g = np.multiply(theta, hp.weight_decay, out=self._b)
+            g = np.multiply(theta, hp.weight_decay, out=b)
             np.add(grad, g, out=g)
         m *= hp.beta1
         np.multiply(g, 1.0 - hp.beta1, out=a)
@@ -240,61 +364,57 @@ class Adam(Stepper):
         np.multiply(g, 1.0 - hp.beta2, out=a)
         a *= g
         v += a
-
-    def _apply(self, theta, numerator, t, hp: AdamHyperParams, alpha_t, lr_multiplier):
-        """theta - ((lr * alpha_t) * (numerator / (1 - beta1^t))) / denom(v / (1 - beta2^t)).
-
-        Shared by Adam and both MIAdam branches so that the post-switch MIAdam
-        step is bitwise identical to a plain Adam step on the same state.
-        """
-        a, b = self._a, self._b
+        # level j = kappa * level j + level j-1, for the lanes that run their stack
+        below = m
+        for level, kappa, mask in self._levels:
+            if mask is None:
+                level *= kappa
+                level += below
+            else:
+                np.multiply(level, kappa, out=a)
+                a += below
+                np.copyto(level, a, where=mask)
+            below = level
+        numerator = self._numerator
+        if self._picks:
+            np.copyto(b, numerator)
+            for source, mask in self._picks:
+                np.copyto(b, source, where=mask)
+            numerator = b
+        # theta - ((lr * alpha_t) * (numerator / (1 - beta1^t))) / denom(v / (1 - beta2^t)),
+        # the same operations before and after the switch, so that a switched MIAdam step is
+        # bitwise an Adam step on the same state
         np.divide(numerator, 1.0 - hp.beta1 ** t, out=a)
-        np.divide(self.state.v, 1.0 - hp.beta2 ** t, out=b)
+        np.divide(v, 1.0 - hp.beta2 ** t, out=b)
         if hp.eps_in_sqrt:
             b += hp.epsilon
             np.sqrt(b, out=b)
         else:
             np.sqrt(b, out=b)
             b += hp.epsilon
-        a *= lr_multiplier * alpha_t
+        if self._scale is None:
+            a *= lr_multiplier * self._alpha
+        else:  # alpha_t * lr has the bits of lr * alpha_t
+            a *= np.multiply(self._alpha, lr_multiplier, out=self._scale)
         a /= b
         return np.subtract(theta, a, out=b)
 
-
-class MIAdam(Adam):
-    """MIAdam: before the switch step the first moment is pushed through an
-    n-level stack, each level a kappa-decayed running sum of the one below
-    (level 0 being the Adam first moment), the update uses the top of the
-    stack, and the base learning rate is alpha**n (or its override).  From
-    the switch step on, the step is exactly Adam; the stack is frozen, not
-    cleared.
-    """
-
-    name = "MIAdam"
-
-    def __init__(self, params: MIAdamHyperParams, state: OptimizerState):
-        if len(state.mbar_stack) != params.order_n:
-            raise ContractViolationError(
-                f"mbar_stack has {len(state.mbar_stack)} levels, expected order_n={params.order_n}"
-            )
-        super().__init__(params, state)
-        self._pre_switch_alpha = params.pre_switch_alpha
-
-    def _update(self, theta, grad, t, lr_multiplier):
-        hp = self.params
-        ahp = hp.adam
-        self._moments(theta, grad, ahp)
-        if hp.switch_step is not None and t >= hp.switch_step:
-            return self._apply(theta, self.state.m, t, ahp, ahp.alpha, lr_multiplier)
-        below = self.state.m
-        for level in self.state.mbar_stack:
-            level *= hp.kappa
-            level += below
-            below = level
-        return self._apply(theta, below, t, ahp, self._pre_switch_alpha, lr_multiplier)
+    def _non_finite(self, theta, grad, theta_new, t):
+        lanes = len(self._lanes)
+        if lanes == 1:
+            super()._non_finite(theta, grad, theta_new, t)
+        bad = ~self._finite.reshape(lanes, -1).all(axis=1)
+        new = [lane for lane in np.flatnonzero(bad).tolist() if lane not in self.diverged]
+        for lane in new:
+            self.diverged[lane] = t
+        theta_new[bad] = theta[bad]
+        if new:
+            np.copyto(theta, theta_new)
+            self.state.step_t = t
+            raise NonFiniteError(f"{self.name} lanes {new} produced non-finite parameters", step=t)
 
 
-_STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHyperParams: MIAdam}
+_STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHyperParams: Adam}
 
 
 def build_optimizer(params: OptimizerParams, dim: int | tuple[int, ...]) -> Stepper:
@@ -302,8 +422,29 @@ def build_optimizer(params: OptimizerParams, dim: int | tuple[int, ...]) -> Step
     cls = _STEPPERS.get(type(params))
     if cls is None:
         raise ContractViolationError(f"unknown optimizer params type {type(params)!r}")
-    order_n = params.order_n if cls is MIAdam else 0
-    return cls(params, OptimizerState.zeros(dim, order_n))
+    return cls(params, OptimizerState.zeros(dim, getattr(params, "order_n", 0)))
+
+
+def build_lanes(params: list[OptimizerParams], dim: int) -> list[tuple[list[int], Stepper]]:
+    """Steppers that run ``params`` as the lanes of (lanes, dim) arrays, with each one's indices.
+
+    Adam-family params that share beta1, beta2, epsilon, weight_decay and
+    eps_in_sqrt form one group of lanes; every other optimizer is a group of
+    one.  A stepper steps the rows of its lanes, in the order of its indices.
+    """
+    groups: dict[object, list[int]] = {}
+    for i, p in enumerate(params):
+        groups.setdefault(_Lane.of(p).shared if _STEPPERS.get(type(p)) is Adam else i, []).append(i)
+    steppers = []
+    for lanes in groups.values():
+        members = [params[i] for i in lanes]
+        if len(members) == 1:
+            stepper = build_optimizer(members[0], (1, dim))
+        else:
+            order = max(getattr(p, "order_n", 0) for p in members)
+            stepper = Adam(members, OptimizerState.zeros((len(members), dim), order))
+        steppers.append((lanes, stepper))
+    return steppers
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +493,8 @@ def miadam_step(
     hp: MIAdamHyperParams,
     lr_multiplier: float = 1.0,
 ) -> tuple[ParamVector, OptimizerState]:
-    """One MIAdam step (see :class:`MIAdam`)."""
-    return _pure_step(MIAdam(hp, state.copy()), theta, grad, lr_multiplier)
+    """One MIAdam step (see :class:`Adam`)."""
+    return _pure_step(Adam(hp, state.copy()), theta, grad, lr_multiplier)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ variant escapes strictly faster.
 The regret runner probes convergence: on a drifting quadratic stream,
 Adam's average regret decays while the unswitched multiple-integral
 variant keeps accumulating, so its average regret stays bounded away
-from zero.
+from zero.  It steps all of a run's optimizers in one loop, each as one
+lane (row) of a shared (optimizers, dim) array, and draws the stream once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NonFiniteError
-from .optim import OptimizerParams, build_optimizer
+from .optim import OptimizerParams, build_lanes
 
 
 @dataclass(frozen=True)
@@ -169,38 +170,75 @@ class RegretSeries:
 
 def run_regret_experiment(
     problem: DriftingQuadraticProblem,
-    optimizer: OptimizerParams,
+    optimizers: list[OptimizerParams],
     horizon: int,
     lr_decay_h: float = 0.5,
-) -> RegretSeries:
-    """Track cumulative and average regret of one optimizer over the stream.
+) -> list[RegretSeries]:
+    """Track cumulative and average regret of each optimizer over one stream.
 
     The learning-rate multiplier decays as t**(-lr_decay_h); pass 0 to
     disable the decay.  MIAdam callers should disable the switch
-    (``switch_step=None``) to probe pre-switch behavior.  A cumulative
-    regret that overflows raises ``NonFiniteError`` with its first step.
+    (``switch_step=None``) to probe pre-switch behavior.
+
+    The targets and the comparator's losses are computed once.  Each
+    optimizer's theta is one row of a (len(optimizers), dim) array, and one
+    loop steps every group of ``build_lanes``; each series has the bits of a
+    run of its optimizer alone.  A lane whose update goes non-finite keeps
+    its theta, while the others keep stepping.  The run then raises
+    ``NonFiniteError`` for the first optimizer in list order that diverged
+    (at its step) or whose cumulative regret overflowed (at the first step
+    that did); it stops early once the first optimizer diverges.
     """
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
     targets = problem.targets(horizon)
-    theta_star = targets.mean(axis=0)
-    theta = np.full(problem.dim, problem.theta0, dtype=np.float64)
-    opt = build_optimizer(optimizer, problem.dim)
-    # the comparator's loss on each target does not depend on theta: compute it up front
-    comparator = [0.5 * float(d @ d) for d in theta_star - targets]
-    cumulative = np.empty(horizon)
-    diff_t = np.empty(problem.dim)
-    running = 0.0
-    for t in range(1, horizon + 1):
-        np.subtract(theta, targets[t - 1], out=diff_t)
-        running += 0.5 * float(diff_t @ diff_t) - comparator[t - 1]
-        cumulative[t - 1] = running
-        try:
-            opt.step(theta, diff_t, lr_multiplier=t ** -lr_decay_h)
-        except NonFiniteError as err:
-            raise NonFiniteError("regret run diverged to non-finite iterates", step=t) from err
-    finite = np.isfinite(cumulative)
-    if not finite.all():
-        raise NonFiniteError("cumulative regret overflowed", step=int(np.argmin(finite)) + 1)
-    average = cumulative / np.arange(1, horizon + 1)
-    return RegretSeries(cumulative_regret=cumulative, average_regret=average)
+    groups = build_lanes(optimizers, problem.dim)
+    theta = np.full((len(optimizers), problem.dim), problem.theta0, dtype=np.float64)
+    diff = np.empty_like(theta)  # theta - c_t, which is also every lane's gradient
+    # a squared norm is a stacked (1, dim) @ (dim, 1) product, which calls the BLAS dot
+    # that d @ d calls on one row, with the same bits
+    diff_rows, diff_cols = diff[:, None, :], diff[:, :, None]
+    squares = np.empty((horizon, len(optimizers), 1, 1))  # each step's ||theta - c_t||^2
+    live, row = [], 0  # each group's stepper, rows of theta and diff, and optimizers
+    for lanes, stepper in groups:
+        rows = slice(row, row + len(lanes))
+        live.append((stepper, theta[rows], diff[rows], lanes))
+        row += len(lanes)
+    diverged = {}  # optimizer index -> the step its lane went non-finite
+    cumulative = np.zeros((len(optimizers), horizon + 1))
+    # every overflow here ends in the NonFiniteError raised below, and the lanes after a
+    # failing optimizer do work that a run of each optimizer alone would not reach
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the comparator's loss on each target does not depend on theta: compute it up front
+        gaps = targets.mean(axis=0) - targets
+        comparator = 0.5 * np.matmul(gaps[:, None, :], gaps[:, :, None])[:, 0, 0]
+        for t, target, square in zip(range(1, horizon + 1), targets, squares):
+            np.subtract(theta, target, out=diff)
+            np.matmul(diff_rows, diff_cols, out=square)
+            lr = t ** -lr_decay_h
+            for stepper, lane_theta, lane_grad, lanes in live:
+                try:
+                    stepper.step(lane_theta, lane_grad, lr)
+                except NonFiniteError:
+                    for lane, step in stepper.diverged.items():
+                        diverged.setdefault(lanes[lane], step)
+                    if len(stepper.diverged) == len(lanes):
+                        live = [group for group in live if group[0] is not stepper]
+            if 0 in diverged:
+                break
+        else:
+            # optimizer i's lane is row order[i]; the sum takes the steps of a Python
+            # running sum from 0.0
+            order = np.argsort([i for lanes, _ in groups for i in lanes])
+            np.subtract(0.5 * squares[:, order, 0, 0].T, comparator, out=cumulative[:, 1:])
+            np.cumsum(cumulative, axis=1, out=cumulative)
+    series = []
+    for i, cum in enumerate(cumulative[:, 1:]):
+        if i in diverged:
+            raise NonFiniteError("regret run diverged to non-finite iterates", step=diverged[i])
+        finite = np.isfinite(cum)
+        if not finite.all():
+            raise NonFiniteError("cumulative regret overflowed", step=int(np.argmin(finite)) + 1)
+        average = cum / np.arange(1, horizon + 1)
+        series.append(RegretSeries(cumulative_regret=cum, average_regret=average))
+    return series

@@ -282,8 +282,7 @@ def test_criterion_08_regret_divergence(acceptance_log):
     prob = DriftingQuadraticProblem()
     adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
     mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
-    s_ad = run_regret_experiment(prob, adam, 100000)
-    s_mi = run_regret_experiment(prob, mi, 100000)
+    s_ad, s_mi = run_regret_experiment(prob, [adam, mi], 100000)
     at_100 = s_ad.average_regret[99]
     at_end = s_ad.average_regret[-1]
     mi_end = s_mi.average_regret[-1]

@@ -170,7 +170,7 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_regret_exit_1(tmp_path, capsys):
     # targets of 1e200 square to inf on the first step
     cfg = dict(_regret(tmp_path / "out"), problem={"target_low": -1e200, "target_high": 1e200})
@@ -182,15 +182,17 @@ def test_overflowing_regret_exit_1(tmp_path, capsys):
 
 
 def test_killed_run_leaves_no_file(tmp_path):
-    # 40 regret runs of 20,000 steps: well over 10 s of work, and each run
-    # alone finishes in a fraction of a second
+    # 40 Adam optimizers of distinct epsilon, so that each steps as a lane group
+    # of its own: 40 x 20,000 steps, well over 10 s of work
     out_dir = tmp_path / "out" / "deep"
     cfg = {
         "kind": "regret",
         "seed": 0,
         "output_dir": str(out_dir),
         "horizon": 20000,
-        "optimizers": [{"name": f"adam{i}", "kind": "adam"} for i in range(40)],
+        "optimizers": [
+            {"name": f"adam{i}", "kind": "adam", "epsilon": 1e-8 * (i + 1)} for i in range(40)
+        ],
     }
     path = write_config(tmp_path, cfg)
     paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]

@@ -354,7 +354,7 @@ class TestSurface:
 FAR = (1e200, 1e200)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 class TestFarField:
     def test_eval_is_flat(self):
         loss, grad, hess = landscape_eval(TWO_WELLS, FAR)

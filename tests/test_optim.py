@@ -12,6 +12,7 @@ from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import _optimizer_warnings, normalize_config
 from flatmin.mlp import Mlp, MlpSpec, make_blobs, train_classifier
 from flatmin.optim import (
+    Adam,
     AdamHyperParams,
     LrSchedule,
     MIAdamHyperParams,
@@ -19,6 +20,7 @@ from flatmin.optim import (
     SgdmParams,
     SgdParams,
     adam_step,
+    build_lanes,
     build_optimizer,
     miadam_step,
     schedule_multiplier,
@@ -642,6 +644,115 @@ class TestStepper:
         if "alpha" in bad:
             with pytest.raises(ContractViolationError):
                 SgdParams(**bad)
+
+
+_lane_params = st.fixed_dictionaries({
+    "order_n": st.integers(0, 3),  # 0 is plain Adam
+    "alpha": st.sampled_from([1e-3, 0.05, 0.3]),
+    "kappa": st.sampled_from([0.5, 0.9, 0.98, 1.0]),
+    "switch_step": st.one_of(st.none(), st.just(1), st.integers(2, 11)),
+    "override": st.sampled_from([None, 0.01]),
+})
+
+
+class TestLanes:
+    """A group of Adam-family lanes against one lone stepper per lane, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lanes=st.lists(_lane_params, min_size=2, max_size=4),
+        weight_decay=st.sampled_from([0.0, 0.1]),
+        eps_in_sqrt=st.booleans(),
+        dim=st.integers(1, 5),
+        mults=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=12),
+        negative_zeros=st.booleans(),
+        diverge=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(1, 12))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        lanes=[
+            {"order_n": 0, "alpha": 0.05, "kappa": 0.9, "switch_step": None, "override": None},
+            {"order_n": 3, "alpha": 0.05, "kappa": 0.98, "switch_step": 4, "override": None},
+            {"order_n": 1, "alpha": 0.3, "kappa": 0.5, "switch_step": None, "override": 0.01},
+        ],
+        weight_decay=0.1, eps_in_sqrt=False, dim=3, mults=[1.0, 0.5, 0.25, 2.0, 1.0, 0.75],
+        negative_zeros=True, diverge=(2, 5), seed=0,
+    )
+    def test_each_lane_steps_as_if_alone(
+        self, lanes, weight_decay, eps_in_sqrt, dim, mults, negative_zeros, diverge, seed
+    ):
+        params = []
+        for p in lanes:
+            adam = AdamHyperParams(alpha=p["alpha"], weight_decay=weight_decay,
+                                   eps_in_sqrt=eps_in_sqrt)
+            params.append(adam if p["order_n"] == 0 else MIAdamHyperParams(
+                adam=adam, order_n=p["order_n"], kappa=p["kappa"], switch_step=p["switch_step"],
+                pre_switch_lr_override=p["override"],
+            ))
+        (ids, group), = build_lanes(params, dim)
+        assert ids == list(range(len(params)))
+        alone = [build_optimizer(p, dim) for p in params]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        theta = rng.standard_normal((len(params), dim))
+        thetas = [row.copy() for row in theta]
+        # the lane, if any, whose gradient turns infinite at bad_step
+        bad_lane, bad_step = (None, None) if diverge is None else diverge
+        if diverge is not None:
+            bad_lane %= len(params)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for t, mult in enumerate(mults, 1):
+                grad = rng.standard_normal(theta.shape)
+                if negative_zeros:
+                    grad[rng.uniform(size=grad.shape) < 0.3] = -0.0
+                if t == bad_step:
+                    grad[bad_lane, 0] = np.inf
+                for i, stepper in enumerate(alone):
+                    if i == bad_lane and t >= bad_step:
+                        if t == bad_step:
+                            with pytest.raises(NonFiniteError, match=rf"\(at step {t}\)$"):
+                                stepper.step(thetas[i], grad[i].copy(), mult)
+                        continue
+                    stepper.step(thetas[i], grad[i].copy(), mult)
+                if t == bad_step:
+                    message = rf"lanes \[{bad_lane}\] .*\(at step {t}\)$"
+                    with pytest.raises(NonFiniteError, match=message):
+                        group.step(theta, grad, mult)
+                    # the diverged lane keeps its row, as its lone stepper keeps theta
+                    assert theta[bad_lane].tobytes() == thetas[bad_lane].tobytes()
+                else:
+                    group.step(theta, grad, mult)
+        diverged = {} if bad_step is None or bad_step > len(mults) else {bad_lane: bad_step}
+        assert group.diverged == diverged
+        assert group.state.step_t == len(mults)
+        for i, stepper in enumerate(alone):
+            if i in diverged:  # checked at its step, above; from there on its state is inf or nan
+                continue
+            assert theta[i].tobytes() == thetas[i].tobytes()
+            levels = [level[i] for level in group.state.mbar_stack]
+            state = stepper.state
+            assert group.state.m[i].tobytes() == state.m.tobytes()
+            assert group.state.v[i].tobytes() == state.v.tobytes()
+            order = len(state.mbar_stack)
+            assert [x.tobytes() for x in levels[:order]] == [x.tobytes() for x in state.mbar_stack]
+            # a padded level is never updated
+            assert all(x.tobytes() == bytes(x.nbytes) for x in levels[order:])
+
+    def test_groups_split_on_any_shared_hyperparameter(self):
+        base = AdamHyperParams(weight_decay=0.0)
+        params = [
+            base,
+            SgdParams(),
+            MIAdamHyperParams(adam=AdamHyperParams(alpha=0.1, weight_decay=0.0), order_n=2),
+            AdamHyperParams(weight_decay=0.1),
+            AdamHyperParams(weight_decay=0.0, eps_in_sqrt=True),
+            SgdParams(),
+            AdamHyperParams(weight_decay=0.1, alpha=0.5),
+        ]
+        groups = build_lanes(params, 3)
+        assert [ids for ids, _ in groups] == [[0, 2], [1], [3, 6], [4], [5]]
+        assert [s.state.m.shape for _, s in groups] == [(2, 3), (1, 3), (2, 3), (1, 3), (1, 3)]
+        with pytest.raises(ContractViolationError, match="must share"):
+            Adam([base, AdamHyperParams(beta1=0.5)], OptimizerState.zeros((2, 3)))
 
 
 class TestSchedule:

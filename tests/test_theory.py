@@ -1,12 +1,13 @@
 """Tests for closed-form escape times and the regret experiment."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from flatmin.errors import ContractViolationError
-from flatmin.optim import AdamHyperParams, MIAdamHyperParams
+from flatmin.errors import ContractViolationError, NonFiniteError
+from flatmin.optim import AdamHyperParams, MIAdamHyperParams, SgdParams
 from flatmin.theory import (
     DriftingQuadraticProblem,
     EscapeScenario,
@@ -133,18 +134,38 @@ class TestEscapeTimes:
         assert s.det_ratio == pytest.approx(expected, rel=1e-14)
 
 
+# each optimizer and the error that it raises alone, over 1,100 steps at a constant rate
+_OUTCOMES = [
+    (AdamHyperParams(alpha=0.1, weight_decay=0.0), None),
+    # in adam's lane group; its first step overflows
+    (AdamHyperParams(alpha=1e308, weight_decay=0.0),
+     "regret run diverged to non-finite iterates (at step 1)"),
+    # their distance to the targets grows 1.5x and 2x a step
+    (SgdParams(alpha=2.5), "cumulative regret overflowed (at step 874)"),
+    (SgdParams(alpha=3.0), "regret run diverged to non-finite iterates (at step 1023)"),
+]
+
+
+def _regret_error(optimizers):
+    try:
+        run_regret_experiment(DriftingQuadraticProblem(seed=2), optimizers, 1100, 0.0)
+    except NonFiniteError as err:
+        return str(err)
+    return None
+
+
 class TestRegret:
     def test_constant_problem_zero_regret_at_optimum(self):
         # theta0 equals the (constant) target, so every per-step regret is 0.
         prob = DriftingQuadraticProblem(dim=3, target_low=0.5, target_high=0.5, theta0=0.5)
-        series = run_regret_experiment(prob, AdamHyperParams(weight_decay=0.0), horizon=50)
+        (series,) = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], horizon=50)
         assert np.max(np.abs(series.cumulative_regret)) < 1e-12
 
     def test_zero_drift_cumulative_regret_nondecreasing(self):
         # With a fixed target the comparator is that target, so the
         # instantaneous regret is a squared distance: always >= 0.
         prob = DriftingQuadraticProblem(dim=2, target_low=1.0, target_high=1.0, theta0=0.0)
-        series = run_regret_experiment(prob, AdamHyperParams(weight_decay=0.0), horizon=200)
+        (series,) = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], horizon=200)
         diffs = np.diff(series.cumulative_regret)
         assert np.all(diffs >= -1e-12)
 
@@ -159,14 +180,14 @@ class TestRegret:
         assert np.array_equal(prob.targets(20), np.full((20, 3), target))
         # a -0.0 target is drawn as +0.0; regret squares it, so no value changes
         hp = AdamHyperParams(alpha=0.1)
-        drawn = run_regret_experiment(prob, hp, horizon=40)
-        full = run_regret_experiment(FullTargets(**fields), hp, horizon=40)
+        (drawn,) = run_regret_experiment(prob, [hp], horizon=40)
+        (full,) = run_regret_experiment(FullTargets(**fields), [hp], horizon=40)
         assert drawn.cumulative_regret.tobytes() == full.cumulative_regret.tobytes()
 
     def test_adam_average_regret_decays(self):
         prob = DriftingQuadraticProblem(seed=5)
-        series = run_regret_experiment(
-            prob, AdamHyperParams(alpha=0.1, weight_decay=0.0), horizon=4000
+        (series,) = run_regret_experiment(
+            prob, [AdamHyperParams(alpha=0.1, weight_decay=0.0)], horizon=4000
         )
         early = series.average_regret[99]
         late = series.average_regret[-1]
@@ -176,25 +197,35 @@ class TestRegret:
         prob = DriftingQuadraticProblem(seed=5)
         adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
         mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
-        s_ad = run_regret_experiment(prob, adam, horizon=4000)
-        s_mi = run_regret_experiment(prob, mi, horizon=4000)
+        s_ad, s_mi = run_regret_experiment(prob, [adam, mi], horizon=4000)
         assert s_mi.average_regret[-1] > 10.0 * s_ad.average_regret[-1]
 
     def test_deterministic(self):
         prob = DriftingQuadraticProblem(seed=9)
         hp = AdamHyperParams(weight_decay=0.0)
-        a = run_regret_experiment(prob, hp, horizon=100)
-        b = run_regret_experiment(prob, hp, horizon=100)
+        (a,) = run_regret_experiment(prob, [hp], horizon=100)
+        (b,) = run_regret_experiment(prob, [hp], horizon=100)
         assert np.array_equal(a.cumulative_regret, b.cumulative_regret)
 
     def test_average_is_cumulative_over_t(self):
         prob = DriftingQuadraticProblem(seed=1)
-        series = run_regret_experiment(prob, AdamHyperParams(weight_decay=0.0), horizon=30)
+        (series,) = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], horizon=30)
         expected = series.cumulative_regret / np.arange(1, 31)
         assert np.array_equal(series.average_regret, expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("params,outcome", _OUTCOMES)
+    def test_each_outcome_alone(self, params, outcome):
+        assert _regret_error([params]) == outcome
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_a_run_raises_the_error_of_its_first_failing_optimizer(self, order):
+        first = next(e for e in (_OUTCOMES[i][1] for i in order) if e is not None)
+        assert _regret_error([_OUTCOMES[i][0] for i in order]) == first
 
     def test_bad_horizon(self):
         with pytest.raises(ContractViolationError):
             run_regret_experiment(
-                DriftingQuadraticProblem(), AdamHyperParams(), horizon=0
+                DriftingQuadraticProblem(), [AdamHyperParams()], horizon=0
             )
