@@ -445,9 +445,8 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
             "tol": _float(h.get("tol", 1e-6), "config.hessian.tol"),
             "probes": _int(h.get("probes", 200), "config.hessian.probes", 1),
         }
-        # the (probes, parameters) Rademacher probes
-        probes = ("config.hessian.probes", out["hessian"]["probes"])
-        _check_size(("config.model.layer_sizes", typed["model"].num_params), probes)
+        # the trace estimate of each probe
+        _check_size(("config.hessian.probes", out["hessian"]["probes"]))
     return out, typed
 
 
@@ -559,7 +558,8 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
             "top_tolerance_reached": top.tolerance_reached,
             "top_hvp_count": top.hvp_count,
             "trace_estimate": trace.trace_estimate,
-            "trace_stderr": trace.trace_stderr,
+            # undefined for one probe: null, since JSON has no NaN
+            "trace_stderr": None if math.isnan(trace.trace_stderr) else trace.trace_stderr,
             "trace_probes": trace.probe_count,
         }
     return results

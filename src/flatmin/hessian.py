@@ -99,18 +99,20 @@ def hutchinson_trace(
 ) -> HessianSummary:
     """Rademacher-probe trace estimate: mean over probes of z . Hz.
 
-    Probe vectors are drawn sequentially from one seeded generator, so
-    the aggregate is deterministic for a fixed seed.  With a single
-    probe the standard error is undefined and returned as NaN.
+    Probe vectors are drawn sequentially from one seeded generator, each
+    one just before it is measured, so only one probe is alive at a time.
+    The draws are the rows of one ``(probes, dim)`` draw from the same
+    seed, and the aggregate is deterministic for a fixed seed.  With a
+    single probe the standard error is undefined and returned as NaN.
     """
     if probes < 1:
         raise ContractViolationError("probes must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     dim = theta.shape[0]
-    zs = rng.integers(0, 2, size=(probes, dim)) * 2.0 - 1.0
     estimates = np.empty(probes)
     for i in range(probes):
-        estimates[i] = float(zs[i] @ hvp(grad_fn, theta, zs[i]))
+        z = rng.integers(0, 2, size=dim) * 2.0 - 1.0
+        estimates[i] = float(z @ hvp(grad_fn, theta, z))
     mean = float(np.mean(estimates))
     stderr = (
         float(np.std(estimates, ddof=1) / np.sqrt(probes)) if probes > 1 else float("nan")

@@ -533,6 +533,26 @@ def test_extreme_escape_scenario_exit_0(tmp_path, scenario, phi):
     assert results["overflowed"] is (phi == math.inf)
 
 
+def _reject_nan(constant):
+    if constant == "NaN":
+        raise ValueError("NaN in report.json")
+    return float(constant)
+
+
+def test_one_probe_hessian_report_is_strict_json(tmp_path):
+    # one probe leaves the trace's standard error undefined: null, not a bare NaN
+    out_dir = tmp_path / "out"
+    cfg = _train(
+        out_dir, kind="hessian-report", model={"layer_sizes": [20, 3, 2]},
+        dataset={"classes": 2, "per_class": 10}, hessian={"max_iters": 3, "probes": 1},
+    )
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=_reject_nan)
+    result = report["results"]["adam"]
+    assert result["trace_stderr"] is None
+    assert math.isfinite(result["trace_estimate"]) and result["trace_probes"] == 1
+
+
 def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):
     out_dir = tmp_path / "new" / "deeper"
     assert main(["run", str(write_config(tmp_path, _diverging(out_dir)))]) == 1

@@ -1,16 +1,18 @@
 """Tests for config validation, the runner, and output artifacts."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flatmin import harness
+from flatmin import harness, reporting
 from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import normalize_config, run, run_config
-from flatmin.reporting import fmt_value, write_csv
+from flatmin.reporting import _BLOCK_ROWS, fmt_value, write_csv
 from flatmin.seeding import derive_seed, splitmix64
 
 
@@ -572,9 +574,60 @@ class TestCsvWriter:
     @settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(data=st.data(), width=st.integers(1, 5))
-    def test_random_cells_match_the_cell_by_cell_writer(self, tmp_path, data, width):
+    @given(data=st.data(), width=st.integers(1, 5), block=st.sampled_from([1, 2, 3, _BLOCK_ROWS]))
+    def test_random_cells_match_the_cell_by_cell_writer(self, tmp_path, data, width, block):
+        # small blocks make the at most 8 rows span several of them
         rows = data.draw(st.lists(st.tuples(*[_cells] * width), max_size=8))
         header = [f"c{i}" for i in range(width)]
-        write_csv(tmp_path / "x.csv", header, rows)
+        with mock.patch.object(reporting, "_BLOCK_ROWS", block):
+            write_csv(tmp_path / "x.csv", header, rows)
         assert (tmp_path / "x.csv").read_bytes() == _reference_csv(header, rows).encode()
+
+    @pytest.mark.parametrize(
+        "late", [True, np.float64(0.25), np.int64(-3), "x"], ids=["bool", "float64", "int64", "str"]
+    )
+    def test_a_later_block_with_other_cell_types_matches(self, tmp_path, late):
+        # the first blocks take repr's fast path; the one holding ``late`` must not
+        n = 2 * _BLOCK_ROWS + 7
+        rows = [(t, t * 0.5, -t) for t in range(n)]
+        rows[_BLOCK_ROWS + 5] = (rows[_BLOCK_ROWS + 5][0], late, late)
+        write_csv(tmp_path / "x.csv", ["t", "a", "b"], iter(rows))
+        assert (tmp_path / "x.csv").read_bytes() == _reference_csv(["t", "a", "b"], rows).encode()
+
+    @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
+    def test_tables_around_the_block_size_match(self, tmp_path, n):
+        rows = [(t, 1 / (t + 1), t % 3 == 0) for t in range(n)]
+        write_csv(tmp_path / "x.csv", ["t", "inv", "third"], (r for r in rows))
+        text = (tmp_path / "x.csv").read_text()
+        assert text == _reference_csv(["t", "inv", "third"], rows)
+        assert text.count("\n") == n + 1
+
+    @pytest.mark.parametrize(
+        "at,row",
+        [(3, (1, 2.0)), (_BLOCK_ROWS + 3, (1, 2.0)), (_BLOCK_ROWS + 3, (1, 2.0, 3, 4))],
+        ids=["first-block", "later-block", "later-block-long"],
+    )
+    def test_a_ragged_row_raises(self, tmp_path, at, row):
+        rows = [(t, 0.5, t) for t in range(2 * _BLOCK_ROWS)]
+        rows[at] = row
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+
+    def test_a_later_block_of_shorter_rows_raises(self, tmp_path):
+        rows = [(t, 0.5, t) for t in range(_BLOCK_ROWS)] + [(t, 0.5) for t in range(_BLOCK_ROWS)]
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+
+    def test_memory_holds_a_block_not_the_table(self, tmp_path):
+        # a regret CSV's shape: an int step and two float columns, rows made as written
+        n = 15_000
+        cumulative = np.cumsum(np.linspace(0.1, 2.0, n)).tolist()
+        average = [c / t for t, c in enumerate(cumulative, 1)]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "x.csv", ["t", "c", "a"], zip(range(1, n + 1), cumulative, average))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "x.csv").read_text().count("\n") == n + 1
+        assert peak < 1.5 * 2 ** 20

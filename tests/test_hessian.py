@@ -1,6 +1,7 @@
 """Tests for finite-difference HVPs, power iteration, and Hutchinson trace."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,21 @@ def random_symmetric(dim, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     m = rng.standard_normal((dim, dim))
     return 0.5 * (m + m.T)
+
+
+def dense_quadratic(dim):
+    """Gradient of 0.5 x^T B B^T x: a dense Hessian, with B of 8 columns to keep HVPs cheap."""
+    b = np.random.Generator(np.random.PCG64(dim)).standard_normal((dim, 8))
+    return lambda theta: b @ (b.T @ theta)
+
+
+def one_shot_trace(grad_fn, theta, probes, seed):
+    """The estimator with every probe drawn up front as one (probes, dim) matrix."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    zs = rng.integers(0, 2, size=(probes, theta.shape[0])) * 2.0 - 1.0
+    estimates = np.array([float(z @ hvp(grad_fn, theta, z)) for z in zs])
+    stderr = np.std(estimates, ddof=1) / np.sqrt(probes) if probes > 1 else math.nan
+    return float(np.mean(estimates)), float(stderr)
 
 
 class TestHvp:
@@ -133,6 +149,35 @@ class TestHutchinson:
         a = hutchinson_trace(quadratic_grad(mat), np.zeros(9), probes=50, seed=4)
         b = hutchinson_trace(quadratic_grad(mat), np.zeros(9), probes=50, seed=4)
         assert a.trace_estimate == b.trace_estimate
+
+    @pytest.mark.parametrize("probes", [1, 2, 300])
+    @pytest.mark.parametrize("dim", [1, 7, 1604])
+    def test_probes_drawn_one_at_a_time_match_the_one_shot_matrix(self, dim, probes):
+        grad_fn = dense_quadratic(dim)
+        theta = np.linspace(-1.0, 1.0, dim)
+        out = hutchinson_trace(grad_fn, theta, probes=probes, seed=dim + probes)
+        expected = one_shot_trace(grad_fn, theta, probes, seed=dim + probes)
+        # == on both numbers, NaN standing for the undefined one-probe stderr
+        assert np.array_equal((out.trace_estimate, out.trace_stderr), expected, equal_nan=True)
+
+    def test_memory_holds_a_few_probes_not_all(self):
+        dim, probes = 1604, 300
+        diag = np.linspace(0.5, 2.0, dim)
+        theta = np.ones(dim)
+
+        def grad_fn(t):
+            return diag * t
+
+        # a first call pays numpy.random's one-time setup outside the count
+        hutchinson_trace(grad_fn, theta, probes=1)
+        tracemalloc.start()
+        try:
+            hutchinson_trace(grad_fn, theta, probes=probes, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 300 probes at once take 300 * 1604 * 8 B = 3.85 MB, twice
+        assert peak < 16 * dim * 8
 
     def test_bad_probe_count(self):
         with pytest.raises(ContractViolationError):
