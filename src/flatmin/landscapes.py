@@ -10,13 +10,11 @@ read off its planes at the points of its last gradient call, bit-identical
 to evaluating each point on its own.  ``batch_loss_grad`` and
 ``landscape_eval`` are one-shot views of it.
 
-Trajectory simulation and the grid flatness study share one descent loop.
-It holds every start in one (2, B) array, row 0 x and row 1 y, that the
-optimizer steps in place (every update is elementwise, so this is exactly
-equivalent to running each start separately); a trajectory is a batch of
-one.  A run builds one kernel for all its optimizers, reads the final
-flatness (sum of absolute Hessian eigenvalues) off it, and computes the
-loss only when it records, so a grid run evaluates gradients alone.
+Trajectory simulation and the grid flatness study share one descent loop,
+which steps every start as a lane of one (2, B) array; a trajectory is a
+batch of one.  A run builds one kernel for all its optimizers, reads the
+final flatness (sum of absolute Hessian eigenvalues) off it, and computes
+the loss only when it records, so a grid run evaluates gradients alone.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NonFiniteError
 from .optim import (
     LrSchedule,
     OptimizerParams,
@@ -145,9 +143,11 @@ def _abs_eig_sum(a, b, d):
 
     ``np.float_power`` squares through libm ``pow``, as the scalar formula
     did; the ``**2`` / ``x*x`` fast path rounds some inputs differently.
+    Where the squares overflow (deep wells), ``np.hypot`` takes the root.
     """
     tr = a + d
     disc = np.sqrt(np.float_power(a - d, 2) + 4.0 * b * b)
+    disc = np.where(np.isinf(disc), np.hypot(a - d, 2.0 * b), disc)
     return np.abs(0.5 * (tr + disc)) + np.abs(0.5 * (tr - disc))
 
 
@@ -186,8 +186,10 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=None):
     """Run one optimizer from every start (B, 2) at once on the kernel ``wells``.
 
     Returns the final points (B, 2) and their flatness (B,).  The points are
-    held as (2, B) planes, row 0 x and row 1 y, which the stepper steps in
-    place.  ``record(t, planes, loss)`` is called after each step with the
+    (2, B) planes, row 0 x and row 1 y, stepped in place with each start a
+    lane (column) of the stepper.  The run ends early once every start has
+    diverged, and raises the error of the first diverged start in row-major
+    order.  ``record(t, planes, loss)`` is called after each step with the
     planes and the loss (B,) at the points the step started from; the loss
     is computed only when there is a ``record``.
     """
@@ -196,17 +198,23 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=None):
     planes = starts.T.copy()
     x, y = planes
     grad = np.empty_like(planes)
-    opt = build_optimizer(optimizer, planes.shape)
-    # far from every well the squared offsets overflow to inf and the well terms to 0
-    with np.errstate(over="ignore"):
+    opt = build_optimizer(optimizer, planes.shape, lane_axis=1)
+    # far-field offsets overflow to inf (the well terms to 0); a diverged start ends in an error
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, total_steps + 1):
             wells.gradient(x, y, grad)
             loss = None if record is None else wells.loss()
-            opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
+            try:
+                opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
+            except NonFiniteError:
+                if len(opt.diverged) == len(starts):
+                    break
             if record is not None:
                 record(t, planes, loss)
+        if opt.diverged:
+            raise opt.diverged[min(opt.diverged)]
         wells.gradient(x, y, grad)
-    return planes.T, _abs_eig_sum(*wells.hessian())
+        return planes.T, _abs_eig_sum(*wells.hessian())
 
 
 def simulate_trajectory(
@@ -252,11 +260,11 @@ def grid_flatness_study(
     sched: LrSchedule,
     total_steps: int,
 ) -> list[np.ndarray]:
-    """Final-point flatness for every grid start, per optimizer.
+    """Final-point flatness for every grid start, per optimizer, in row-major order.
 
-    Results are in row-major grid order.  Internally all starts run as one
-    (2, B) array, which is equivalent to per-start runs because every
-    optimizer update rule is elementwise.
+    Each optimizer runs all starts as the lanes of one (2, B) array, each with
+    the bits and the error of a run from that start alone; a failing run
+    raises for the first optimizer in list order that fails.
     """
     starts = grid_starts(region, grid)
     # every gradient call rewrites the kernel's planes, so the optimizers can share it

@@ -303,29 +303,30 @@ def train_classifier(
     y_test = dataset.labels[dataset.test_idx]
     metrics = []
     step = 0
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(y_train))
-        for lo in range(0, len(order), batch_size):
-            batch = order[lo : lo + batch_size]
-            try:
-                _, grad, _ = loss_and_grad(model, x_train[batch], y_train[batch])
-                mult = schedule_multiplier(sched, step)
-                opt.step(model._flat, grad, lr_multiplier=mult)
-            except NonFiniteError as err:
-                raise NonFiniteError(
-                    f"training diverged at epoch {epoch}, batch {lo // batch_size}",
-                    step=step + 1,
-                ) from err
-            step += 1
-        train_loss, train_logits = forward_loss(model, x_train, y_train)
-        test_loss, test_logits = forward_loss(model, x_test, y_test)
-        metrics.append(
-            {
-                "epoch": epoch,
-                "train_loss": train_loss,
-                "train_acc": _accuracy(train_logits, y_train),
-                "test_loss": test_loss,
-                "test_acc": _accuracy(test_logits, y_test),
-            }
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report divergence
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(len(y_train))
+            for lo in range(0, len(order), batch_size):
+                batch = order[lo : lo + batch_size]
+                try:
+                    _, grad, _ = loss_and_grad(model, x_train[batch], y_train[batch])
+                    mult = schedule_multiplier(sched, step)
+                    opt.step(model._flat, grad, lr_multiplier=mult)
+                except NonFiniteError as err:
+                    raise NonFiniteError(
+                        f"training diverged at epoch {epoch}, batch {lo // batch_size}",
+                        step=step + 1,
+                    ) from err
+                step += 1
+            train_loss, train_logits = forward_loss(model, x_train, y_train)
+            test_loss, test_logits = forward_loss(model, x_test, y_test)
+            metrics.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": train_loss,
+                    "train_acc": _accuracy(train_logits, y_train),
+                    "test_loss": test_loss,
+                    "test_acc": _accuracy(test_logits, y_test),
+                }
+            )
     return model, metrics

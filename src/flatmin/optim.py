@@ -10,14 +10,11 @@ Each update rule has one implementation, an in-place stepper
 Adam is a MIAdam lane of order 0), built by :func:`build_optimizer`.  A
 stepper owns its ``OptimizerState`` and two scratch buffers and updates
 the caller's parameter vector in place, so a step allocates no arrays.
-The pure ``sgd_step`` / ``sgdm_step`` / ``adam_step`` / ``miadam_step``
-copy theta and the state, run a stepper once, and return
-``(theta', state')``, leaving their inputs untouched.  Every update rule
-is elementwise, so a batch of independent problems can be run as one
-array, and :func:`build_lanes` steps several optimizers as the rows of one
-(lanes, dim) array: Adam-family optimizers that share their other
-hyperparameters form one group of lanes, and each lane gets the bits it
-would get alone.
+Every update rule is elementwise, so a stepper runs independent problems,
+its lanes, as the slices of one array (see :class:`Stepper`), and
+:func:`build_lanes` groups optimizers as the rows of one array.  The pure
+``*_step`` functions copy theta and the state, run a one-lane stepper once
+and return ``(theta', state')``, leaving their inputs untouched.
 """
 
 from __future__ import annotations
@@ -153,28 +150,28 @@ OptimizerParams = SgdParams | SgdmParams | AdamHyperParams | MIAdamHyperParams
 
 
 class Stepper:
-    """One optimizer run over parameter vectors of a fixed shape.
+    """One optimizer run over arrays of a fixed shape, split into lanes.
 
     ``step`` updates the caller's ``theta`` in place.  The stepper owns its
     ``state``, two scratch buffers of theta's shape and a finiteness mask,
-    so a step allocates no arrays.  A step computes theta' in scratch and
-    makes one finiteness check of it before copying it into theta; only if
-    that check fails are the inputs checked, to name the culprit in the
-    ``NonFiniteError``.  A non-finite entry of theta or grad always reaches
-    theta', so none is missed.  After that error theta is unchanged but the
-    state is not, ``diverged`` maps lane 0 to the step, and the stepper must
-    not be stepped again.
+    so a step allocates no arrays and checks theta' once before it copies
+    it into theta.  The lanes are the indices along ``lane_axis`` (``None``:
+    the whole array is one lane).  The one lane rule: a lane whose theta' is
+    not finite keeps its slice of theta, and at its first such step
+    ``diverged`` maps it to the ``NonFiniteError`` it raises alone, naming
+    the step and the culprit in its own slices (parameter, else gradient,
+    else update).  The other lanes finish the step, the state advances, and
+    ``step`` raises the first new lane's error; a lane raises only once.
     """
 
-    name = ""
-
-    def __init__(self, params, state: OptimizerState):
+    def __init__(self, params, state: OptimizerState, lane_axis: int | None = None):
         self.params = params
         self.state = state
+        self.lane_axis = lane_axis
         self._a = np.empty_like(state.m)
         self._b = np.empty_like(state.m)
         self._finite = np.empty(state.m.shape, dtype=bool)
-        self.diverged: dict[int, int] = {}  # lane -> the step its update went non-finite
+        self.diverged: dict[int, NonFiniteError] = {}  # lane -> the error it raises alone
 
     def step(self, theta: ParamVector, grad: ParamVector, lr_multiplier: float = 1.0) -> None:
         if theta.shape != grad.shape:
@@ -190,14 +187,31 @@ class Stepper:
         np.copyto(theta, theta_new)
         self.state.step_t = t
 
+    def _by_lane(self, a: np.ndarray) -> np.ndarray:
+        """A view of ``a`` whose index 0 is the lane."""
+        return a[None] if self.lane_axis is None else np.moveaxis(a, self.lane_axis, 0)
+
+    def _name(self, lane: int) -> str:
+        return self.name
+
     def _non_finite(self, theta, grad, theta_new, t: int) -> None:
-        """Raise the ``NonFiniteError`` of step ``t``, naming its culprit."""
-        self.diverged[0] = t
-        if not np.isfinite(theta).all():
-            raise NonFiniteError("non-finite entries in parameter vector", step=t)
-        if not np.isfinite(grad).all():
-            raise NonFiniteError("non-finite entries in gradient vector", step=t)
-        raise NonFiniteError(f"{self.name} update produced non-finite parameters", step=t)
+        """Keep each non-finite lane's slice of theta; on a new lane, finish the step and raise."""
+        theta, grad, theta_new, finite = map(self._by_lane, (theta, grad, theta_new, self._finite))
+        bad = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))
+        theta_new[bad] = theta[bad]
+        new = [lane for lane in bad.tolist() if lane not in self.diverged]
+        for lane in new:
+            if not np.isfinite(theta[lane]).all():
+                message = "non-finite entries in parameter vector"
+            elif not np.isfinite(grad[lane]).all():
+                message = "non-finite entries in gradient vector"
+            else:
+                message = f"{self._name(lane)} update produced non-finite parameters"
+            self.diverged[lane] = NonFiniteError(message, step=t)
+        if new:
+            np.copyto(theta, theta_new)
+            self.state.step_t = t
+            raise self.diverged[new[0]]
 
     def _update(self, theta, grad, t: int, lr_multiplier: float) -> ParamVector:
         """Advance the state to step ``t`` and return theta' in a scratch buffer."""
@@ -264,47 +278,41 @@ class Adam(Stepper):
     rate is alpha**n (or its override).  From the switch step on, the step is
     exactly Adam's; the stack is frozen, not cleared.
 
-    ``params`` is one lane's hyperparameters, which steps arrays of any shape
-    with exactly the operations of a lone Adam or MIAdam.  A list of them is
-    a group of lanes that share beta1, beta2, epsilon, weight_decay and
-    eps_in_sqrt, and step a (lanes, ...) array whose row i is lane i.  A
-    value that the lanes share is a Python float and a per-lane one a full
-    plane, so each lane gets the bits it would get alone.  The stack holds
-    the largest order's levels.  A lane updates only its own levels and only
-    before its switch, and reads its numerator from its own top level; masks
-    select both, and change only at a switch step.
-
-    A lane whose update goes non-finite keeps its row of theta and
-    ``diverged`` records its step; the other lanes finish the step, and then
-    ``step`` raises ``NonFiniteError``.  The group may be stepped on: every
-    operation is elementwise, so a lane's non-finite state never reaches
-    another row, and its row of theta is kept at every step whose update is
-    non-finite.
+    ``params`` is one optimizer's hyperparameters, which every lane takes,
+    or a list that gives lane i ``params[i]``: a group whose lanes share
+    beta1, beta2, epsilon, weight_decay and eps_in_sqrt.  A value that the
+    lanes share is a Python float and a per-lane one a full plane, so each
+    lane gets the bits it would get alone.  The stack holds the largest
+    order's levels.  A lane updates only its own levels and only before its
+    switch, and reads its numerator from its own top level; masks select
+    both, and change only at a switch step.
     """
 
-    def __init__(self, params, state: OptimizerState):
+    def __init__(self, params, state: OptimizerState, lane_axis: int | None = None):
         lanes = [_Lane.of(p) for p in params] if isinstance(params, list) else [_Lane.of(params)]
         order = max(lane.order for lane in lanes)
         if order and len(state.mbar_stack) != order:  # plain Adam ignores a stack
             raise ContractViolationError(
                 f"mbar_stack has {len(state.mbar_stack)} levels, expected order_n={order}"
             )
-        if len(lanes) > 1 and len({lane.shared for lane in lanes}) != 1:
+        if len({lane.shared for lane in lanes}) != 1:
             raise ContractViolationError(
                 "lanes of one group must share beta1, beta2, epsilon, weight_decay and eps_in_sqrt"
             )
-        super().__init__(params, state)
-        self.name = "MIAdam" if order else "Adam"
+        super().__init__(params, state, lane_axis)
         self.hp = lanes[0].base
         self._lanes = lanes
         self._scale = None
         self._plan(state.step_t + 1)
 
+    def _name(self, lane: int) -> str:
+        return "MIAdam" if self._lanes[lane if len(self._lanes) > 1 else 0].order else "Adam"
+
     def _rows(self, values: list, dtype=np.float64) -> np.ndarray:
-        """A plane of the state's shape whose row i holds ``values[i]``."""
+        """A plane of the state's shape whose lane i holds ``values[i]``."""
         plane = np.empty(self.state.m.shape, dtype=dtype)
-        for row, value in zip(plane, values):
-            row.fill(value)
+        for lane, value in zip(self._by_lane(plane), values):
+            lane.fill(value)
         return plane
 
     def _per_lane(self, values: list):
@@ -399,52 +407,38 @@ class Adam(Stepper):
         a /= b
         return np.subtract(theta, a, out=b)
 
-    def _non_finite(self, theta, grad, theta_new, t):
-        lanes = len(self._lanes)
-        if lanes == 1:
-            super()._non_finite(theta, grad, theta_new, t)
-        bad = ~self._finite.reshape(lanes, -1).all(axis=1)
-        new = [lane for lane in np.flatnonzero(bad).tolist() if lane not in self.diverged]
-        for lane in new:
-            self.diverged[lane] = t
-        theta_new[bad] = theta[bad]
-        if new:
-            np.copyto(theta, theta_new)
-            self.state.step_t = t
-            raise NonFiniteError(f"{self.name} lanes {new} produced non-finite parameters", step=t)
-
 
 _STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHyperParams: Adam}
 
 
-def build_optimizer(params: OptimizerParams, dim: int | tuple[int, ...]) -> Stepper:
-    """A stepper for ``params`` over arrays of shape ``dim``, from zero state."""
-    cls = _STEPPERS.get(type(params))
-    if cls is None:
-        raise ContractViolationError(f"unknown optimizer params type {type(params)!r}")
-    return cls(params, OptimizerState.zeros(dim, getattr(params, "order_n", 0)))
+def build_optimizer(params, dim: int | tuple[int, ...], lane_axis: int | None = None) -> Stepper:
+    """A stepper for ``params`` over arrays of shape ``dim``, from zero state.
+
+    ``params`` is one optimizer, or a list of Adam-family lanes (see
+    :class:`Adam`); a list of one optimizer of another kind is that optimizer.
+    """
+    group = params if isinstance(params, list) else [params]
+    cls = _STEPPERS.get(type(group[0]))
+    if cls is None or (cls is not Adam and len(group) > 1):
+        raise ContractViolationError(f"no stepper runs the optimizer params {params!r}")
+    order = max(getattr(p, "order_n", 0) for p in group)
+    return cls(params if cls is Adam else group[0], OptimizerState.zeros(dim, order), lane_axis)
 
 
 def build_lanes(params: list[OptimizerParams], dim: int) -> list[tuple[list[int], Stepper]]:
-    """Steppers that run ``params`` as the lanes of (lanes, dim) arrays, with each one's indices.
+    """Steppers that run ``params`` as the rows of (lanes, dim) arrays, with each one's indices.
 
     Adam-family params that share beta1, beta2, epsilon, weight_decay and
-    eps_in_sqrt form one group of lanes; every other optimizer is a group of
-    one.  A stepper steps the rows of its lanes, in the order of its indices.
+    eps_in_sqrt form one group; every other optimizer is a group of one.
+    Each row is a lane under :class:`Stepper`'s lane rule.
     """
     groups: dict[object, list[int]] = {}
     for i, p in enumerate(params):
         groups.setdefault(_Lane.of(p).shared if _STEPPERS.get(type(p)) is Adam else i, []).append(i)
-    steppers = []
-    for lanes in groups.values():
-        members = [params[i] for i in lanes]
-        if len(members) == 1:
-            stepper = build_optimizer(members[0], (1, dim))
-        else:
-            order = max(getattr(p, "order_n", 0) for p in members)
-            stepper = Adam(members, OptimizerState.zeros((len(members), dim), order))
-        steppers.append((lanes, stepper))
-    return steppers
+    return [
+        (lanes, build_optimizer([params[i] for i in lanes], (len(lanes), dim), lane_axis=0))
+        for lanes in groups.values()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,9 @@ def run_regret_experiment(
     (``switch_step=None``) to probe pre-switch behavior.
 
     The targets and the comparator's losses are computed once.  Each
-    optimizer's theta is one row of a (len(optimizers), dim) array, and one
-    loop steps every group of ``build_lanes``; each series has the bits of a
-    run of its optimizer alone.  A lane whose update goes non-finite keeps
-    its theta, while the others keep stepping.  The run then raises
+    optimizer's theta is one row of a (len(optimizers), dim) array, a lane
+    of its ``build_lanes`` group, and one loop steps every group; each series
+    has the bits of a run of its optimizer alone.  The run raises
     ``NonFiniteError`` for the first optimizer in list order that diverged
     (at its step) or whose cumulative regret overflowed (at the first step
     that did); it stops early once the first optimizer diverges.
@@ -199,12 +198,11 @@ def run_regret_experiment(
     # that d @ d calls on one row, with the same bits
     diff_rows, diff_cols = diff[:, None, :], diff[:, :, None]
     squares = np.empty((horizon, len(optimizers), 1, 1))  # each step's ||theta - c_t||^2
-    live, row = [], 0  # each group's stepper, rows of theta and diff, and optimizers
+    live, row = [], 0  # each group's stepper and rows of theta and diff
     for lanes, stepper in groups:
-        rows = slice(row, row + len(lanes))
-        live.append((stepper, theta[rows], diff[rows], lanes))
+        live.append((stepper, theta[row:row + len(lanes)], diff[row:row + len(lanes)]))
         row += len(lanes)
-    diverged = {}  # optimizer index -> the step its lane went non-finite
+    first = groups[0][1]  # optimizer 0 is lane 0 of the first group
     cumulative = np.zeros((len(optimizers), horizon + 1))
     # every overflow here ends in the NonFiniteError raised below, and the lanes after a
     # failing optimizer do work that a run of each optimizer alone would not reach
@@ -216,15 +214,12 @@ def run_regret_experiment(
             np.subtract(theta, target, out=diff)
             np.matmul(diff_rows, diff_cols, out=square)
             lr = t ** -lr_decay_h
-            for stepper, lane_theta, lane_grad, lanes in live:
+            for stepper, lane_theta, lane_grad in live:
                 try:
                     stepper.step(lane_theta, lane_grad, lr)
-                except NonFiniteError:
-                    for lane, step in stepper.diverged.items():
-                        diverged.setdefault(lanes[lane], step)
-                    if len(stepper.diverged) == len(lanes):
-                        live = [group for group in live if group[0] is not stepper]
-            if 0 in diverged:
+                except NonFiniteError:  # ``diverged`` keeps the lane's error
+                    pass
+            if 0 in first.diverged:
                 break
         else:
             # optimizer i's lane is row order[i]; the sum takes the steps of a Python
@@ -232,6 +227,8 @@ def run_regret_experiment(
             order = np.argsort([i for lanes, _ in groups for i in lanes])
             np.subtract(0.5 * squares[:, order, 0, 0].T, comparator, out=cumulative[:, 1:])
             np.cumsum(cumulative, axis=1, out=cumulative)
+    # optimizer index -> the step its lane went non-finite
+    diverged = {lanes[lane]: err.step for lanes, s in groups for lane, err in s.diverged.items()}
     series = []
     for i, cum in enumerate(cumulative[:, 1:]):
         if i in diverged:

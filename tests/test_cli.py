@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from flatmin import __version__
 from flatmin.cli import main
 from flatmin.harness import normalize_config
+from flatmin.landscapes import grid_starts
 from flatmin.presets import DATASET_PRESETS, LANDSCAPE_PRESETS, get_landscape
 
 
@@ -168,6 +169,59 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
     assert "regret run diverged" in capsys.readouterr().err
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
+def _deep_well_grid(out_dir, optimizer, width, steps):
+    return {
+        "kind": "grid-flatness",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "landscape": {"wells": [{"center": [0.0, 0.0], "depth": 1e300, "width": width}]},
+        "region": [[-3.0, 3.0], [-3.0, 3.0]],
+        "grid": [5, 5],
+        "total_steps": steps,
+        "optimizers": [optimizer],
+    }
+
+
+@pytest.mark.parametrize("cfg,start,step", [
+    # a width-0.5 well: starts 7, 11, 13 and 17 alone fail at step 1, the rest finish
+    (_deep_well_grid("out", {"name": "sgd", "kind": "sgd", "alpha": 1e10}, 0.5, 20), 7, 1),
+    # start 1 alone fails at step 2; start 2, later in row-major order, at step 1
+    (_deep_well_grid("out", {"name": "sgdm", "kind": "sgdm", "alpha": 1e10}, 1.0, 30), 1, 2),
+], ids=["sgd-first-step", "sgdm-order"])
+def test_diverging_grid_exit_1_names_its_first_failing_start(tmp_path, capsys, cfg, start, step):
+    # a grid fails with the error that a loop of per-start runs reports first
+    lone = []
+    for x, y in grid_starts(cfg["region"], cfg["grid"]).tolist():
+        alone = dict(cfg, output_dir=str(tmp_path / "alone"), region=[[x, x], [y, y]], grid=[1, 1])
+        code = main(["run", str(write_config(tmp_path, alone))])
+        lone.append((code, capsys.readouterr().err))
+    codes = [code for code, _ in lone]
+    assert codes.index(1) == start
+    assert lone[start][1].endswith(f"(at step {step})\n")
+    cfg = dict(cfg, output_dir=str(tmp_path / "out"))
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == lone[start][1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda out: _grid(out, optimizers=[{"name": "adam", "kind": "adam", "alpha": 1e300}]),
+    lambda out: _train(out, model={"layer_sizes": [20, 8, 4], "activation": "relu"},
+                       optimizers=[{"name": "adam", "kind": "adam", "alpha": 1e300}]),
+], ids=["adam-grid", "relu-train"])
+def test_diverging_run_prints_one_error_line_and_no_warning(tmp_path, build):
+    # numpy's RuntimeWarnings go to stderr in a child, where no test filter applies
+    path = write_config(tmp_path, build(tmp_path / "out"))
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run([sys.executable, "-m", "flatmin.cli", "run", str(path)], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), child.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,7 +1,11 @@
 """Tests for config validation, the runner, and output artifacts."""
 
+import dataclasses
+import itertools
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,8 +16,11 @@ from hypothesis import strategies as st
 from flatmin import harness, reporting
 from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import normalize_config, run, run_config
+from flatmin.landscapes import grid_starts
+from flatmin.optim import OptimizerState
 from flatmin.reporting import _BLOCK_ROWS, fmt_value, write_csv
 from flatmin.seeding import derive_seed, splitmix64
+from test_optim import _ref_run_step
 
 
 def trajectory_config(out_dir):
@@ -533,6 +540,207 @@ class TestRuns:
             assert list(report["results"]) == [o["name"] for o in order]
             outputs.append((report["results"][name], _optimizer_csv(out_dir, kind, name)))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# ---------------------------------------------------------------------------
+# Generated configs: every optimizer, and every grid start, runs as if alone
+
+# per kind of config: the alphas an optimizer draws, and the one that may make it diverge
+_ALPHAS = {
+    "trajectory": ([0.01, 0.05], {"sgd": 1e10, "sgdm": 1e10, "adam": 1e300, "miadam": 1e300}),
+    "grid-flatness": ([0.01, 0.05], {"sgd": 1e10, "sgdm": 1e10, "adam": 1e300, "miadam": 1e300}),
+    "regret": ([0.05, 0.1], {"sgd": 1e200, "sgdm": 1e200, "adam": 1e300, "miadam": 1e300}),
+    "train": ([0.01, 0.05], {"sgd": 1e300, "sgdm": 1e300, "adam": 1e300, "miadam": 1e300}),
+}
+
+
+@st.composite
+def _optimizer_blocks(draw, kind, switch_steps, diverge):
+    """2 to 4 optimizers of every kind: MIAdam of orders 1-3 switching never, early
+    or mid-run, with or without an override; Adam options that mostly share a lane group."""
+    normal, huge = _ALPHAS[kind]
+    shared = draw(st.sampled_from([0.0, 0.1])), draw(st.booleans())
+    options = [shared, shared, shared, (0.0, False), (0.1, True)]
+    blocks = []
+    for i in range(draw(st.integers(2, 4))):
+        opt = draw(st.sampled_from(["sgd", "sgdm", "adam", "miadam", "miadam"]))
+        alphas = [huge[opt]] if diverge and draw(st.booleans()) else normal
+        block = {"name": f"opt{i}", "kind": opt, "alpha": draw(st.sampled_from(alphas))}
+        if opt in ("adam", "miadam"):
+            block["weight_decay"], block["eps_in_sqrt"] = draw(st.sampled_from(options))
+        if opt == "miadam":
+            # alpha ** order_n must not overflow a Python float
+            block["order_n"] = 1 if block["alpha"] > 1.0 else draw(st.integers(1, 3))
+            block["kappa"] = draw(st.sampled_from([0.5, 0.9, 0.98]))
+            block["switch_step"] = draw(st.sampled_from(switch_steps))
+            block["pre_switch_lr_override"] = draw(st.sampled_from([None, None, 0.01]))
+        blocks.append(block)
+    return blocks
+
+
+@st.composite
+def _configs(draw, kind):
+    """A small valid config of ``kind``, which may be made to diverge."""
+    diverge = draw(st.booleans())
+    steps = draw(st.integers(6, 14))
+    cfg = {"kind": kind, "seed": draw(st.integers(0, 3)), "output_dir": "unused"}
+    if kind in ("trajectory", "grid-flatness"):
+        if diverge:  # SGDM at alpha 1e10 fails its grid starts at steps 1 and 5 on width 1
+            width = draw(st.sampled_from([0.5, 1.0]))
+            cfg["landscape"] = {"wells": [{"center": [0.0, 0.0], "depth": 1e300, "width": width}]}
+        else:
+            cfg["landscape"] = draw(st.sampled_from(["landscape-A", "landscape-B"]))
+        cfg["total_steps"] = steps
+        cfg["schedule"] = {"kind": draw(st.sampled_from(["constant", "cosine_annealing"]))}
+        if kind == "trajectory":
+            cfg["start"] = draw(st.sampled_from([[1.6, -0.3], [0.5, 0.2], [-3.0, -2.0]]))
+        else:
+            cfg["region"] = [[-3.0, 3.0], [-2.0, 3.0]]
+            cfg["grid"] = [draw(st.integers(1, 2)), draw(st.integers(1, 3))]
+    elif kind == "regret":
+        steps *= 4
+        cfg.update(horizon=steps, lr_decay_h=draw(st.sampled_from([0.0, 0.5, 0.5])),
+                   problem={"dim": draw(st.integers(1, 4))})
+    else:  # two epochs of two batches
+        steps = 4
+        cfg.update(model={"layer_sizes": [20, 4, 2]}, dataset={"classes": 2, "per_class": 8},
+                   epochs=2, batch_size=8)
+    cfg["optimizers"] = draw(_optimizer_blocks(kind, [None, 1, 2, steps // 2], diverge))
+    return cfg
+
+
+def _outcome(cfg, out_dir):
+    """A run's error, or each optimizer's result and CSV bytes; a failed run leaves nothing."""
+    try:
+        report = run_config(cfg, out_dir)
+    except NonFiniteError as err:
+        assert not out_dir.exists()
+        return str(err)
+    kind = cfg["kind"]
+    return {
+        o["name"]: (report["results"][o["name"]], _optimizer_csv(out_dir, kind, o["name"]))
+        for o in cfg["optimizers"]
+    }
+
+
+def _flatness_cells(outcome, name) -> list[bytes]:
+    """The flatness cells of one optimizer's grid column, in row-major order."""
+    return [line.rsplit(b",", 1)[1] for line in outcome[name][1].splitlines()[1:]]
+
+
+def _reference_regret(cfg, block):
+    """``_outcome`` of a regret run of one optimizer, from the verbatim reference steps."""
+    cfg, typed = harness._resolve(dict(cfg, optimizers=[block]))
+    (params,), problem = typed["optimizers"], typed["problem"]
+    if getattr(params, "switch_step", 0) is None:  # the reference knows no null switch
+        params = dataclasses.replace(params, switch_step=10 ** 9)
+    targets = problem.targets(cfg["horizon"])
+    best = targets.mean(axis=0)
+    theta = np.full(problem.dim, problem.theta0)
+    state = OptimizerState.zeros(problem.dim, getattr(params, "order_n", 0))
+    cumulative, rows = 0.0, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, target in enumerate(targets, 1):
+            diff, gap = theta - target, best - target
+            cumulative = cumulative + (0.5 * (diff @ diff) - 0.5 * (gap @ gap))
+            rows.append((t, float(cumulative), float(cumulative / t)))
+            try:
+                theta, state = _ref_run_step(params, theta, diff, state, t ** -cfg["lr_decay_h"])
+            except NonFiniteError:
+                theta = np.array(np.nan)
+            if not np.isfinite(theta).all():
+                return f"regret run diverged to non-finite iterates (at step {t})"
+    overflow = [t for t, c, _ in rows if not np.isfinite(c)]
+    if overflow:
+        return f"cumulative regret overflowed (at step {overflow[0]})"
+    header = ["t", "cumulative_regret", "average_regret"]
+    result = {"final_average_regret": rows[-1][2], "final_cumulative_regret": rows[-1][1]}
+    return {block["name"]: (result, _reference_csv(header, rows).encode())}
+
+
+def _check_as_if_alone(cfg, base):
+    """Each optimizer, and each grid start, gives the bytes and the error of a run alone."""
+    runs = itertools.count()
+
+    def outcome(config):
+        return _outcome(config, base / f"run{next(runs)}")
+
+    opts = cfg["optimizers"]
+    whole = outcome(cfg)
+    reverse = outcome(dict(cfg, optimizers=opts[::-1]))
+    alone = [outcome(dict(cfg, optimizers=[o])) for o in opts]
+    failing = [a for a in alone if isinstance(a, str)]
+    if failing:
+        # the error of the first optimizer in config order that fails alone
+        assert whole == failing[0] and reverse == failing[-1]
+    else:
+        for o, a in zip(opts, alone):
+            assert whole[o["name"]] == reverse[o["name"]] == a[o["name"]]
+    if cfg["kind"] == "regret":  # and alone, the bits of the verbatim steppers
+        assert alone == [_reference_regret(cfg, o) for o in opts]
+    if cfg["kind"] != "grid-flatness":
+        return
+    traj = {k: v for k, v in cfg.items() if k not in ("region", "grid")}
+    for o, a in zip(opts, alone):
+        starts = []  # each start alone: its error, or its flatness cell
+        for x, y in grid_starts(cfg["region"], cfg["grid"]).tolist():
+            cell = outcome(dict(cfg, region=[[x, x], [y, y]], grid=[1, 1], optimizers=[o]))
+            path = outcome(dict(traj, kind="trajectory", start=[x, y], optimizers=[o]))
+            if isinstance(cell, str):
+                assert path == cell
+                starts.append(cell)
+            else:
+                (flatness,) = _flatness_cells(cell, o["name"])
+                # a trajectory from the start ends at the same flatness
+                assert fmt_value(path[o["name"]][0]["flatness"]).encode() == flatness
+                starts.append(flatness)
+        errors = [s for s in starts if isinstance(s, str)]
+        if errors:  # the error of the first start in row-major order that fails alone
+            assert a == errors[0]
+        else:
+            assert _flatness_cells(a, o["name"]) == starts
+
+
+_PINNED_CONFIGS = {
+    # one lane group of four heights, three alphas and three switches, at a decaying rate
+    "regret-group": {
+        "kind": "regret", "seed": 3, "output_dir": "unused", "horizon": 40, "lr_decay_h": 0.5,
+        "problem": {"dim": 3},
+        "optimizers": [
+            {"name": "adam", "kind": "adam", "alpha": 0.1},
+            {"name": "mi2", "kind": "miadam", "alpha": 0.05, "order_n": 2, "switch_step": 20},
+            {"name": "sgd", "kind": "sgd", "alpha": 0.05},
+            {"name": "mi1", "kind": "miadam", "alpha": 0.1, "order_n": 1, "kappa": 0.9,
+             "switch_step": None, "pre_switch_lr_override": 0.01},
+            {"name": "mi3", "kind": "miadam", "alpha": 0.05, "order_n": 3, "kappa": 0.5,
+             "switch_step": 1},
+        ],
+    },
+    # SGDM alone fails starts 0 and 2 at step 5, and starts 1 and 4 at step 1
+    "grid-order": {
+        "kind": "grid-flatness", "seed": 0, "output_dir": "unused",
+        "landscape": {"wells": [{"center": [0.0, 0.0], "depth": 1e300, "width": 1.0}]},
+        "region": [[-3.0, 3.0], [-2.0, 3.0]], "grid": [2, 3], "total_steps": 10,
+        "optimizers": [
+            {"name": "adam", "kind": "adam", "alpha": 0.05},
+            {"name": "sgdm", "kind": "sgdm", "alpha": 1e10},
+            {"name": "sgd", "kind": "sgd", "alpha": 1e10},
+        ],
+    },
+}
+
+
+class TestGeneratedConfigs:
+    @pytest.mark.parametrize("kind", ["trajectory", "grid-flatness", "regret", "train"])
+    @settings(max_examples=12, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_each_optimizer_and_start_runs_as_if_alone(self, tmp_path, kind, data):
+        _check_as_if_alone(data.draw(_configs(kind)), Path(tempfile.mkdtemp(dir=tmp_path)))
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+    def test_pinned_configs_run_as_if_alone(self, tmp_path, name):
+        _check_as_if_alone(_PINNED_CONFIGS[name], tmp_path)
 
 
 def _reference_csv(header, rows) -> str:

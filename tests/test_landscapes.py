@@ -2,13 +2,14 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatmin import landscapes
-from flatmin.errors import ContractViolationError
+from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.landscapes import (
     LandscapeSpec,
     WellSpec,
@@ -387,6 +388,51 @@ class TestFlatness:
         assert flatness_at(sharp, (0.0, 0.0)) > flatness_at(wide, (0.0, 0.0))
 
 
+DEEP_WELL = LandscapeSpec(wells=(WellSpec(center=(0.0, 0.0), depth=1e300, width=1.0),))
+
+
+def mp_flatness(spec, x, y):
+    """|lambda_1| + |lambda_2| of the Hessian at (x, y), in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        hxx = hxy = hyy = mpmath.mpf(0)
+        for w in spec.wells:
+            dx, dy = mpmath.mpf(x) - w.center[0], mpmath.mpf(y) - w.center[1]
+            w2 = mpmath.mpf(w.width) ** 2
+            k = w.depth * mpmath.exp(-(dx * dx + dy * dy) / (2 * w2)) / w2
+            hxx += k * (1 - dx * dx / w2)
+            hxy -= k * dx * dy / w2
+            hyy += k * (1 - dy * dy / w2)
+        return mp_abs_eig_sum(hxx, hxy, hyy)
+
+
+def mp_abs_eig_sum(a, b, d):
+    with mpmath.workdps(50):
+        a, b, d = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(d)
+        half_tr, root = (a + d) / 2, mpmath.sqrt(((a - d) / 2) ** 2 + b * b)
+        return float(abs(half_tr + root) + abs(half_tr - root))
+
+
+class TestDeepWell:
+    # depth 1e300: the squares (a - d)^2 + 4 b^2 overflow, the eigenvalues do not
+
+    @pytest.mark.parametrize("abd", [(1e300, -9e300, 1e300), (-8e296, -9e296, -8e296),
+                                     (1e307, 3e306, -5e306), (3e200, 1e200, 2e200)])
+    def test_abs_eig_sum_matches_mpmath(self, abd):
+        with np.errstate(over="ignore"):
+            got = _abs_eig_sum(*(np.array([x]) for x in abd))[0]
+        assert got == pytest.approx(mp_abs_eig_sum(*abd), rel=1e-14)
+
+    def test_grid_and_trajectory_flatness_match_mpmath(self):
+        region, sgd = ((-3.0, 3.0), (-3.0, 3.0)), SgdParams(alpha=1e-3)
+        (flat,) = grid_flatness_study(DEEP_WELL, region, (3, 3), [sgd], LrSchedule(), 0)
+        want = [mp_flatness(DEEP_WELL, x, y) for x, y in grid_starts(region, (3, 3))]
+        assert flat.tolist() == pytest.approx(want, rel=1e-13)
+        assert flat[0] == pytest.approx(2.22e297, rel=1e-3)
+        rec = simulate_trajectory(DEEP_WELL, (0.5, 0.2), sgd, LrSchedule(), 0)
+        assert rec.flatness == pytest.approx(mp_flatness(DEEP_WELL, 0.5, 0.2), rel=1e-13)
+        assert rec.flatness == pytest.approx(1.48e300, rel=1e-3)
+
+
 class TestClassification:
     def test_at_center(self):
         assert classify_converged_well(TWO_WELLS, (0.0, 0.0)) == 0
@@ -458,6 +504,18 @@ class TestGrid:
         for i, start in enumerate(starts):
             rec = simulate_trajectory(TWO_WELLS, tuple(start), hp, sched, 60)
             assert flat[i] == pytest.approx(rec.flatness, rel=0, abs=0)
+
+    def test_a_diverging_start_fails_the_study_with_its_lone_error(self):
+        # SGDM at alpha 1e10 on the deep well: start 1 alone fails at step 2, and start 2,
+        # later in row-major order, fails sooner, at step 1
+        region, sgdm = ((-3.0, 3.0), (-3.0, 3.0)), SgdmParams(alpha=1e10, beta=0.9)
+        with pytest.raises(NonFiniteError) as lone:
+            simulate_trajectory(DEEP_WELL, tuple(grid_starts(region, (5, 5))[1]), sgdm,
+                                LrSchedule(), 30)
+        with pytest.raises(NonFiniteError) as batch:
+            grid_flatness_study(DEEP_WELL, region, (5, 5), [sgdm], LrSchedule(), 30)
+        assert str(batch.value) == str(lone.value)
+        assert batch.value.step == lone.value.step == 2
 
     def test_multiple_optimizers_independent(self):
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)

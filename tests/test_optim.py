@@ -309,6 +309,7 @@ class TestAdam:
         out_eq, _ = adam_step(theta0, g + 0.1 * theta0, OptimizerState.zeros(1), hp0)
         assert np.array_equal(out_wd, out_eq)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises_non_finite_with_step(self):
         hp = AdamHyperParams(weight_decay=0.0)
         with pytest.raises(NonFiniteError):
@@ -656,86 +657,138 @@ _lane_params = st.fixed_dictionaries({
 
 
 class TestLanes:
-    """A group of Adam-family lanes against one lone stepper per lane, bit for bit."""
+    """A stepper of several lanes against one lone stepper per lane, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
+        kind=st.sampled_from(["group", "sgd", "sgdm"]),
         lanes=st.lists(_lane_params, min_size=2, max_size=4),
+        lane_axis=st.sampled_from([0, 1]),
         weight_decay=st.sampled_from([0.0, 0.1]),
         eps_in_sqrt=st.booleans(),
         dim=st.integers(1, 5),
         mults=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=12),
         negative_zeros=st.booleans(),
-        diverge=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(1, 12))),
+        diverge=st.lists(st.tuples(
+            st.integers(0, 3), st.integers(1, 12), st.sampled_from(["parameter", "gradient"]),
+        ), max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(
+        kind="group",
         lanes=[
             {"order_n": 0, "alpha": 0.05, "kappa": 0.9, "switch_step": None, "override": None},
             {"order_n": 3, "alpha": 0.05, "kappa": 0.98, "switch_step": 4, "override": None},
             {"order_n": 1, "alpha": 0.3, "kappa": 0.5, "switch_step": None, "override": 0.01},
         ],
-        weight_decay=0.1, eps_in_sqrt=False, dim=3, mults=[1.0, 0.5, 0.25, 2.0, 1.0, 0.75],
-        negative_zeros=True, diverge=(2, 5), seed=0,
+        lane_axis=0, weight_decay=0.1, eps_in_sqrt=False, dim=3,
+        mults=[1.0, 0.5, 0.25, 2.0, 1.0, 0.75], negative_zeros=True,
+        diverge=[(2, 5, "gradient"), (1, 5, "parameter")], seed=0,
     )
     def test_each_lane_steps_as_if_alone(
-        self, lanes, weight_decay, eps_in_sqrt, dim, mults, negative_zeros, diverge, seed
+        self, kind, lanes, lane_axis, weight_decay, eps_in_sqrt, dim, mults, negative_zeros,
+        diverge, seed,
     ):
-        params = []
-        for p in lanes:
-            adam = AdamHyperParams(alpha=p["alpha"], weight_decay=weight_decay,
-                                   eps_in_sqrt=eps_in_sqrt)
-            params.append(adam if p["order_n"] == 0 else MIAdamHyperParams(
-                adam=adam, order_n=p["order_n"], kappa=p["kappa"], switch_step=p["switch_step"],
-                pre_switch_lr_override=p["override"],
-            ))
-        (ids, group), = build_lanes(params, dim)
-        assert ids == list(range(len(params)))
-        alone = [build_optimizer(p, dim) for p in params]
+        if kind == "group":
+            params = []
+            for p in lanes:
+                adam = AdamHyperParams(alpha=p["alpha"], weight_decay=weight_decay,
+                                       eps_in_sqrt=eps_in_sqrt)
+                params.append(adam if p["order_n"] == 0 else MIAdamHyperParams(
+                    adam=adam, order_n=p["order_n"], kappa=p["kappa"],
+                    switch_step=p["switch_step"], pre_switch_lr_override=p["override"],
+                ))
+        else:  # every lane takes the one params object
+            params = [_params(kind, alpha=lanes[0]["alpha"])] * len(lanes)
         rng = np.random.Generator(np.random.PCG64(seed))
-        theta = rng.standard_normal((len(params), dim))
+        if lane_axis == 0:
+            stepped = rng.standard_normal((len(params), dim))
+        else:
+            stepped = rng.standard_normal((dim, len(params)))
+        if kind == "group" and lane_axis == 0:
+            (ids, group), = build_lanes(params, dim)
+            assert ids == list(range(len(params)))
+        else:
+            group = build_optimizer(params if kind == "group" else params[0], stepped.shape,
+                                    lane_axis=lane_axis)
+
+        def lane(a, i):
+            return np.moveaxis(a, lane_axis, 0)[i]
+
+        theta = np.moveaxis(stepped, lane_axis, 0)  # a view: row i is lane i
+        alone = [build_optimizer(p, dim) for p in params]
         thetas = [row.copy() for row in theta]
-        # the lane, if any, whose gradient turns infinite at bad_step
-        bad_lane, bad_step = (None, None) if diverge is None else diverge
-        if diverge is not None:
-            bad_lane %= len(params)
+        # each lane whose gradient or parameter turns infinite at a step: lane -> (step, culprit)
+        events = {}
+        for bad_lane, bad_step, culprit in diverge:
+            events.setdefault(bad_lane % len(params), (bad_step, culprit))
         with np.errstate(invalid="ignore", over="ignore"):
             for t, mult in enumerate(mults, 1):
                 grad = rng.standard_normal(theta.shape)
                 if negative_zeros:
                     grad[rng.uniform(size=grad.shape) < 0.3] = -0.0
-                if t == bad_step:
-                    grad[bad_lane, 0] = np.inf
+                for i, (bad_step, culprit) in events.items():
+                    if t == bad_step and culprit == "gradient":
+                        grad[i, 0] = np.inf
+                    elif t == bad_step:
+                        theta[i, 0] = thetas[i][0] = np.inf
+                lone = {}  # lane -> the error its lone stepper raises at this step
                 for i, stepper in enumerate(alone):
-                    if i == bad_lane and t >= bad_step:
-                        if t == bad_step:
-                            with pytest.raises(NonFiniteError, match=rf"\(at step {t}\)$"):
+                    if i in events and t >= events[i][0]:
+                        if t == events[i][0]:
+                            kept = thetas[i].tobytes()
+                            with pytest.raises(NonFiniteError) as raised:
                                 stepper.step(thetas[i], grad[i].copy(), mult)
+                            lone[i] = raised.value
+                            assert thetas[i].tobytes() == kept
                         continue
                     stepper.step(thetas[i], grad[i].copy(), mult)
-                if t == bad_step:
-                    message = rf"lanes \[{bad_lane}\] .*\(at step {t}\)$"
-                    with pytest.raises(NonFiniteError, match=message):
-                        group.step(theta, grad, mult)
-                    # the diverged lane keeps its row, as its lone stepper keeps theta
-                    assert theta[bad_lane].tobytes() == thetas[bad_lane].tobytes()
+                grads = np.ascontiguousarray(np.moveaxis(grad, 0, lane_axis))
+                if lone:
+                    with pytest.raises(NonFiniteError) as got:
+                        group.step(stepped, grads, mult)
+                    # exactly the error of the first lane's lone stepper
+                    assert str(got.value) == str(lone[min(lone)]) and got.value.step == t
+                    for i, error in lone.items():
+                        assert str(group.diverged[i]) == str(error)
+                        # a diverged lane keeps its slice, as its lone stepper keeps theta
+                        assert theta[i].tobytes() == thetas[i].tobytes()
                 else:
-                    group.step(theta, grad, mult)
-        diverged = {} if bad_step is None or bad_step > len(mults) else {bad_lane: bad_step}
-        assert group.diverged == diverged
+                    group.step(stepped, grads, mult)
+        diverged = {i: step for i, (step, _) in events.items() if step <= len(mults)}
+        assert {i: err.step for i, err in group.diverged.items()} == diverged
         assert group.state.step_t == len(mults)
         for i, stepper in enumerate(alone):
             if i in diverged:  # checked at its step, above; from there on its state is inf or nan
                 continue
             assert theta[i].tobytes() == thetas[i].tobytes()
-            levels = [level[i] for level in group.state.mbar_stack]
             state = stepper.state
-            assert group.state.m[i].tobytes() == state.m.tobytes()
-            assert group.state.v[i].tobytes() == state.v.tobytes()
+            assert lane(group.state.m, i).tobytes() == state.m.tobytes()
+            assert lane(group.state.v, i).tobytes() == state.v.tobytes()
+            levels = [lane(level, i) for level in group.state.mbar_stack]
             order = len(state.mbar_stack)
             assert [x.tobytes() for x in levels[:order]] == [x.tobytes() for x in state.mbar_stack]
             # a padded level is never updated
             assert all(x.tobytes() == bytes(x.nbytes) for x in levels[order:])
+
+    @pytest.mark.parametrize("lane_axis", [0, 1])
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_lane_names_its_own_update(self, lane_axis, bad):
+        # an Adam lane and a MIAdam lane of one group; only lane ``bad`` overflows
+        adam = AdamHyperParams(alpha=1.0, weight_decay=0.0)
+        params = [adam, MIAdamHyperParams(adam=adam, order_n=2, kappa=0.9)]
+        theta = np.zeros((2, 1))
+        theta[bad] = -1e308
+        lone = build_optimizer(params[bad], 1)
+        with pytest.raises(NonFiniteError) as want, np.errstate(over="ignore"):
+            lone.step(theta[bad].copy(), np.ones(1), 1e308)
+        stepped = np.moveaxis(theta, 0, lane_axis).copy()
+        group = build_optimizer(params, stepped.shape, lane_axis=lane_axis)
+        with pytest.raises(NonFiniteError) as got, np.errstate(over="ignore"):
+            group.step(stepped, np.ones(stepped.shape), 1e308)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{['Adam', 'MIAdam'][bad]} update produced")
+        assert list(group.diverged) == [bad]
 
     def test_groups_split_on_any_shared_hyperparameter(self):
         base = AdamHyperParams(weight_decay=0.0)
