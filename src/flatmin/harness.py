@@ -1,6 +1,9 @@
 """Config-driven experiment runner.
 
-Configs are strict JSON: unknown keys are rejected with a field path.  One
+Configs are strict JSON, read a block at a time by ``_Block``.  A block's
+parser reads each field with ``take``, which parses it with its path, and
+``done`` refuses every field that no ``take`` read.  So a block accepts
+exactly the fields its parser reads, and no other list names them.  One
 function, ``_resolve``, turns a config into its resolved form (every default
 filled in) and its typed run (the optimizer params, schedule, landscape,
 model, scenario and problem it describes), building each typed object once.
@@ -55,42 +58,62 @@ TESTED_MAX_ORDER = 3
 
 
 # ---------------------------------------------------------------------------
-# Strict config validation
+# Strict config reading
+
+# ``_Block.take`` defaults: a field that must be given, and one that reads None if omitted
+_REQUIRED, _OPTIONAL = object(), object()
 
 
-def _check_keys(block: dict, allowed: set[str], required: set[str], path: str) -> None:
-    if not isinstance(block, dict):
-        raise ContractViolationError(f"{path}: expected an object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ContractViolationError(f"{path}: unknown field(s) {sorted(unknown)}")
-    missing = required - set(block)
-    if missing:
-        names = ", ".join(f"{path}.{name}" for name in sorted(missing))
-        raise ContractViolationError(f"{names}: missing required field(s)")
+class _Block:
+    """A config object, read one field at a time: ``done`` refuses each field no ``take`` read."""
+
+    def __init__(self, raw, path: str):
+        if not isinstance(raw, dict):
+            raise ContractViolationError(f"{path}: expected an object")
+        self.raw, self.path, self.read = raw, path, set()
+
+    def take(self, key: str, parser, default=_REQUIRED, *args, **kwargs):
+        """``parser(value, path, *args, **kwargs)`` of the field, or of ``default`` if omitted."""
+        self.read.add(key)
+        value = self.raw.get(key, default)
+        if value is _REQUIRED:
+            raise ContractViolationError(f"{self.path}.{key}: missing required field(s)")
+        if value is _OPTIONAL:
+            return None
+        return parser(value, f"{self.path}.{key}", *args, **kwargs)
+
+    def done(self) -> None:
+        unknown = set(self.raw) - self.read
+        if unknown:
+            raise ContractViolationError(f"{self.path}: unknown field(s) {sorted(unknown)}")
 
 
-# each optimizer kind's typed params, whose fields are its config fields;
-# miadam adds its own fields to Adam's
+# each optimizer kind's typed params, whose fields it reads; miadam then reads its own
 _OPT_PARAMS = {
     "sgd": SgdParams, "sgdm": SgdmParams, "adam": AdamHyperParams, "miadam": AdamHyperParams,
 }
-_MIADAM_FIELDS = {"order_n", "kappa", "switch_step", "switch_epochs", "pre_switch_lr_override"}
-_OPT_FIELDS = {
-    kind: {"name", "kind", *(f.name for f in fields(cls))} for kind, cls in _OPT_PARAMS.items()
-}
-_OPT_FIELDS["miadam"] |= _MIADAM_FIELDS
-
-
 # optimizer names become parts of output file names
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
-def _int(value, path: str, minimum: int | None = None) -> int:
-    """A JSON integer (an integral float counts), at least ``minimum`` if given.
+def _same(value, path: str):
+    """The value itself, for a field that its reader or typed class checks."""
+    return value
 
-    Bools and strings are rejected.
-    """
+
+def _or_null(parse):
+    """``parse``, with a JSON null read as None."""
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ContractViolationError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def _int(value, path: str, minimum: int | None = None) -> int:
+    """A JSON integer, at least ``minimum`` if given; an integral float counts, a bool does not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -156,83 +179,67 @@ def _build(path: str, make, *args, **kwargs):
         raise ContractViolationError(f"{path}: {err}") from None
 
 
-def _optimizer(block: dict, path: str, trains: bool, spe: int):
+def _optimizer(block, path: str, trains: bool, spe: int):
     """A resolved optimizer block and its typed params; ``spe`` is steps per epoch."""
-    _check_keys(block, set().union(*_OPT_FIELDS.values()), {"name", "kind"}, path)
-    kind = block["kind"]
-    if not isinstance(kind, str) or kind not in _OPT_FIELDS:
+    b = _Block(block, path)
+    kind = b.take("kind", _same)
+    if not isinstance(kind, str) or kind not in _OPT_PARAMS:
         raise ContractViolationError(f"{path}.kind: unknown optimizer kind {kind!r}")
-    _check_keys(block, _OPT_FIELDS[kind], {"name", "kind"}, path)
-    name = block["name"]
+    name = b.take("name", _same)
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ContractViolationError(
             f"{path}.name: expected a name matching {_NAME_RE.pattern}, got {name!r}"
         )
-
     out = {"name": name, "kind": kind}
     cls = _OPT_PARAMS[kind]
-    for f in fields(cls):
-        # an omitted field takes the default of the typed params class
-        value = block.get(f.name, f.default)
-        if not isinstance(f.default, bool):
-            value = _float(value, f"{path}.{f.name}")
-        elif not isinstance(value, bool):
-            raise ContractViolationError(f"{path}.{f.name}: expected true or false, got {value!r}")
-        out[f.name] = value
+    for f in fields(cls):  # an omitted field takes the default of the typed params class
+        out[f.name] = b.take(f.name, _bool if isinstance(f.default, bool) else _float, f.default)
     # the typed params check the values' ranges
     params = _build(path, cls, **{f.name: out[f.name] for f in fields(cls)})
-    if kind != "miadam":
-        return out, params
-    mi = MIAdamHyperParams
-    out["order_n"] = _int(block.get("order_n", mi.order_n), f"{path}.order_n")
-    out["kappa"] = _float(block.get("kappa", mi.kappa), f"{path}.kappa")
-    if "switch_epochs" in block:
-        if not trains:
+    if kind == "miadam":
+        mi = MIAdamHyperParams
+        out["order_n"] = b.take("order_n", _int, mi.order_n)
+        out["kappa"] = b.take("kappa", _float, mi.kappa)
+        switch = b.take("switch_epochs", _int, _OPTIONAL, 1)
+        if switch is not None and not trains:
             raise ContractViolationError(f"{path}.switch_epochs: only valid for training runs")
-        out["switch_epochs"] = _int(block["switch_epochs"], f"{path}.switch_epochs", 1)
-        switch = out["switch_epochs"] * spe
-    else:
-        switch = block.get("switch_step", mi.switch_step)
-        if switch is not None:
-            switch = _int(switch, f"{path}.switch_step")
-        out["switch_step"] = switch
-    override = block.get("pre_switch_lr_override")
-    if override is not None:
-        override = _float(override, f"{path}.pre_switch_lr_override")
-        out["pre_switch_lr_override"] = override
-    return out, _build(
-        path, mi, adam=params, order_n=out["order_n"], kappa=out["kappa"], switch_step=switch,
-        pre_switch_lr_override=override,
-    )
+        if switch is None:
+            out["switch_step"] = switch = b.take("switch_step", _or_null(_int), mi.switch_step)
+        else:
+            out["switch_epochs"], switch = switch, switch * spe
+        override = b.take("pre_switch_lr_override", _or_null(_float), mi.pre_switch_lr_override)
+        if override is not None:
+            out["pre_switch_lr_override"] = override
+        params = _build(path, mi, params, out["order_n"], out["kappa"], switch, override)
+    b.done()
+    return out, params
 
 
-def _schedule(block: dict | None, path: str, steps: int, spe: int):
+def _schedule(block, path: str, steps: int, spe: int):
     """A resolved schedule block and its LrSchedule, for a run of ``steps`` steps.
 
-    A cosine ``total`` that is omitted or null spans the whole run.
+    An omitted or null schedule is constant.  A cosine ``total`` that is
+    omitted or null spans the whole run.
     """
-    block = {"kind": "constant"} if block is None else block
-    _check_keys(block, {"kind", "total", "eta_min", "milestones", "gamma", "unit"}, {"kind"}, path)
-    out = {"kind": block["kind"], "unit": block.get("unit", "steps")}
+    b = _Block({"kind": LrSchedule.kind} if block is None else block, path)
+    kind = b.take("kind", _same)
+    out = {"kind": kind, "unit": b.take("unit", _same, "steps")}
     if out["unit"] not in ("steps", "epochs"):
         raise ContractViolationError(f"{path}.unit: must be 'steps' or 'epochs'")
     scale = spe if out["unit"] == "epochs" else 1
     kwargs = {}  # the LrSchedule fields beyond its kind; an omitted one takes the class default
-    if block["kind"] == "cosine_annealing":
-        total = block.get("total")
-        out["total"] = None if total is None else _int(total, f"{path}.total")
-        eta_min = block.get("eta_min", LrSchedule.eta_min)
-        out["eta_min"] = kwargs["eta_min"] = _float(eta_min, f"{path}.eta_min")
-        kwargs["total_steps"] = steps if total is None else out["total"] * scale
-    elif block["kind"] == "milestones":
-        milestones = block.get("milestones", list(LrSchedule.milestones))
-        out["milestones"] = _ints(milestones, f"{path}.milestones")
-        gamma = block.get("gamma", LrSchedule.gamma)
-        out["gamma"] = kwargs["gamma"] = _float(gamma, f"{path}.gamma")
+    if kind == "cosine_annealing":
+        out["total"] = b.take("total", _or_null(_int), None)
+        out["eta_min"] = kwargs["eta_min"] = b.take("eta_min", _float, LrSchedule.eta_min)
+        kwargs["total_steps"] = steps if out["total"] is None else out["total"] * scale
+    elif kind == "milestones":
+        out["milestones"] = b.take("milestones", _ints, list(LrSchedule.milestones))
+        out["gamma"] = kwargs["gamma"] = b.take("gamma", _float, LrSchedule.gamma)
         kwargs["milestones"] = tuple(m * scale for m in out["milestones"])
-    elif block["kind"] != "constant":
-        raise ContractViolationError(f"{path}.kind: unknown schedule kind {block['kind']!r}")
-    sched = _build(path, LrSchedule, kind=block["kind"], **kwargs)
+    elif kind != "constant":
+        raise ContractViolationError(f"{path}.kind: unknown schedule kind {kind!r}")
+    b.done()
+    sched = _build(path, LrSchedule, kind=kind, **kwargs)
     if steps:  # a run evaluates the multiplier at completed steps 0 .. steps - 1
         _build(path, schedule_multiplier, sched, steps - 1)
     return out, sched
@@ -242,20 +249,20 @@ def _landscape(block, path: str):
     """A resolved landscape (a preset name or an object) and its LandscapeSpec."""
     if isinstance(block, str):
         return block, _build(path, get_landscape, block)
-    allowed = {"wells", "base_level"}
-    _check_keys(block, allowed, {"wells"}, path)
+    b = _Block(block, path)
     wells, specs = [], []
-    for i, w in enumerate(_list(block["wells"], f"{path}.wells", min_length=1)):
-        wpath = f"{path}.wells[{i}]"
-        _check_keys(w, {"center", "depth", "width"}, {"center", "depth", "width"}, wpath)
+    for i, raw in enumerate(b.take("wells", _list, _REQUIRED, min_length=1)):
+        w = _Block(raw, f"{path}.wells[{i}]")
         well = {
-            "center": _floats(w["center"], f"{wpath}.center", 2),
-            "depth": _float(w["depth"], f"{wpath}.depth"),
-            "width": _float(w["width"], f"{wpath}.width"),
+            "center": w.take("center", _floats, _REQUIRED, 2),
+            "depth": w.take("depth", _float),
+            "width": w.take("width", _float),
         }
-        specs.append(_build(wpath, WellSpec, tuple(well["center"]), well["depth"], well["width"]))
+        w.done()
+        specs.append(_build(w.path, WellSpec, tuple(well["center"]), well["depth"], well["width"]))
         wells.append(well)
-    base_level = _float(block.get("base_level", LandscapeSpec.base_level), f"{path}.base_level")
+    base_level = b.take("base_level", _float, LandscapeSpec.base_level)
+    b.done()
     spec = LandscapeSpec(wells=tuple(specs), base_level=base_level)
     return {"wells": wells, "base_level": base_level}, spec
 
@@ -273,17 +280,19 @@ def _dataset(block, path: str, root_seed: int):
         if block not in DATASET_PRESETS:
             raise ContractViolationError(f"{path}: unknown dataset preset {block!r}")
         name, block = block, DATASET_PRESETS[block]
-    allowed = {"classes", "per_class", "spread", "seed", "n_features", "noise_rate"}
-    _check_keys(block, allowed, set(), path)
+    b = _Block(block, path)
     preset = DATASET_PRESETS["blobs-4c"]  # an omitted field takes this preset's value
     out = {
-        "classes": _int(block.get("classes", preset["classes"]), f"{path}.classes", 2),
-        "per_class": _int(block.get("per_class", preset["per_class"]), f"{path}.per_class", 1),
-        "spread": _float(block.get("spread", preset["spread"]), f"{path}.spread"),
+        "classes": b.take("classes", _int, preset["classes"], 2),
+        "per_class": b.take("per_class", _int, preset["per_class"], 1),
+        "spread": b.take("spread", _float, preset["spread"]),
         # the class centres sit in features 0 and 1
-        "n_features": _int(block.get("n_features", preset["n_features"]), f"{path}.n_features", 2),
-        "noise_rate": _float(block.get("noise_rate", 0.0), f"{path}.noise_rate"),
+        "n_features": b.take("n_features", _int, preset["n_features"], 2),
+        "noise_rate": b.take("noise_rate", _float, 0.0),
     }
+    if (seed := b.take("seed", _int, _OPTIONAL, 0)) is not None:
+        out["seed"] = seed
+    b.done()
     if out["spread"] <= 0:
         raise ContractViolationError(f"{path}.spread: must be > 0, got {out['spread']!r}")
     if not 0 <= out["noise_rate"] < 1:
@@ -293,21 +302,20 @@ def _dataset(block, path: str, root_seed: int):
     n = out["classes"] * out["per_class"]
     if train_size(n) == n:
         raise ContractViolationError(f"{path}: {n} examples leave the 80/20 split no test example")
-    if "seed" in block:
-        out["seed"] = _int(block["seed"], f"{path}.seed", 0)
     blobs = {key: out[key] for key in ("classes", "per_class", "spread", "n_features")}
     blobs["seed"] = out.get("seed", derive_seed(root_seed, "dataset"))
     noise = {"noise_rate": out["noise_rate"], "noise_seed": derive_seed(root_seed, "label-noise")}
     return out if name is None else name, {"blobs": blobs, **noise}
 
 
-def _model(block: dict, path: str, init_seed: int):
+def _model(block, path: str, init_seed: int):
     """A resolved model block and its MlpSpec."""
-    _check_keys(block, {"layer_sizes", "activation"}, {"layer_sizes"}, path)
+    b = _Block(block, path)
     out = {
-        "layer_sizes": _ints(block["layer_sizes"], f"{path}.layer_sizes", min_length=2, minimum=1),
-        "activation": block.get("activation", MlpSpec.activation),
+        "layer_sizes": b.take("layer_sizes", _ints, _REQUIRED, min_length=2, minimum=1),
+        "activation": b.take("activation", _same, MlpSpec.activation),
     }
+    b.done()
     sizes = tuple(out["layer_sizes"])
     return out, _build(path, MlpSpec, sizes, activation=out["activation"], init_seed=init_seed)
 
@@ -322,7 +330,7 @@ def _check_model_fits(model: dict, blobs: dict) -> None:
         )
 
 
-# the escape scenario's fields and their parsers; only t_tilde may be left out
+# the escape scenario's fields and parsers; one that EscapeScenario gives no default is required
 _SCENARIO_FIELDS = {
     "alpha": _float, "beta1": _float, "batch_size_b": _int, "delta_L": _float,
     "h_a_eigs": _floats, "h_u_eigs": _floats, "escape_index": _int, "rho": _float,
@@ -330,8 +338,6 @@ _SCENARIO_FIELDS = {
 }
 
 
-# the kind fields a config may leave out; every other one is required
-_KIND_OPTIONAL = {"schedule", "problem", "lr_decay_h", "hessian"}
 # the fixed columns of a grid run's flatness.csv; each optimizer adds one more
 _GRID_COLUMNS = ("row", "col", "theta1_0", "theta2_0")
 
@@ -345,52 +351,50 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
     "problem") and, for a training run, holds its "steps_per_epoch" and the
     "dataset" recipe, whose seeds are derived here.
     """
-    base = {"kind", "seed", "output_dir"}
     if not isinstance(raw, dict):
         raise ContractViolationError("config root: expected an object")
-    kind = raw.get("kind")
+    root = _Block(raw, "config")
+    kind = root.take("kind", _same, None)
     if kind not in KINDS:
         raise ContractViolationError(f"config.kind: expected one of {KINDS}, got {kind!r}")
-    kind_fields = _KINDS[kind][0]
-    _check_keys(raw, base | kind_fields, base | (kind_fields - _KIND_OPTIONAL), "config")
-    if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
+    output_dir = root.take("output_dir", _same)
+    if not isinstance(output_dir, str) or not output_dir:
         raise ContractViolationError(
-            f"config.output_dir: expected a non-empty string, got {raw['output_dir']!r}"
+            f"config.output_dir: expected a non-empty string, got {output_dir!r}"
         )
-
-    seed = _int(raw["seed"], "config.seed")
-    out = {"kind": kind, "seed": seed, "output_dir": raw["output_dir"]}
+    seed = root.take("seed", _int)
+    out = {"kind": kind, "seed": seed, "output_dir": output_dir}
     typed = {}
     trains = kind in ("train", "hessian-report")
     if kind in ("trajectory", "grid-flatness"):
-        out["landscape"], typed["landscape"] = _landscape(raw["landscape"], "config.landscape")
-        out["total_steps"] = _int(raw["total_steps"], "config.total_steps", minimum=0)
+        out["landscape"], typed["landscape"] = root.take("landscape", _landscape)
+        out["total_steps"] = root.take("total_steps", _int, _REQUIRED, minimum=0)
     if kind == "trajectory":
-        out["start"] = _floats(raw["start"], "config.start", 2)
+        out["start"] = root.take("start", _floats, _REQUIRED, 2)
     if kind == "grid-flatness":
-        region = _list(raw["region"], "config.region", 2)
+        region = root.take("region", _list, _REQUIRED, 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
-        out["grid"] = _ints(raw["grid"], "config.grid", 2, minimum=1)
+        out["grid"] = root.take("grid", _ints, _REQUIRED, 2, minimum=1)
         # the descent's (W, B) planes and (2, B) points for B = rows * cols starts
         planes = ("config.landscape", max(2, len(typed["landscape"].wells)))
         _check_size(planes, *zip(("config.grid[0]", "config.grid[1]"), out["grid"]))
     spe = 1
     if trains:
         init_seed = derive_seed(seed, "model-init")
-        out["model"], typed["model"] = _model(raw["model"], "config.model", init_seed)
-        out["dataset"], typed["dataset"] = _dataset(raw["dataset"], "config.dataset", seed)
+        out["model"], typed["model"] = root.take("model", _model, _REQUIRED, init_seed)
+        out["dataset"], typed["dataset"] = root.take("dataset", _dataset, _REQUIRED, seed)
         blobs = typed["dataset"]["blobs"]
         _check_model_fits(out["model"], blobs)
-        out["epochs"] = _int(raw["epochs"], "config.epochs", minimum=1)
-        out["batch_size"] = _int(raw["batch_size"], "config.batch_size", minimum=1)
+        out["epochs"] = root.take("epochs", _int, _REQUIRED, minimum=1)
+        out["batch_size"] = root.take("batch_size", _int, _REQUIRED, minimum=1)
         # the flat parameters, then the inputs and each layer's activations
         _check_size(("config.model.layer_sizes", typed["model"].num_params))
         examples = [(f"config.dataset.{key}", blobs[key]) for key in ("classes", "per_class")]
         _check_size(*examples, ("config.model.layer_sizes", max(out["model"]["layer_sizes"])))
         n_train = train_size(blobs["classes"] * blobs["per_class"])
         typed["steps_per_epoch"] = spe = steps_per_epoch(n_train, out["batch_size"])
-    if "optimizers" in kind_fields:
-        blocks = raw["optimizers"]
+    if kind != "escape-theory":
+        blocks = root.take("optimizers", _same)
         if not isinstance(blocks, list) or not blocks:
             raise ContractViolationError("config.optimizers: expected a non-empty list")
         resolved = [
@@ -406,47 +410,48 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
                 raise ContractViolationError(
                     f"config.optimizers[{i}].name: {name!r} is a fixed column of flatness.csv"
                 )
-    if "schedule" in kind_fields:
+    if kind not in ("escape-theory", "regret"):
         steps = out["epochs"] * spe if trains else out["total_steps"]
-        out["schedule"], typed["schedule"] = _schedule(
-            raw.get("schedule"), "config.schedule", steps, spe
-        )
+        out["schedule"], typed["schedule"] = root.take("schedule", _schedule, None, steps, spe)
     if kind == "escape-theory":
-        sp = "config.scenario"
-        _check_keys(raw["scenario"], set(_SCENARIO_FIELDS), set(_SCENARIO_FIELDS) - {"t_tilde"}, sp)
-        s = {"t_tilde": EscapeScenario.t_tilde, **raw["scenario"]}
-        out["scenario"] = {k: parse(s[k], f"{sp}.{k}") for k, parse in _SCENARIO_FIELDS.items()}
+        s = root.take("scenario", _Block)
+        out["scenario"] = {
+            k: s.take(k, parse, getattr(EscapeScenario, k, _REQUIRED))
+            for k, parse in _SCENARIO_FIELDS.items()
+        }
+        s.done()
         spec = {k: tuple(v) if isinstance(v, list) else v for k, v in out["scenario"].items()}
-        typed["scenario"] = _build(sp, EscapeScenario, **spec)
+        typed["scenario"] = _build(s.path, EscapeScenario, **spec)
     if kind == "regret":
-        p = raw.get("problem", {})
-        _check_keys(p, {"dim", "target_low", "target_high", "theta0"}, set(), "config.problem")
+        p = root.take("problem", _Block, {})
         problem = DriftingQuadraticProblem  # an omitted field takes the class default
-        out["problem"] = {"dim": _int(p.get("dim", problem.dim), "config.problem.dim", 1)}
+        out["problem"] = {"dim": p.take("dim", _int, problem.dim, 1)}
         for key in ("target_low", "target_high", "theta0"):
-            out["problem"][key] = _float(p.get(key, getattr(problem, key)), f"config.problem.{key}")
+            out["problem"][key] = p.take(key, _float, getattr(problem, key))
+        p.done()
         typed["problem"] = _build(
-            "config.problem", problem, **out["problem"], seed=derive_seed(seed, "regret-problem")
+            p.path, problem, **out["problem"], seed=derive_seed(seed, "regret-problem")
         )
-        out["horizon"] = _int(raw["horizon"], "config.horizon", minimum=1)
+        out["horizon"] = root.take("horizon", _int, _REQUIRED, 1)
         # the (horizon, dim) targets
         dims = ("config.problem.dim", out["problem"]["dim"]), ("config.horizon", out["horizon"])
         _check_size(*dims)
-        out["lr_decay_h"] = _float(raw.get("lr_decay_h", 0.5), "config.lr_decay_h")
+        out["lr_decay_h"] = root.take("lr_decay_h", _float, 0.5)
         if out["lr_decay_h"] < 0:
             raise ContractViolationError(
                 f"config.lr_decay_h: must be >= 0, got {out['lr_decay_h']!r}"
             )
     if kind == "hessian-report":
-        h = raw.get("hessian", {})
-        _check_keys(h, {"max_iters", "tol", "probes"}, set(), "config.hessian")
+        h = root.take("hessian", _Block, {})
         out["hessian"] = {
-            "max_iters": _int(h.get("max_iters", 200), "config.hessian.max_iters", 1),
-            "tol": _float(h.get("tol", 1e-6), "config.hessian.tol"),
-            "probes": _int(h.get("probes", 200), "config.hessian.probes", 1),
+            "max_iters": h.take("max_iters", _int, 200, 1),
+            "tol": h.take("tol", _float, 1e-6),
+            "probes": h.take("probes", _int, 200, 1),
         }
+        h.done()
         # the trace estimate of each probe
         _check_size(("config.hessian.probes", out["hessian"]["probes"]))
+    root.done()
     return out, typed
 
 
@@ -589,19 +594,11 @@ def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     return results
 
 
-_TRAIN_FIELDS = {"model", "dataset", "epochs", "batch_size", "optimizers", "schedule"}
-# each kind's fields and its runner; a runner computes its results and adds
-# each CSV to ``csvs``, and none writes a file
+# each kind's runner: it computes its results and adds each CSV to ``csvs``; none writes a file
 _KINDS = {
-    "trajectory": ({"landscape", "start", "total_steps", "optimizers", "schedule"}, _run_trajectory),
-    "grid-flatness": (
-        {"landscape", "region", "grid", "total_steps", "optimizers", "schedule"},
-        _run_grid_flatness,
-    ),
-    "train": (_TRAIN_FIELDS, _run_train),
-    "escape-theory": ({"scenario"}, lambda cfg, typed, csvs: escape_report(typed["scenario"])),
-    "regret": ({"problem", "horizon", "lr_decay_h", "optimizers"}, _run_regret),
-    "hessian-report": (_TRAIN_FIELDS | {"hessian"}, _run_train),
+    "trajectory": _run_trajectory, "grid-flatness": _run_grid_flatness, "train": _run_train,
+    "escape-theory": lambda cfg, typed, csvs: escape_report(typed["scenario"]),
+    "regret": _run_regret, "hessian-report": _run_train,
 }
 # a tuple, so that a membership test on an unhashable kind returns False
 KINDS = tuple(_KINDS)
@@ -623,7 +620,7 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         start_time = time.perf_counter()
         csvs = {}  # file name -> (header, rows)
-        results = _KINDS[cfg["kind"]][1](cfg, typed, csvs)
+        results = _KINDS[cfg["kind"]](cfg, typed, csvs)
         report = {
             "artifact_version": __version__,
             "kind": cfg["kind"],

@@ -91,7 +91,10 @@ class MIAdamHyperParams:
     def pre_switch_alpha(self) -> float:
         if self.pre_switch_lr_override is not None:
             return self.pre_switch_lr_override
-        return self.adam.alpha ** self.order_n
+        try:
+            return self.adam.alpha ** self.order_n
+        except OverflowError:  # beyond the float range: the first step diverges
+            return math.inf
 
 
 @dataclass

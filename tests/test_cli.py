@@ -506,6 +506,15 @@ def _regret(out_dir):
         (_long_hessian, "hessian", {"probes": 2 ** 64}, "config.hessian.probes"),
         (_train, "dataset", {"classes": 4, "per_class": 2 ** 64}, "config.dataset.per_class"),
         (_train, "model", {"layer_sizes": [20, 2 ** 64, 4]}, "config.model.layer_sizes"),
+        # a field that its block's kind does not read
+        (_trajectory, "schedule", {"kind": "constant", "gamma": 0.5}, "config.schedule"),
+        (_trajectory, "schedule", {"kind": "constant", "total": 5}, "config.schedule"),
+        (_trajectory, "schedule", {"kind": "cosine_annealing", "milestones": [1]},
+         "config.schedule"),
+        (_trajectory, "schedule", {"kind": "milestones", "eta_min": 0.1}, "config.schedule"),
+        (_train, "optimizers",
+         [{"name": "mi", "kind": "miadam", "switch_epochs": 1, "switch_step": 3}],
+         "config.optimizers[0]"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -605,6 +614,19 @@ def test_one_probe_hessian_report_is_strict_json(tmp_path):
     result = report["results"]["adam"]
     assert result["trace_stderr"] is None
     assert math.isfinite(result["trace_estimate"]) and result["trace_probes"] == 1
+
+
+@pytest.mark.parametrize("build,message", [
+    (_regret, "regret run diverged to non-finite iterates (at step 1)"),
+    (_trajectory, "MIAdam update produced non-finite parameters (at step 1)"),
+], ids=["regret", "trajectory"])
+def test_overflowing_pre_switch_rate_exit_1(tmp_path, capsys, build, message):
+    # alpha ** order_n is beyond the float range, so the first step diverges
+    mi = {"name": "mi", "kind": "miadam", "alpha": 1e300, "order_n": 2}
+    cfg = dict(build(tmp_path / "out"), optimizers=[mi])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):

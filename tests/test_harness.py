@@ -569,8 +569,7 @@ def _optimizer_blocks(draw, kind, switch_steps, diverge):
         if opt in ("adam", "miadam"):
             block["weight_decay"], block["eps_in_sqrt"] = draw(st.sampled_from(options))
         if opt == "miadam":
-            # alpha ** order_n must not overflow a Python float
-            block["order_n"] = 1 if block["alpha"] > 1.0 else draw(st.integers(1, 3))
+            block["order_n"] = draw(st.integers(1, 3))
             block["kappa"] = draw(st.sampled_from([0.5, 0.9, 0.98]))
             block["switch_step"] = draw(st.sampled_from(switch_steps))
             block["pre_switch_lr_override"] = draw(st.sampled_from([None, None, 0.01]))
