@@ -488,10 +488,9 @@ def _run_trajectory(cfg: dict, typed: dict, csvs: dict) -> dict:
         rec = simulate_trajectory(
             typed["landscape"], cfg["start"], params, typed["schedule"], cfg["total_steps"]
         )
-        csvs[f"trajectory_{name}.csv"] = (
-            ["t", "theta1", "theta2", "loss"],
-            ((t, th[0], th[1], loss) for t, th, loss in rec.steps),
-        )
+        x, y = rec.path.T
+        t = np.arange(1, len(rec.loss) + 1)
+        csvs[f"trajectory_{name}.csv"] = {"t": t, "theta1": x, "theta2": y, "loss": rec.loss}
         results[name] = {
             "final_theta": list(rec.final_theta),
             "converged_well": rec.converged_well,
@@ -506,12 +505,9 @@ def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
     flats = grid_flatness_study(
         typed["landscape"], region, grid, typed["optimizers"], typed["schedule"], cfg["total_steps"]
     )
-    cols = grid[1]
-    table = [
-        [i // cols, i % cols, x, y] + [float(f[i]) for f in flats]
-        for i, (x, y) in enumerate(grid_starts(region, grid))
-    ]
-    csvs["flatness.csv"] = ([*_GRID_COLUMNS, *names], table)
+    starts = grid_starts(region, grid)
+    fixed = (*np.divmod(np.arange(len(starts)), grid[1]), *starts.T)
+    csvs["flatness.csv"] = dict(zip((*_GRID_COLUMNS, *names), (*fixed, *flats)))
     return {
         name: {"mean_flatness": float(np.mean(f)), "median_flatness": float(np.median(f))}
         for name, f in zip(names, flats)
@@ -529,7 +525,7 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
             typed["model"], ds, params, typed["schedule"], cfg["epochs"], cfg["batch_size"],
             shuffle_seed,
         )
-        csvs[f"metrics_{name}.csv"] = (list(metrics[0]), [list(m.values()) for m in metrics])
+        csvs[f"metrics_{name}.csv"] = {k: np.array([m[k] for m in metrics]) for k in metrics[0]}
         results[name] = {"final": metrics[-1], "steps_per_epoch": typed["steps_per_epoch"]}
         if cfg["kind"] != "hessian-report":
             continue
@@ -570,12 +566,6 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
     return results
 
 
-def _regret_rows(series):
-    # a generator, so the rows' Python lists are built only as the CSV is written
-    ts = range(1, len(series.cumulative_regret) + 1)
-    yield from zip(ts, series.cumulative_regret.tolist(), series.average_regret.tolist())
-
-
 def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     results = {}
     all_series = run_regret_experiment(
@@ -583,18 +573,17 @@ def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     )
     for block, series in zip(cfg["optimizers"], all_series):
         name = block["name"]
-        csvs[f"regret_{name}.csv"] = (
-            ["t", "cumulative_regret", "average_regret"],
-            _regret_rows(series),
-        )
+        cum, avg = series.cumulative_regret, series.average_regret
+        t = np.arange(1, len(avg) + 1)
+        csvs[f"regret_{name}.csv"] = {"t": t, "cumulative_regret": cum, "average_regret": avg}
         results[name] = {
-            "final_average_regret": float(series.average_regret[-1]),
-            "final_cumulative_regret": float(series.cumulative_regret[-1]),
+            "final_average_regret": float(avg[-1]),
+            "final_cumulative_regret": float(cum[-1]),
         }
     return results
 
 
-# each kind's runner: it computes its results and adds each CSV to ``csvs``; none writes a file
+# each kind's runner: it computes its results and adds each CSV's columns to ``csvs``
 _KINDS = {
     "trajectory": _run_trajectory, "grid-flatness": _run_grid_flatness, "train": _run_train,
     "escape-theory": lambda cfg, typed, csvs: escape_report(typed["scenario"]),
@@ -619,7 +608,7 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         start_time = time.perf_counter()
-        csvs = {}  # file name -> (header, rows)
+        csvs = {}  # file name -> {column name: 1-D array}
         results = _KINDS[cfg["kind"]](cfg, typed, csvs)
         report = {
             "artifact_version": __version__,
@@ -629,9 +618,9 @@ def run_config(cfg: dict, output_dir: str | Path | None = None) -> dict:
             "warnings": _optimizer_warnings(cfg.get("optimizers", [])),
             "duration_s": time.perf_counter() - start_time,
         }
-        for name, (header, rows) in csvs.items():
+        for name, columns in csvs.items():
             written.append(out_dir / name)
-            write_csv(written[-1], header, rows)
+            write_csv(written[-1], columns)
         written.append(out_dir / "report.json")
         write_report(written[-1], report)
         return report

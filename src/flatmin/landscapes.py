@@ -59,9 +59,10 @@ class LandscapeSpec:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-step samples of one optimizer run plus final-point diagnostics."""
+    """One optimizer run: after each step t = 1..T, its point and the loss it started from."""
 
-    steps: list[tuple[int, Point, float]]
+    path: np.ndarray  # (T, 2)
+    loss: np.ndarray  # (T,)
     final_theta: Point
     converged_well: int | None
     flatness: float
@@ -143,12 +144,14 @@ def _abs_eig_sum(a, b, d):
 
     ``np.float_power`` squares through libm ``pow``, as the scalar formula
     did; the ``**2`` / ``x*x`` fast path rounds some inputs differently.
-    Where the squares overflow (deep wells), ``np.hypot`` takes the root.
+    Where the squares overflow (deep wells), ``np.hypot`` takes the root, and
+    where ``tr +- disc`` does, the sum is its closed form ``max(|tr|, disc)``.
     """
     tr = a + d
     disc = np.sqrt(np.float_power(a - d, 2) + 4.0 * b * b)
     disc = np.where(np.isinf(disc), np.hypot(a - d, 2.0 * b), disc)
-    return np.abs(0.5 * (tr + disc)) + np.abs(0.5 * (tr - disc))
+    total = np.abs(0.5 * (tr + disc)) + np.abs(0.5 * (tr - disc))
+    return np.where(np.isinf(total), np.maximum(np.abs(tr), disc), total)
 
 
 def batch_loss_grad(spec: LandscapeSpec, thetas: np.ndarray):
@@ -225,20 +228,18 @@ def simulate_trajectory(
     total_steps: int,
 ) -> TrajectoryRecord:
     """Run one optimizer from ``start`` on the exact gradient, recording every step."""
-    steps: list[tuple[int, Point, float]] = []
+    if total_steps < 0:  # before the record is allocated
+        raise ContractViolationError("total_steps must be >= 0")
+    path, loss = np.empty((total_steps, 2)), np.empty(total_steps)
 
-    def record(t, planes, loss):
-        steps.append((t, (float(planes[0, 0]), float(planes[1, 0])), float(loss[0])))
+    def record(t, planes, step_loss):
+        path[t - 1], loss[t - 1] = planes[:, 0], step_loss[0]
 
     starts = np.asarray(start, dtype=np.float64).reshape(1, 2)
     finals, flatness = _descend(_Wells(spec, 1), starts, optimizer, sched, total_steps, record)
     final = (float(finals[0, 0]), float(finals[0, 1]))
-    return TrajectoryRecord(
-        steps=steps,
-        final_theta=final,
-        converged_well=classify_converged_well(spec, final),
-        flatness=flatness[0],
-    )
+    well = classify_converged_well(spec, final)
+    return TrajectoryRecord(path, loss, final, converged_well=well, flatness=flatness[0])
 
 
 def grid_starts(region, grid) -> np.ndarray:

@@ -229,6 +229,8 @@ def make_blobs(
         raise ContractViolationError("per_class must be >= 1")
     if spread <= 0:
         raise ContractViolationError("spread must be > 0")
+    if n_features < 2:  # the centres sit in features 0 and 1
+        raise ContractViolationError("n_features must be >= 2")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = classes * per_class
     inputs = rng.normal(0.0, spread / 3.0, size=(n, n_features))

@@ -3,44 +3,32 @@
 from __future__ import annotations
 
 import json
-from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 # rows formatted and written at a time by ``write_csv``
 _BLOCK_ROWS = 1024
 
 
-def fmt_value(x) -> str:
-    """Shortest round-trip representation; '.' decimal separator always."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        # float() drops numpy's spelling: repr(np.float64(2.5)) is 'np.float64(2.5)'
-        return repr(float(x))
-    return str(x)
+def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write a header of the column names, then one line per row of the columns.
 
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and one line per row, each cell as ``fmt_value`` spells it.
-
-    Rows are taken from ``rows`` and written a block at a time, so memory does
-    not grow with the table.  Within a block, cells are formatted a column at a
-    time: a column holding only plain ints and floats goes through ``repr``,
-    which is what ``fmt_value`` returns for them, without a Python call per
-    cell.  A row whose length is not the header's raises ValueError, and the
-    lines before its block are already written.
+    Each column is a 1-D int or float array, all of one length, and each cell
+    is ``repr`` of the Python int or float that ``tolist`` gives: the shortest
+    round-trip spelling, with a '.' decimal separator always.  Columns that
+    break this raise ValueError before the file is opened.  Rows are written
+    ``_BLOCK_ROWS`` at a time, so memory does not grow with the table.
     """
-    rows = iter(rows)
+    if any(c.ndim != 1 or c.dtype.kind not in "iuf" for c in columns.values()):
+        raise ValueError("every column must be a 1-D int or float array")
+    if len(lengths := {len(c) for c in columns.values()}) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     with open(path, "w", newline="\n") as out:
-        out.write(",".join(header) + "\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            columns = [
-                map(repr, col) if set(map(type, col)) <= {int, float} else map(fmt_value, col)
-                for col in zip(*block, strict=True)
-            ]
-            if len(columns) != len(header):
-                raise ValueError(f"rows of {len(columns)} cells under a header of {len(header)}")
-            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        out.write(",".join(columns) + "\n")
+        for lo in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            cells = [map(repr, c[lo : lo + _BLOCK_ROWS].tolist()) for c in columns.values()]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_report(path: Path, report: dict) -> None:

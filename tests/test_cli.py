@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatmin import __version__
+from flatmin import __version__, harness
 from flatmin.cli import main
 from flatmin.harness import normalize_config
 from flatmin.landscapes import grid_starts
@@ -670,15 +670,54 @@ def test_unwritable_output_dir_exit_1(tmp_path, capsys):
 
 
 # the README example, shortened, and one small config of each other kind
+# between them the bases give every field that some block's parser reads
 _BASES = [
     dict(_readme_example(), total_steps=30),
-    _grid(Path("out"), schedule={"kind": "cosine_annealing", "total": 5}),
-    _train(Path("out"), schedule={"kind": "milestones", "milestones": [1], "unit": "epochs"}),
-    {"kind": "escape-theory", "seed": 0, "output_dir": "out", "scenario": _SCENARIO},
-    {"kind": "regret", "seed": 0, "output_dir": "out", "horizon": 10, "problem": {"dim": 2},
+    _grid(
+        Path("out"),
+        landscape={
+            "wells": [{"center": [0.5, 0.0], "depth": 1.0, "width": 0.8}], "base_level": 0.5,
+        },
+        schedule={"kind": "cosine_annealing", "total": 5, "eta_min": 0.1},
+    ),
+    _train(
+        Path("out"),
+        model={"layer_sizes": [20, 8, 4], "activation": "relu"},
+        dataset={"classes": 4, "per_class": 10, "spread": 1.5, "n_features": 20,
+                 "noise_rate": 0.1, "seed": 5},
+        schedule={"kind": "milestones", "milestones": [1], "gamma": 0.5, "unit": "epochs"},
+        optimizers=[
+            {"name": "adam", "kind": "adam", "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6,
+             "eps_in_sqrt": True},
+            {"name": "mi", "kind": "miadam", "switch_epochs": 1, "pre_switch_lr_override": 0.01},
+        ],
+    ),
+    {"kind": "escape-theory", "seed": 0, "output_dir": "out",
+     "scenario": dict(_SCENARIO, t_tilde=2.0)},
+    {"kind": "regret", "seed": 0, "output_dir": "out", "horizon": 10, "lr_decay_h": 0.3,
+     "problem": {"dim": 2, "target_low": -0.5, "target_high": 2.0, "theta0": 0.0},
      "optimizers": [{"name": "mi", "kind": "miadam"}]},
-    dict(_train(Path("out")), kind="hessian-report", hessian={"max_iters": 3, "probes": 2}),
+    dict(_train(Path("out")), kind="hessian-report",
+         hessian={"max_iters": 3, "tol": 1e-3, "probes": 2}),
 ]
+
+
+def test_every_field_a_parser_reads_is_given_in_some_base(monkeypatch):
+    """Each (block, field) a parser asks for while ``_BASES`` resolve is given in some base."""
+    asked, given = set(), set()
+    take = harness._Block.take
+
+    def recording_take(self, key, *args, **kwargs):
+        block = re.sub(r"\[\d+\]", "[]", self.path)  # one entry for every list item
+        asked.add((block, key))
+        if key in self.raw:
+            given.add((block, key))
+        return take(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(harness._Block, "take", recording_take)
+    for base in _BASES:
+        normalize_config(copy.deepcopy(base))
+    assert sorted(asked - given) == []
 
 
 _DROP = object()

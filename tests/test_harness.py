@@ -18,7 +18,7 @@ from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import normalize_config, run, run_config
 from flatmin.landscapes import grid_starts
 from flatmin.optim import OptimizerState
-from flatmin.reporting import _BLOCK_ROWS, fmt_value, write_csv
+from flatmin.reporting import _BLOCK_ROWS, write_csv
 from flatmin.seeding import derive_seed, splitmix64
 from test_optim import _ref_run_step
 
@@ -742,6 +742,16 @@ class TestGeneratedConfigs:
         _check_as_if_alone(_PINNED_CONFIGS[name], tmp_path)
 
 
+def fmt_value(x) -> str:
+    """The cell spelling of the row-by-row writer that ``write_csv`` replaced."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        # float() drops numpy's spelling: repr(np.float64(2.5)) is 'np.float64(2.5)'
+        return repr(float(x))
+    return str(x)
+
+
 def _reference_csv(header, rows) -> str:
     """The cell-by-cell writer that ``write_csv`` must match byte for byte."""
     lines = [",".join(header)]
@@ -750,31 +760,42 @@ def _reference_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-_cells = st.one_of(
-    st.integers(),
-    st.floats(),
-    st.booleans(),
-    st.floats().map(np.float64),
-    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
-)
+def _reference_columns(columns) -> str:
+    """``_reference_csv`` of the rows of ``columns``, each cell a numpy scalar."""
+    return _reference_csv(columns, zip(*columns.values()))
+
+
+_INT64 = np.iinfo(np.int64)
+# special floats: signed zeros, nan, infinities, subnormals and the extremes
+_SPECIAL = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -2.5e-320,
+            np.finfo(float).max, np.finfo(float).tiny, 1 / 3, 1e300, 0.1]
+
+
+def _column(n: int):
+    """An int64 or a float64 column of ``n`` cells."""
+    ints = st.lists(st.integers(_INT64.min, _INT64.max), min_size=n, max_size=n)
+    floats = st.lists(st.floats() | st.sampled_from(_SPECIAL), min_size=n, max_size=n)
+    return ints.map(lambda v: np.array(v, dtype=np.int64)) | floats.map(np.array)
 
 
 class TestCsvWriter:
     def test_mixed_cells_match_the_cell_by_cell_writer(self, tmp_path):
-        rows = [
-            (1, 0.1, True, np.float64(2.5), -0.0, 7, -0.0),
-            (-7, -0.0, False, np.float64(-0.0), 1e300, 2.5, np.float64(1 / 3)),
-            (2 ** 70, float("nan"), 3, float("-inf"), 5e-324, -4, True),
-        ]
-        header = ["a", "b", "c", "d", "e", "f", "g"]
-        write_csv(tmp_path / "x.csv", header, iter(rows))
+        columns = {
+            "a": np.array([1, -7, 2 ** 62]),
+            "b": np.array([0.1, -0.0, float("nan")]),
+            "c": np.array([-0.0, 1e300, float("-inf")]),
+            "d": np.array([2.5, 1 / 3, 5e-324]),
+        }
+        write_csv(tmp_path / "x.csv", columns)
         text = (tmp_path / "x.csv").read_text()
-        assert text == _reference_csv(header, rows)
-        assert text.splitlines()[1] == "1,0.1,true,2.5,-0.0,7,-0.0"
-        assert text.splitlines()[2].endswith(",-0.0,1e+300,2.5,0.3333333333333333")
+        assert text == _reference_columns(columns)
+        assert text.splitlines() == [
+            "a,b,c,d", "1,0.1,-0.0,2.5", "-7,-0.0,1e+300,0.3333333333333333",
+            "4611686018427387904,nan,-inf,5e-324",
+        ]
 
     def test_no_rows_writes_the_header(self, tmp_path):
-        write_csv(tmp_path / "x.csv", ["t", "loss"], [])
+        write_csv(tmp_path / "x.csv", {"t": np.arange(0), "loss": np.empty(0)})
         assert (tmp_path / "x.csv").read_bytes() == b"t,loss\n"
 
     # each example overwrites the one file, so the shared tmp_path is safe
@@ -784,55 +805,69 @@ class TestCsvWriter:
     @given(data=st.data(), width=st.integers(1, 5), block=st.sampled_from([1, 2, 3, _BLOCK_ROWS]))
     def test_random_cells_match_the_cell_by_cell_writer(self, tmp_path, data, width, block):
         # small blocks make the at most 8 rows span several of them
-        rows = data.draw(st.lists(st.tuples(*[_cells] * width), max_size=8))
-        header = [f"c{i}" for i in range(width)]
+        n = data.draw(st.integers(0, 8))
+        columns = {f"c{i}": data.draw(_column(n)) for i in range(width)}
         with mock.patch.object(reporting, "_BLOCK_ROWS", block):
-            write_csv(tmp_path / "x.csv", header, rows)
-        assert (tmp_path / "x.csv").read_bytes() == _reference_csv(header, rows).encode()
+            write_csv(tmp_path / "x.csv", columns)
+        assert (tmp_path / "x.csv").read_bytes() == _reference_columns(columns).encode()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64], ids=["float64", "int64"])
+    def test_extreme_cells_in_a_later_block_match(self, tmp_path, dtype):
+        # every block is spelled alike: the extremes sit past the first one
+        values = _SPECIAL if dtype is np.float64 else [_INT64.min, _INT64.max, -1, 0]
+        column = np.zeros(2 * _BLOCK_ROWS + 7, dtype=dtype)
+        column[_BLOCK_ROWS + 5 : _BLOCK_ROWS + 5 + len(values)] = values
+        columns = {"t": np.arange(len(column)), "a": column}
+        write_csv(tmp_path / "x.csv", columns)
+        assert (tmp_path / "x.csv").read_bytes() == _reference_columns(columns).encode()
 
     @pytest.mark.parametrize(
-        "late", [True, np.float64(0.25), np.int64(-3), "x"], ids=["bool", "float64", "int64", "str"]
+        "column",
+        [np.array([True, False]), np.array(["x", "y"]), np.zeros((2, 1)), np.array([1, None])],
+        ids=["bool", "str", "2-d", "object"],
     )
-    def test_a_later_block_with_other_cell_types_matches(self, tmp_path, late):
-        # the first blocks take repr's fast path; the one holding ``late`` must not
-        n = 2 * _BLOCK_ROWS + 7
-        rows = [(t, t * 0.5, -t) for t in range(n)]
-        rows[_BLOCK_ROWS + 5] = (rows[_BLOCK_ROWS + 5][0], late, late)
-        write_csv(tmp_path / "x.csv", ["t", "a", "b"], iter(rows))
-        assert (tmp_path / "x.csv").read_bytes() == _reference_csv(["t", "a", "b"], rows).encode()
+    def test_a_column_that_is_not_1d_int_or_float_raises(self, tmp_path, column):
+        with pytest.raises(ValueError, match="1-D int or float"):
+            write_csv(tmp_path / "x.csv", {"t": np.arange(2), "c": column})
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("n", [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
     def test_tables_around_the_block_size_match(self, tmp_path, n):
-        rows = [(t, 1 / (t + 1), t % 3 == 0) for t in range(n)]
-        write_csv(tmp_path / "x.csv", ["t", "inv", "third"], (r for r in rows))
+        t = np.arange(n)
+        columns = {"t": t, "inv": 1 / (t + 1), "third": t % 3}
+        write_csv(tmp_path / "x.csv", columns)
         text = (tmp_path / "x.csv").read_text()
-        assert text == _reference_csv(["t", "inv", "third"], rows)
+        assert text == _reference_columns(columns)
         assert text.count("\n") == n + 1
 
     @pytest.mark.parametrize(
-        "at,row",
-        [(3, (1, 2.0)), (_BLOCK_ROWS + 3, (1, 2.0)), (_BLOCK_ROWS + 3, (1, 2.0, 3, 4))],
+        "length", [3, _BLOCK_ROWS + 3, 2 * _BLOCK_ROWS + 3],
         ids=["first-block", "later-block", "later-block-long"],
     )
-    def test_a_ragged_row_raises(self, tmp_path, at, row):
-        rows = [(t, 0.5, t) for t in range(2 * _BLOCK_ROWS)]
-        rows[at] = row
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+    def test_a_ragged_row_raises(self, tmp_path, length):
+        # a column of ``length`` cells beside two of ``n`` leaves rows ragged
+        n = 2 * _BLOCK_ROWS
+        columns = {"a": np.arange(n), "b": np.zeros(length), "c": np.ones(n)}
+        with pytest.raises(ValueError, match="unequal lengths"):
+            write_csv(tmp_path / "x.csv", columns)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_a_later_block_of_shorter_rows_raises(self, tmp_path):
-        rows = [(t, 0.5, t) for t in range(_BLOCK_ROWS)] + [(t, 0.5) for t in range(_BLOCK_ROWS)]
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "x.csv", ["a", "b", "c"], rows)
+        columns = {"a": np.arange(2 * _BLOCK_ROWS), "b": np.zeros(2 * _BLOCK_ROWS)}
+        columns["c"] = np.arange(_BLOCK_ROWS)
+        with pytest.raises(ValueError, match="unequal lengths"):
+            write_csv(tmp_path / "x.csv", columns)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_memory_holds_a_block_not_the_table(self, tmp_path):
-        # a regret CSV's shape: an int step and two float columns, rows made as written
+        # a regret CSV's shape: an int step and two float columns
         n = 15_000
-        cumulative = np.cumsum(np.linspace(0.1, 2.0, n)).tolist()
-        average = [c / t for t, c in enumerate(cumulative, 1)]
+        t = np.arange(1, n + 1)
+        cumulative = np.cumsum(np.linspace(0.1, 2.0, n))
+        columns = {"t": t, "c": cumulative, "a": cumulative / t}
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "x.csv", ["t", "c", "a"], zip(range(1, n + 1), cumulative, average))
+            write_csv(tmp_path / "x.csv", columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

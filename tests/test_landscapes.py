@@ -422,6 +422,31 @@ class TestDeepWell:
             got = _abs_eig_sum(*(np.array([x]) for x in abd))[0]
         assert got == pytest.approx(mp_abs_eig_sum(*abd), rel=1e-14)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_abs_eig_sum_where_the_half_sums_overflow(self, sign):
+        # tr + disc passes the float range; the eigenvalue sum 1.7e308 + 1e300 does not
+        a, d = sign * 1.7e308, sign * -1e300
+        with np.errstate(over="ignore"):
+            got = _abs_eig_sum(np.array([a]), np.array([0.0]), np.array([d]))[0]
+        assert np.isfinite(got)
+        assert got == pytest.approx(mp_abs_eig_sum(a, 0.0, d), rel=1e-14)
+
+    def test_abs_eig_sum_keeps_every_finite_bit(self):
+        # the Hessians of a deep well and the mpmath cases, through the unguarded half-sums
+        x, y = grid_starts(((-3.0, 3.0), (-3.0, 3.0)), (7, 7)).T
+        wells = _Wells(DEEP_WELL, len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            wells.gradient(x, y, np.empty((2, len(x))))
+            cases = [(1e300, -9e300, 1e300), (-8e296, -9e296, -8e296), (1e307, 3e306, -5e306)]
+            a, b, d = (np.concatenate(pair) for pair in zip(wells.hessian(), np.array(cases).T))
+            tr = a + d
+            disc = np.sqrt(np.float_power(a - d, 2) + 4.0 * b * b)
+            disc = np.where(np.isinf(disc), np.hypot(a - d, 2.0 * b), disc)
+            unguarded = np.abs(0.5 * (tr + disc)) + np.abs(0.5 * (tr - disc))
+            got = _abs_eig_sum(a, b, d)
+        assert np.isfinite(unguarded).all()
+        assert same_bits(got, unguarded)
+
     def test_grid_and_trajectory_flatness_match_mpmath(self):
         region, sgd = ((-3.0, 3.0), (-3.0, 3.0)), SgdParams(alpha=1e-3)
         (flat,) = grid_flatness_study(DEEP_WELL, region, (3, 3), [sgd], LrSchedule(), 0)
@@ -454,28 +479,50 @@ class TestTrajectories:
         )
         assert rec.converged_well == 0
         assert np.linalg.norm(rec.final_theta) < 1e-3
-        assert rec.steps[-1][0] == 300
+        assert rec.path.shape == (300, 2) and rec.loss.shape == (300,)
+        assert same_bits(rec.path[-1], rec.final_theta)
 
     def test_losses_monotone_for_small_sgd_steps(self):
         rec = simulate_trajectory(
             TWO_WELLS, (1.0, 0.5), SgdParams(alpha=0.01), LrSchedule(), total_steps=200
         )
-        losses = [s[2] for s in rec.steps]
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert np.all(np.diff(rec.loss) <= 1e-12)
 
     def test_deterministic(self):
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)
         r1 = simulate_trajectory(TWO_WELLS, (-1.0, 2.0), hp, LrSchedule(), 100)
         r2 = simulate_trajectory(TWO_WELLS, (-1.0, 2.0), hp, LrSchedule(), 100)
-        assert r1.steps == r2.steps and r1.final_theta == r2.final_theta
+        assert same_bits(r1.path, r2.path) and same_bits(r1.loss, r2.loss)
+        assert r1.final_theta == r2.final_theta
 
     def test_zero_steps(self):
         rec = simulate_trajectory(TWO_WELLS, (0.1, 0.1), SgdParams(alpha=0.1), LrSchedule(), 0)
-        assert rec.steps == [] and rec.final_theta == (0.1, 0.1)
+        assert rec.path.shape == (0, 2) and rec.loss.shape == (0,)
+        assert rec.final_theta == (0.1, 0.1)
 
-    def test_negative_steps_rejected(self):
-        with pytest.raises(ContractViolationError):
+    def test_negative_steps_rejected(self, monkeypatch):
+        # numpy refuses a record of -1 rows with ValueError, so the check comes first
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was built before the step count was checked")
+
+        monkeypatch.setattr(landscapes, "_Wells", no_kernel)
+        with pytest.raises(ContractViolationError, match="total_steps must be >= 0"):
             simulate_trajectory(TWO_WELLS, (0, 0), SgdParams(alpha=0.1), LrSchedule(), -1)
+
+    def test_path_and_loss_are_the_descents_record(self):
+        # row t - 1: the point after step t and the loss at the point it started from
+        starts = np.array([[1.0, 0.5]])
+        hp = AdamHyperParams(alpha=0.05)
+        steps = []
+
+        def record(t, planes, loss):
+            steps.append((planes[:, 0].copy(), loss[0]))
+
+        _descend(_Wells(TWO_WELLS, 1), starts, hp, LrSchedule(), 20, record)
+        rec = simulate_trajectory(TWO_WELLS, (1.0, 0.5), hp, LrSchedule(), 20)
+        assert same_bits(rec.path, [p for p, _ in steps])
+        assert same_bits(rec.loss, [loss for _, loss in steps])
+        assert same_bits(rec.loss[0], landscape_eval(TWO_WELLS, (1.0, 0.5))[0])
 
 
 class TestGrid:

@@ -329,6 +329,12 @@ class TestBlobs:
         with pytest.raises(ContractViolationError):
             make_blobs(3, 10, 0.0, seed=0)
 
+    @pytest.mark.parametrize("n_features", [1, 0, -1])
+    def test_fewer_than_two_features_rejected(self, n_features):
+        # the class centres sit in features 0 and 1
+        with pytest.raises(ContractViolationError, match="n_features must be >= 2"):
+            make_blobs(2, 3, 1.0, 0, n_features=n_features)
+
 
 class TestLabelNoise:
     def test_exact_flip_count_train_only(self):
