@@ -13,6 +13,16 @@ from .harness import normalize_config, run_config
 from .presets import list_presets
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json.loads would keep the last of two."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ContractViolationError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="flatmin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,12 +54,15 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        raw = json.loads(args.config.read_text(encoding="utf-8"))
+        raw = json.loads(args.config.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as err:
         print(f"error: {args.config}:{err.lineno}:{err.colno}: {err.msg}", file=sys.stderr)
+        return 2
+    except ContractViolationError as err:
+        print(f"error: {args.config}: {err}", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read config file {args.config}: {err}", file=sys.stderr)

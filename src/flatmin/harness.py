@@ -123,8 +123,8 @@ def _int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _float(value, path: str) -> float:
-    """A finite JSON number; bools, strings, NaN and infinities are rejected."""
+def _float(value, path: str, minimum: float | None = None) -> float:
+    """A finite JSON number, at least ``minimum`` if given; bools, strings, NaN and inf are not."""
     number = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -133,6 +133,8 @@ def _float(value, path: str) -> float:
             pass
     if number is None or not math.isfinite(number):
         raise ContractViolationError(f"{path}: expected a finite number, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ContractViolationError(f"{path}: must be >= {minimum}, got {number!r}")
     return number
 
 
@@ -436,16 +438,12 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         # the (horizon, dim) targets
         dims = ("config.problem.dim", out["problem"]["dim"]), ("config.horizon", out["horizon"])
         _check_size(*dims)
-        out["lr_decay_h"] = root.take("lr_decay_h", _float, 0.5)
-        if out["lr_decay_h"] < 0:
-            raise ContractViolationError(
-                f"config.lr_decay_h: must be >= 0, got {out['lr_decay_h']!r}"
-            )
+        out["lr_decay_h"] = root.take("lr_decay_h", _float, 0.5, 0)
     if kind == "hessian-report":
         h = root.take("hessian", _Block, {})
         out["hessian"] = {
             "max_iters": h.take("max_iters", _int, 200, 1),
-            "tol": h.take("tol", _float, 1e-6),
+            "tol": h.take("tol", _float, 1e-6, 0),
             "probes": h.take("probes", _int, 200, 1),
         }
         h.done()
@@ -517,6 +515,7 @@ def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
 def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
     data = typed["dataset"]
     ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
+    x_train, y_train = ds.inputs[ds.train_idx], ds.labels[ds.train_idx]
     shuffle_seed = derive_seed(cfg["seed"], "train-shuffle")
     results = {}
     for block, params in zip(cfg["optimizers"], typed["optimizers"]):
@@ -530,38 +529,26 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
         if cfg["kind"] != "hessian-report":
             continue
         # a hessian report measures each model right after training it
-        h = cfg["hessian"]
-        x_train = ds.inputs[ds.train_idx]
-        y_train = ds.labels[ds.train_idx]
-        theta = model.get_flat()
+        h, theta = cfg["hessian"], model.get_flat()
 
         def grad_fn(p, _model=model):
             _model.set_flat(p)
-            _, g, _ = loss_and_grad(_model, x_train, y_train)
-            return g
+            return loss_and_grad(_model, x_train, y_train)[1]
 
-        top = top_eigenvalue(
-            grad_fn,
-            theta,
-            max_iters=h["max_iters"],
-            tol=h["tol"],
-            seed=derive_seed(cfg["seed"], "hessian-top", name),
+        top, hvps, reached = top_eigenvalue(
+            grad_fn, theta, h["max_iters"], h["tol"], derive_seed(cfg["seed"], "hessian-top", name)
         )
-        trace = hutchinson_trace(
-            grad_fn,
-            theta,
-            probes=h["probes"],
-            seed=derive_seed(cfg["seed"], "hessian-trace", name),
+        trace, stderr = hutchinson_trace(
+            grad_fn, theta, h["probes"], derive_seed(cfg["seed"], "hessian-trace", name)
         )
         results[name] = {
             "train": results[name],
-            "top_eigenvalue": top.top_eigenvalue,
-            "top_tolerance_reached": top.tolerance_reached,
-            "top_hvp_count": top.hvp_count,
-            "trace_estimate": trace.trace_estimate,
-            # undefined for one probe: null, since JSON has no NaN
-            "trace_stderr": None if math.isnan(trace.trace_stderr) else trace.trace_stderr,
-            "trace_probes": trace.probe_count,
+            "top_eigenvalue": top,
+            "top_tolerance_reached": reached,
+            "top_hvp_count": hvps,
+            "trace_estimate": trace,
+            "trace_stderr": stderr,
+            "trace_probes": h["probes"],
         }
     return results
 

@@ -10,36 +10,20 @@ Rademacher probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError, NonFiniteError
 
 
-@dataclass
-class HessianSummary:
-    top_eigenvalue: float | None = None
-    trace_estimate: float | None = None
-    trace_stderr: float | None = None
-    hvp_count: int = 0
-    probe_count: int = 0
-    tolerance_reached: bool = False
+def hvp(grad_fn, theta: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian-vector product H(theta) @ vec.
 
-
-def default_fd_step(theta: np.ndarray) -> float:
-    return 1e-4 * (1.0 + float(np.linalg.norm(theta)))
-
-
-def hvp(grad_fn, theta: np.ndarray, vec: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference Hessian-vector product H(theta) @ vec."""
+    The step along ``vec / ||vec||`` is ``1e-4 * (1 + ||theta||)``.
+    """
     norm = float(np.linalg.norm(vec))
     if norm <= 0:
         raise ContractViolationError("hvp requires a nonzero vector")
-    if h is None:
-        h = default_fd_step(theta)
-    if h <= 0:
-        raise ContractViolationError("finite-difference step h must be > 0")
+    h = 1e-4 * (1.0 + float(np.linalg.norm(theta)))
     unit = vec / norm
     g_plus = grad_fn(theta + h * unit)
     g_minus = grad_fn(theta - h * unit)
@@ -50,28 +34,26 @@ def hvp(grad_fn, theta: np.ndarray, vec: np.ndarray, h: float | None = None) -> 
 
 
 def top_eigenvalue(
-    grad_fn,
-    theta: np.ndarray,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> HessianSummary:
+    grad_fn, theta: np.ndarray, max_iters: int, tol: float, seed: int
+) -> tuple[float, int, bool]:
     """Power iteration for the dominant-magnitude eigenvalue (signed).
 
     Iterates v <- Hv / ||Hv|| from a seeded random unit vector and stops
-    when successive Rayleigh quotients differ by less than ``tol``.  If
-    the budget runs out first, the last estimate is returned with
-    ``tolerance_reached`` False.
+    when successive Rayleigh quotients differ by less than ``tol``.
+    Returns ``(eigenvalue, hvp_count, tolerance_reached)``; if the budget
+    runs out first, the last estimate comes back with ``tolerance_reached``
+    False.
     """
     if max_iters < 1:
         raise ContractViolationError("max_iters must be >= 1")
+    if not tol >= 0:
+        raise ContractViolationError(f"tol must be >= 0, got {tol!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     v = rng.standard_normal(theta.shape[0])
     v /= np.linalg.norm(v)
     lam_prev = None
     lam = 0.0
     count = 0
-    reached = False
     for _ in range(max_iters):
         w = hvp(grad_fn, theta, v)
         count += 1
@@ -79,31 +61,25 @@ def top_eigenvalue(
         w_norm = float(np.linalg.norm(w))
         if w_norm == 0.0:
             # Hessian annihilates v; zero is the best available estimate.
-            reached = True
-            break
+            return lam, count, True
         v = w / w_norm
         if lam_prev is not None and abs(lam - lam_prev) < tol:
-            reached = True
-            break
+            return lam, count, True
         lam_prev = lam
-    return HessianSummary(
-        top_eigenvalue=lam, hvp_count=count, tolerance_reached=reached
-    )
+    return lam, count, False
 
 
 def hutchinson_trace(
-    grad_fn,
-    theta: np.ndarray,
-    probes: int = 100,
-    seed: int = 0,
-) -> HessianSummary:
+    grad_fn, theta: np.ndarray, probes: int, seed: int
+) -> tuple[float, float | None]:
     """Rademacher-probe trace estimate: mean over probes of z . Hz.
 
     Probe vectors are drawn sequentially from one seeded generator, each
     one just before it is measured, so only one probe is alive at a time.
     The draws are the rows of one ``(probes, dim)`` draw from the same
-    seed, and the aggregate is deterministic for a fixed seed.  With a
-    single probe the standard error is undefined and returned as NaN.
+    seed, and the aggregate is deterministic for a fixed seed.  Returns
+    ``(estimate, stderr)``; with a single probe the standard error is
+    undefined and returned as None.
     """
     if probes < 1:
         raise ContractViolationError("probes must be >= 1")
@@ -114,13 +90,6 @@ def hutchinson_trace(
         z = rng.integers(0, 2, size=dim) * 2.0 - 1.0
         estimates[i] = float(z @ hvp(grad_fn, theta, z))
     mean = float(np.mean(estimates))
-    stderr = (
-        float(np.std(estimates, ddof=1) / np.sqrt(probes)) if probes > 1 else float("nan")
-    )
-    return HessianSummary(
-        trace_estimate=mean,
-        trace_stderr=stderr,
-        hvp_count=probes,
-        probe_count=probes,
-        tolerance_reached=True,
-    )
+    if probes == 1:
+        return mean, None
+    return mean, float(np.std(estimates, ddof=1) / np.sqrt(probes))

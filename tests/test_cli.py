@@ -138,6 +138,23 @@ def test_config_file_not_utf8_exit_2(tmp_path, capsys):
     assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("fields,optimizer,key", [
+    ('"seed": 0, "seed": 1', '"alpha": 0.1', "seed"),
+    ('"seed": 0', '"alpha": 0.1, "alpha": 0.2', "alpha"),
+], ids=["top-level", "nested"])
+def test_duplicate_key_exit_2(tmp_path, capsys, fields, optimizer, key):
+    # json.loads alone would keep the last of two equal keys and run
+    out_dir = tmp_path / "out"
+    p = tmp_path / "config.json"
+    p.write_text(
+        f'{{"kind": "regret", {fields}, "output_dir": "{out_dir}", "horizon": 10, '
+        f'"optimizers": [{{"name": "adam", "kind": "adam", {optimizer}}}]}}'
+    )
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: duplicate key {key!r}\n"
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_invalid_config_exit_2_no_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = {"kind": "trajectory", "seed": 0, "output_dir": str(out_dir)}
@@ -552,6 +569,7 @@ _SCENARIO = {
         ("escape-theory", None, "scenario", dict(_SCENARIO, h_u_eigs=[-0.5, 0.0])),
         ("regret", None, "problem", {"target_low": 1e308, "target_high": -1e308}),
         ("regret", None, "problem", {"target_low": 1.0, "target_high": -1.0}),
+        ("hessian-report", "hessian", "tol", -1e-9),
     ],
 )
 def test_invalid_field_of_other_kinds_exit_2(tmp_path, capsys, kind, block, field, value):

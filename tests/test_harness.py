@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from flatmin import harness, reporting
 from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import normalize_config, run, run_config
+from flatmin.hessian import hutchinson_trace, top_eigenvalue
 from flatmin.landscapes import grid_starts
+from flatmin.mlp import inject_label_noise, loss_and_grad, make_blobs, train_classifier
 from flatmin.optim import OptimizerState
 from flatmin.reporting import _BLOCK_ROWS, write_csv
 from flatmin.seeding import derive_seed, splitmix64
@@ -436,6 +438,52 @@ class TestRuns:
         assert np.isfinite(r["top_eigenvalue"])
         assert np.isfinite(r["trace_estimate"])
         assert r["trace_probes"] == 20
+
+    @pytest.mark.parametrize("probes", [1, 5])
+    def test_hessian_report_measures_the_trained_model(self, tmp_path, probes):
+        # each field is what the estimators return for the trained model on
+        # its training split, with the run's derived seeds
+        raw = {
+            "kind": "hessian-report", "seed": 5, "output_dir": str(tmp_path / "out"),
+            "model": {"layer_sizes": [20, 6, 3]},
+            "dataset": {"classes": 3, "per_class": 20, "noise_rate": 0.1},
+            "epochs": 2, "batch_size": 16,
+            "optimizers": [
+                {"name": "adam", "kind": "adam"},
+                {"name": "mi", "kind": "miadam", "switch_epochs": 1},
+            ],
+            # mi's power iteration converges after 18 HVPs; adam's runs all 30
+            "hessian": {"max_iters": 30, "tol": 1e-3, "probes": probes},
+        }
+        run(raw)
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        cfg, typed = harness._resolve(raw)
+        data, h, seed = typed["dataset"], cfg["hessian"], cfg["seed"]
+        ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
+        x, y = ds.inputs[ds.train_idx], ds.labels[ds.train_idx]
+        for block, params in zip(cfg["optimizers"], typed["optimizers"]):
+            name = block["name"]
+            model, _ = train_classifier(
+                typed["model"], ds, params, typed["schedule"], cfg["epochs"], cfg["batch_size"],
+                derive_seed(seed, "train-shuffle"),
+            )
+
+            def grad_fn(p, _model=model):
+                _model.set_flat(p)
+                return loss_and_grad(_model, x, y)[1]
+
+            theta = model.get_flat()
+            top = top_eigenvalue(
+                grad_fn, theta, h["max_iters"], h["tol"], derive_seed(seed, "hessian-top", name)
+            )
+            trace = hutchinson_trace(
+                grad_fn, theta, h["probes"], derive_seed(seed, "hessian-trace", name)
+            )
+            r = results[name]
+            assert (r["top_eigenvalue"], r["top_hvp_count"], r["top_tolerance_reached"]) == top
+            assert (r["trace_estimate"], r["trace_stderr"]) == trace
+            assert r["trace_probes"] == probes
+            assert (r["trace_stderr"] is None) == (probes == 1)
 
     def test_hessian_report_trains_as_a_train_run(self, tmp_path):
         cfg = {
