@@ -9,18 +9,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ContractViolationError, NonFiniteError
-from .harness import normalize_config, run_config
+from .harness import JsonObject, normalize_config, run_config
 from .presets import list_presets
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object whose keys are all distinct; json.loads would keep the last of two."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ContractViolationError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
 
 
 def main(argv=None) -> int:
@@ -54,15 +44,12 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        raw = json.loads(args.config.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(args.config.read_text(encoding="utf-8"), object_pairs_hook=JsonObject)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as err:
         print(f"error: {args.config}:{err.lineno}:{err.colno}: {err.msg}", file=sys.stderr)
-        return 2
-    except ContractViolationError as err:
-        print(f"error: {args.config}: {err}", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read config file {args.config}: {err}", file=sys.stderr)

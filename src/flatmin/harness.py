@@ -64,12 +64,26 @@ TESTED_MAX_ORDER = 3
 _REQUIRED, _OPTIONAL = object(), object()
 
 
+class JsonObject(dict):
+    """A config file's JSON object (its ``object_pairs_hook``), noting the first key it repeats."""
+
+    def __init__(self, pairs: list):
+        super().__init__()
+        self.repeated = None
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
+
+
 class _Block:
     """A config object, read one field at a time: ``done`` refuses each field no ``take`` read."""
 
     def __init__(self, raw, path: str):
         if not isinstance(raw, dict):
             raise ContractViolationError(f"{path}: expected an object")
+        if getattr(raw, "repeated", None) is not None:  # json.loads alone keeps the last value
+            raise ContractViolationError(f"{path}: duplicate key {raw.repeated!r}")
         self.raw, self.path, self.read = raw, path, set()
 
     def take(self, key: str, parser, default=_REQUIRED, *args, **kwargs):
@@ -181,8 +195,8 @@ def _build(path: str, make, *args, **kwargs):
         raise ContractViolationError(f"{path}: {err}") from None
 
 
-def _optimizer(block, path: str, trains: bool, spe: int):
-    """A resolved optimizer block and its typed params; ``spe`` is steps per epoch."""
+def _optimizer(block, path: str, spe: int | None):
+    """A resolved optimizer block and its typed params; ``spe`` is steps per epoch or None."""
     b = _Block(block, path)
     kind = b.take("kind", _same)
     if not isinstance(kind, str) or kind not in _OPT_PARAMS:
@@ -203,8 +217,8 @@ def _optimizer(block, path: str, trains: bool, spe: int):
         out["order_n"] = b.take("order_n", _int, mi.order_n)
         out["kappa"] = b.take("kappa", _float, mi.kappa)
         switch = b.take("switch_epochs", _int, _OPTIONAL, 1)
-        if switch is not None and not trains:
-            raise ContractViolationError(f"{path}.switch_epochs: only valid for training runs")
+        if switch is not None and spe is None:
+            raise ContractViolationError(f"{path}.switch_epochs: epochs need a training run")
         if switch is None:
             out["switch_step"] = switch = b.take("switch_step", _or_null(_int), mi.switch_step)
         else:
@@ -217,7 +231,7 @@ def _optimizer(block, path: str, trains: bool, spe: int):
     return out, params
 
 
-def _schedule(block, path: str, steps: int, spe: int):
+def _schedule(block, path: str, steps: int, spe: int | None):
     """A resolved schedule block and its LrSchedule, for a run of ``steps`` steps.
 
     An omitted or null schedule is constant.  A cosine ``total`` that is
@@ -228,6 +242,8 @@ def _schedule(block, path: str, steps: int, spe: int):
     out = {"kind": kind, "unit": b.take("unit", _same, "steps")}
     if out["unit"] not in ("steps", "epochs"):
         raise ContractViolationError(f"{path}.unit: must be 'steps' or 'epochs'")
+    if out["unit"] == "epochs" and spe is None:
+        raise ContractViolationError(f"{path}.unit: epochs need a training run")
     scale = spe if out["unit"] == "epochs" else 1
     kwargs = {}  # the LrSchedule fields beyond its kind; an omitted one takes the class default
     if kind == "cosine_annealing":
@@ -373,6 +389,7 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         out["total_steps"] = root.take("total_steps", _int, _REQUIRED, minimum=0)
     if kind == "trajectory":
         out["start"] = root.take("start", _floats, _REQUIRED, 2)
+        _check_size(("config.total_steps", 2 * out["total_steps"]))  # the (steps, 2) path
     if kind == "grid-flatness":
         region = root.take("region", _list, _REQUIRED, 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
@@ -380,7 +397,7 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         # the descent's (W, B) planes and (2, B) points for B = rows * cols starts
         planes = ("config.landscape", max(2, len(typed["landscape"].wells)))
         _check_size(planes, *zip(("config.grid[0]", "config.grid[1]"), out["grid"]))
-    spe = 1
+    spe = None
     if trains:
         init_seed = derive_seed(seed, "model-init")
         out["model"], typed["model"] = root.take("model", _model, _REQUIRED, init_seed)
@@ -389,7 +406,8 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         _check_model_fits(out["model"], blobs)
         out["epochs"] = root.take("epochs", _int, _REQUIRED, minimum=1)
         out["batch_size"] = root.take("batch_size", _int, _REQUIRED, minimum=1)
-        # the flat parameters, then the inputs and each layer's activations
+        # the metric columns, the flat parameters, then the inputs and each layer's activations
+        _check_size(("config.epochs", out["epochs"]))
         _check_size(("config.model.layer_sizes", typed["model"].num_params))
         examples = [(f"config.dataset.{key}", blobs[key]) for key in ("classes", "per_class")]
         _check_size(*examples, ("config.model.layer_sizes", max(out["model"]["layer_sizes"])))
@@ -400,7 +418,7 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         if not isinstance(blocks, list) or not blocks:
             raise ContractViolationError("config.optimizers: expected a non-empty list")
         resolved = [
-            _optimizer(b, f"config.optimizers[{i}]", trains, spe) for i, b in enumerate(blocks)
+            _optimizer(b, f"config.optimizers[{i}]", spe) for i, b in enumerate(blocks)
         ]
         out["optimizers"] = [block for block, _ in resolved]
         typed["optimizers"] = [params for _, params in resolved]
@@ -524,8 +542,9 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
             typed["model"], ds, params, typed["schedule"], cfg["epochs"], cfg["batch_size"],
             shuffle_seed,
         )
-        csvs[f"metrics_{name}.csv"] = {k: np.array([m[k] for m in metrics]) for k in metrics[0]}
-        results[name] = {"final": metrics[-1], "steps_per_epoch": typed["steps_per_epoch"]}
+        csvs[f"metrics_{name}.csv"] = metrics
+        final = {key: column[-1].item() for key, column in metrics.items()}
+        results[name] = {"final": final, "steps_per_epoch": typed["steps_per_epoch"]}
         if cfg["kind"] != "hessian-report":
             continue
         # a hessian report measures each model right after training it
@@ -555,13 +574,12 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
 
 def _run_regret(cfg: dict, typed: dict, csvs: dict) -> dict:
     results = {}
-    all_series = run_regret_experiment(
+    cumulative, average = run_regret_experiment(
         typed["problem"], typed["optimizers"], cfg["horizon"], lr_decay_h=cfg["lr_decay_h"]
     )
-    for block, series in zip(cfg["optimizers"], all_series):
+    t = np.arange(1, cfg["horizon"] + 1)
+    for block, cum, avg in zip(cfg["optimizers"], cumulative, average):
         name = block["name"]
-        cum, avg = series.cumulative_regret, series.average_regret
-        t = np.arange(1, len(avg) + 1)
         csvs[f"regret_{name}.csv"] = {"t": t, "cumulative_regret": cum, "average_regret": avg}
         results[name] = {
             "final_average_regret": float(avg[-1]),

@@ -286,11 +286,11 @@ def train_classifier(
     batch_size: int,
     seed: int,
 ):
-    """Seeded minibatch training; returns (model, per-epoch metrics list).
+    """Seeded minibatch training; returns (model, metrics), metrics as columns.
 
     The optimizer is stepped once per batch with the schedule multiplier
-    evaluated at the number of completed steps.  Metrics are recorded at
-    the end of every epoch.
+    evaluated at the number of completed steps.  ``metrics`` maps ``epoch``
+    and each split's loss and accuracy to an array filled as each epoch ends.
     """
     if epochs < 1:
         raise ContractViolationError("epochs must be >= 1")
@@ -303,7 +303,8 @@ def train_classifier(
     y_train = dataset.labels[dataset.train_idx]
     x_test = dataset.inputs[dataset.test_idx]
     y_test = dataset.labels[dataset.test_idx]
-    metrics = []
+    columns = ("train_loss", "train_acc", "test_loss", "test_acc")
+    metrics = {"epoch": np.arange(1, epochs + 1), **{key: np.empty(epochs) for key in columns}}
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the checks report divergence
         for epoch in range(1, epochs + 1):
@@ -320,15 +321,8 @@ def train_classifier(
                         step=step + 1,
                     ) from err
                 step += 1
-            train_loss, train_logits = forward_loss(model, x_train, y_train)
-            test_loss, test_logits = forward_loss(model, x_test, y_test)
-            metrics.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": train_loss,
-                    "train_acc": _accuracy(train_logits, y_train),
-                    "test_loss": test_loss,
-                    "test_acc": _accuracy(test_logits, y_test),
-                }
-            )
+            for split, x, y in (("train", x_train, y_train), ("test", x_test, y_test)):
+                loss, logits = forward_loss(model, x, y)
+                metrics[f"{split}_loss"][epoch - 1] = loss
+                metrics[f"{split}_acc"][epoch - 1] = _accuracy(logits, y)
     return model, metrics

@@ -72,7 +72,8 @@ def list_presets() -> list[dict]:
         {
             "name": "table-defaults",
             "kind": "optimizer",
-            "description": "training defaults: Adam base plus kappa=0.98, switch at 20 epochs",
+            "description": "the paper's training settings: Adam base plus kappa=0.98, which a "
+            "config states with switch_epochs: 20 (the default switch_step: 20 is 20 steps)",
             "values": {
                 **adam,
                 "kappa": MIAdamHyperParams().kappa,

@@ -162,19 +162,13 @@ class DriftingQuadraticProblem:
         return rng.uniform(self.target_low, self.target_high, size=(horizon, self.dim))
 
 
-@dataclass
-class RegretSeries:
-    cumulative_regret: np.ndarray
-    average_regret: np.ndarray
-
-
 def run_regret_experiment(
     problem: DriftingQuadraticProblem,
     optimizers: list[OptimizerParams],
     horizon: int,
     lr_decay_h: float = 0.5,
-) -> list[RegretSeries]:
-    """Track cumulative and average regret of each optimizer over one stream.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative and average regret on one stream, as two (optimizers, horizon) arrays.
 
     The learning-rate multiplier decays as t**(-lr_decay_h); pass 0 to
     disable the decay.  MIAdam callers should disable the switch
@@ -182,7 +176,7 @@ def run_regret_experiment(
 
     The targets and the comparator's losses are computed once.  Each
     optimizer's theta is one row of a (len(optimizers), dim) array, a lane
-    of its ``build_lanes`` group, and one loop steps every group; each series
+    of its ``build_lanes`` group, and one loop steps every group; each row
     has the bits of a run of its optimizer alone.  The run raises
     ``NonFiniteError`` for the first optimizer in list order that diverged
     (at its step) or whose cumulative regret overflowed (at the first step
@@ -229,13 +223,11 @@ def run_regret_experiment(
             np.cumsum(cumulative, axis=1, out=cumulative)
     # optimizer index -> the step its lane went non-finite
     diverged = {lanes[lane]: err.step for lanes, s in groups for lane, err in s.diverged.items()}
-    series = []
-    for i, cum in enumerate(cumulative[:, 1:]):
+    cumulative = cumulative[:, 1:]
+    for i, cum in enumerate(cumulative):
         if i in diverged:
             raise NonFiniteError("regret run diverged to non-finite iterates", step=diverged[i])
         finite = np.isfinite(cum)
         if not finite.all():
             raise NonFiniteError("cumulative regret overflowed", step=int(np.argmin(finite)) + 1)
-        average = cum / np.arange(1, horizon + 1)
-        series.append(RegretSeries(cumulative_regret=cum, average_regret=average))
-    return series
+    return cumulative, cumulative / np.arange(1, horizon + 1)

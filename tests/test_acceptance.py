@@ -279,10 +279,10 @@ def test_criterion_08_regret_divergence(acceptance_log):
     prob = DriftingQuadraticProblem()
     adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
     mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
-    s_ad, s_mi = run_regret_experiment(prob, [adam, mi], 100000)
-    at_100 = s_ad.average_regret[99]
-    at_end = s_ad.average_regret[-1]
-    mi_end = s_mi.average_regret[-1]
+    _, (avg_ad, avg_mi) = run_regret_experiment(prob, [adam, mi], 100000)
+    at_100 = avg_ad[99]
+    at_end = avg_ad[-1]
+    mi_end = avg_mi[-1]
     ok = at_end < 0.01 * at_100 and mi_end > 10.0 * at_end
     acceptance_log(
         f"criterion 8 {'PASS' if ok else 'FAIL'}: adam avg regret decays to {at_end / at_100:.4f} of t=100 value "
@@ -309,8 +309,8 @@ def test_criterion_09_label_noise_robustness(acceptance_log):
             ds = inject_label_noise(ds0, rate, seed=1000 + seed)
             _, m_adam = train_classifier(spec, ds, adam, sched, epochs, batch, seed=seed)
             _, m_mi = train_classifier(spec, ds, mi, sched, epochs, batch, seed=seed)
-            accs_adam.append(m_adam[-1]["test_acc"])
-            accs_mi.append(m_mi[-1]["test_acc"])
+            accs_adam.append(m_adam["test_acc"][-1])
+            accs_mi.append(m_mi["test_acc"][-1])
         med_a = float(np.median(accs_adam))
         med_m = float(np.median(accs_mi))
         detail.append(f"rate {rate}: {med_m:.3f} vs {med_a:.3f}")

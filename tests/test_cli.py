@@ -138,20 +138,21 @@ def test_config_file_not_utf8_exit_2(tmp_path, capsys):
     assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
 
 
-@pytest.mark.parametrize("fields,optimizer,key", [
-    ('"seed": 0, "seed": 1', '"alpha": 0.1', "seed"),
-    ('"seed": 0', '"alpha": 0.1, "alpha": 0.2', "alpha"),
+@pytest.mark.parametrize("fields,optimizer,error", [
+    ('"seed": 0, "seed": 1', '"alpha": 0.1', "config: duplicate key 'seed'"),
+    ('"seed": 0', '"alpha": 0.1, "alpha": 0.2', "config.optimizers[1]: duplicate key 'alpha'"),
 ], ids=["top-level", "nested"])
-def test_duplicate_key_exit_2(tmp_path, capsys, fields, optimizer, key):
+def test_duplicate_key_exit_2(tmp_path, capsys, fields, optimizer, error):
     # json.loads alone would keep the last of two equal keys and run
     out_dir = tmp_path / "out"
     p = tmp_path / "config.json"
     p.write_text(
         f'{{"kind": "regret", {fields}, "output_dir": "{out_dir}", "horizon": 10, '
-        f'"optimizers": [{{"name": "adam", "kind": "adam", {optimizer}}}]}}'
+        f'"optimizers": [{{"name": "a", "kind": "adam"}}, {{"name": "b", "kind": "adam", '
+        f'{optimizer}}}]}}'
     )
     assert main(["run", str(p)]) == 2
-    assert capsys.readouterr().err == f"error: {p}: duplicate key {key!r}\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -532,6 +533,16 @@ def _regret(out_dir):
         (_train, "optimizers",
          [{"name": "mi", "kind": "miadam", "switch_epochs": 1, "switch_step": 3}],
          "config.optimizers[0]"),
+        # more sizes whose arrays numpy cannot index: the trajectory's (total_steps, 2) path
+        # and a training run's metric columns
+        (_trajectory, "total_steps", 2 ** 62, "config.total_steps"),
+        (_trajectory, "total_steps", 2 ** 64, "config.total_steps"),
+        (_train, "epochs", 2 ** 62, "config.epochs"),
+        # a value in epochs outside a training run
+        (_trajectory, "schedule", {"kind": "milestones", "unit": "epochs", "milestones": [5]},
+         "config.schedule.unit"),
+        (_grid, "schedule", {"kind": "cosine_annealing", "unit": "epochs"},
+         "config.schedule.unit"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):

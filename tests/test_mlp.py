@@ -383,8 +383,8 @@ class TestTraining:
             spec, ds, AdamHyperParams(alpha=1e-2, weight_decay=0.0),
             LrSchedule(), epochs=30, batch_size=32, seed=0,
         )
-        assert metrics[-1]["test_acc"] > 0.95
-        assert metrics[-1]["train_loss"] < metrics[0]["train_loss"]
+        assert metrics["test_acc"][-1] > 0.95
+        assert metrics["train_loss"][-1] < metrics["train_loss"][0]
 
     def test_deterministic(self):
         ds = make_blobs(3, 40, 1.0, seed=11)
@@ -392,7 +392,7 @@ class TestTraining:
         hp = AdamHyperParams(alpha=1e-3)
         _, m1 = train_classifier(spec, ds, hp, LrSchedule(), 5, 16, seed=2)
         _, m2 = train_classifier(spec, ds, hp, LrSchedule(), 5, 16, seed=2)
-        assert m1 == m2
+        assert {k: c.tobytes() for k, c in m1.items()} == {k: c.tobytes() for k, c in m2.items()}
 
     def test_shuffle_seed_matters(self):
         ds = make_blobs(3, 40, 1.0, seed=11)
@@ -400,7 +400,7 @@ class TestTraining:
         hp = SgdParams(alpha=0.05)
         _, m1 = train_classifier(spec, ds, hp, LrSchedule(), 3, 16, seed=2)
         _, m2 = train_classifier(spec, ds, hp, LrSchedule(), 3, 16, seed=3)
-        assert m1 != m2
+        assert any(not np.array_equal(m1[k], m2[k]) for k in m1)
 
     def test_metrics_one_row_per_epoch(self):
         ds = make_blobs(2, 20, 1.0, seed=12)
@@ -408,8 +408,11 @@ class TestTraining:
         _, metrics = train_classifier(
             spec, ds, SgdParams(alpha=0.01), LrSchedule(), 7, 8, seed=0
         )
-        assert [m["epoch"] for m in metrics] == list(range(1, 8))
-        assert set(metrics[0]) == {"epoch", "train_loss", "train_acc", "test_loss", "test_acc"}
+        assert list(metrics) == ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]
+        assert metrics["epoch"].tolist() == list(range(1, 8))
+        assert metrics["epoch"].dtype == np.int64
+        for key in ("train_loss", "train_acc", "test_loss", "test_acc"):
+            assert metrics[key].shape == (7,) and metrics[key].dtype == np.float64
 
     def test_miadam_trains(self):
         ds = make_blobs(3, 60, 1.0, seed=13)
@@ -420,7 +423,7 @@ class TestTraining:
             order_n=1, kappa=0.98, switch_step=5 * spe,
         )
         _, metrics = train_classifier(spec, ds, hp, LrSchedule(), 20, 32, seed=0)
-        assert metrics[-1]["test_acc"] > 0.9
+        assert metrics["test_acc"][-1] > 0.9
 
     def test_bad_args(self):
         ds = make_blobs(2, 10, 1.0, seed=0)

@@ -636,7 +636,7 @@ class TestStepper:
         ds = make_blobs(classes=4, per_class=20, spread=1.0, seed=0)
         model, metrics = train_classifier(spec, ds, params, LrSchedule(), 3, 16, seed=0)
         assert not np.array_equal(model.get_flat(), Mlp(spec).get_flat())
-        assert metrics[-1]["train_loss"] < metrics[0]["train_loss"]
+        assert metrics["train_loss"][-1] < metrics["train_loss"][0]
 
     @pytest.mark.parametrize("bad", [{"alpha": 0.0}, {"alpha": -1.0}, {"beta": 1.0}])
     def test_sgd_params_validate(self, bad):

@@ -158,15 +158,16 @@ class TestRegret:
     def test_constant_problem_zero_regret_at_optimum(self):
         # theta0 equals the (constant) target, so every per-step regret is 0.
         prob = DriftingQuadraticProblem(dim=3, target_low=0.5, target_high=0.5, theta0=0.5)
-        (series,) = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], horizon=50)
-        assert np.max(np.abs(series.cumulative_regret)) < 1e-12
+        cumulative, _ = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 50)
+        assert cumulative.shape == (1, 50)
+        assert np.max(np.abs(cumulative)) < 1e-12
 
     def test_zero_drift_cumulative_regret_nondecreasing(self):
         # With a fixed target the comparator is that target, so the
         # instantaneous regret is a squared distance: always >= 0.
         prob = DriftingQuadraticProblem(dim=2, target_low=1.0, target_high=1.0, theta0=0.0)
-        (series,) = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], horizon=200)
-        diffs = np.diff(series.cumulative_regret)
+        cumulative, _ = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 200)
+        diffs = np.diff(cumulative[0])
         assert np.all(diffs >= -1e-12)
 
     @pytest.mark.parametrize("target", [-0.0, 0.5])
@@ -180,38 +181,37 @@ class TestRegret:
         assert np.array_equal(prob.targets(20), np.full((20, 3), target))
         # a -0.0 target is drawn as +0.0; regret squares it, so no value changes
         hp = AdamHyperParams(alpha=0.1)
-        (drawn,) = run_regret_experiment(prob, [hp], horizon=40)
-        (full,) = run_regret_experiment(FullTargets(**fields), [hp], horizon=40)
-        assert drawn.cumulative_regret.tobytes() == full.cumulative_regret.tobytes()
+        drawn, _ = run_regret_experiment(prob, [hp], horizon=40)
+        full, _ = run_regret_experiment(FullTargets(**fields), [hp], horizon=40)
+        assert drawn.tobytes() == full.tobytes()
 
     def test_adam_average_regret_decays(self):
         prob = DriftingQuadraticProblem(seed=5)
-        (series,) = run_regret_experiment(
+        _, (average,) = run_regret_experiment(
             prob, [AdamHyperParams(alpha=0.1, weight_decay=0.0)], horizon=4000
         )
-        early = series.average_regret[99]
-        late = series.average_regret[-1]
+        early = average[99]
+        late = average[-1]
         assert late < 0.5 * early
 
     def test_unswitched_miadam_average_regret_stalls(self):
         prob = DriftingQuadraticProblem(seed=5)
         adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
         mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
-        s_ad, s_mi = run_regret_experiment(prob, [adam, mi], horizon=4000)
-        assert s_mi.average_regret[-1] > 10.0 * s_ad.average_regret[-1]
+        _, (avg_ad, avg_mi) = run_regret_experiment(prob, [adam, mi], horizon=4000)
+        assert avg_mi[-1] > 10.0 * avg_ad[-1]
 
     def test_deterministic(self):
         prob = DriftingQuadraticProblem(seed=9)
         hp = AdamHyperParams(weight_decay=0.0)
-        (a,) = run_regret_experiment(prob, [hp], horizon=100)
-        (b,) = run_regret_experiment(prob, [hp], horizon=100)
-        assert np.array_equal(a.cumulative_regret, b.cumulative_regret)
+        a, _ = run_regret_experiment(prob, [hp], horizon=100)
+        b, _ = run_regret_experiment(prob, [hp], horizon=100)
+        assert np.array_equal(a, b)
 
     def test_average_is_cumulative_over_t(self):
         prob = DriftingQuadraticProblem(seed=1)
-        (series,) = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], horizon=30)
-        expected = series.cumulative_regret / np.arange(1, 31)
-        assert np.array_equal(series.average_regret, expected)
+        cumulative, average = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 30)
+        assert np.array_equal(average, cumulative / np.arange(1, 31))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("params,outcome", _OUTCOMES)
