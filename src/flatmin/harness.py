@@ -393,6 +393,9 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
     if kind == "grid-flatness":
         region = root.take("region", _list, _REQUIRED, 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
+        for i, (lo, hi) in enumerate(out["region"]):
+            if not math.isfinite(hi - lo):  # np.linspace spaces the starts over hi - lo
+                raise ContractViolationError(f"config.region[{i}]: span {[lo, hi]} overflows")
         out["grid"] = root.take("grid", _ints, _REQUIRED, 2, minimum=1)
         # the descent's (W, B) planes and (2, B) points for B = rows * cols starts
         planes = ("config.landscape", max(2, len(typed["landscape"].wells)))
@@ -532,7 +535,8 @@ def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
 
 def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
     data = typed["dataset"]
-    ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
+    with np.errstate(over="ignore", invalid="ignore"):  # training reports non-finite inputs
+        ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
     x_train, y_train = ds.inputs[ds.train_idx], ds.labels[ds.train_idx]
     shuffle_seed = derive_seed(cfg["seed"], "train-shuffle")
     results = {}

@@ -5,10 +5,14 @@ user-supplied gradient function, so this module works with any model
 that can return exact gradients (the MLP, the landscapes, or a plain
 quadratic).  On top of the HVP sit power iteration for the
 dominant-magnitude eigenvalue and a Hutchinson trace estimator with
-Rademacher probes.
+Rademacher probes.  Each estimator runs its HVPs with numpy's overflow
+warnings off, and raises ``NonFiniteError`` for an estimate that is not
+finite.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,18 +58,21 @@ def top_eigenvalue(
     lam_prev = None
     lam = 0.0
     count = 0
-    for _ in range(max_iters):
-        w = hvp(grad_fn, theta, v)
-        count += 1
-        lam = float(v @ w)
-        w_norm = float(np.linalg.norm(w))
-        if w_norm == 0.0:
-            # Hessian annihilates v; zero is the best available estimate.
-            return lam, count, True
-        v = w / w_norm
-        if lam_prev is not None and abs(lam - lam_prev) < tol:
-            return lam, count, True
-        lam_prev = lam
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
+        for _ in range(max_iters):
+            w = hvp(grad_fn, theta, v)
+            count += 1
+            lam = float(v @ w)
+            w_norm = float(np.linalg.norm(w))
+            if not (math.isfinite(lam) and math.isfinite(w_norm)):
+                raise NonFiniteError("non-finite estimate in power iteration")
+            if w_norm == 0.0:
+                # Hessian annihilates v; zero is the best available estimate.
+                return lam, count, True
+            v = w / w_norm
+            if lam_prev is not None and abs(lam - lam_prev) < tol:
+                return lam, count, True
+            lam_prev = lam
     return lam, count, False
 
 
@@ -86,10 +93,12 @@ def hutchinson_trace(
     rng = np.random.Generator(np.random.PCG64(seed))
     dim = theta.shape[0]
     estimates = np.empty(probes)
-    for i in range(probes):
-        z = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        estimates[i] = float(z @ hvp(grad_fn, theta, z))
-    mean = float(np.mean(estimates))
-    if probes == 1:
-        return mean, None
-    return mean, float(np.std(estimates, ddof=1) / np.sqrt(probes))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises
+        for i in range(probes):
+            z = rng.integers(0, 2, size=dim) * 2.0 - 1.0
+            estimates[i] = float(z @ hvp(grad_fn, theta, z))
+        mean = float(np.mean(estimates))
+        stderr = None if probes == 1 else float(np.std(estimates, ddof=1) / np.sqrt(probes))
+    if not (math.isfinite(mean) and (stderr is None or math.isfinite(stderr))):
+        raise NonFiniteError("non-finite Hutchinson trace estimate")
+    return mean, stderr

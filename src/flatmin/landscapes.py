@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, NonFiniteError
+from .errors import ContractViolationError
 from .optim import (
     LrSchedule,
     OptimizerParams,
@@ -43,8 +43,8 @@ class WellSpec:
     def __post_init__(self):
         if self.depth <= 0:
             raise ContractViolationError("well depth must be > 0")
-        if self.width <= 0:
-            raise ContractViolationError("well width must be > 0")
+        if not (self.width > 0 and 0 < 2.0 * (self.width * self.width) < np.inf):
+            raise ContractViolationError("well width must be > 0, with 2 * width**2 finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=None):
 
     Returns the final points (B, 2) and their flatness (B,).  The points are
     (2, B) planes, row 0 x and row 1 y, stepped in place with each start a
-    lane (column) of the stepper.  The run ends early once every start has
-    diverged, and raises the error of the first diverged start in row-major
-    order.  ``record(t, planes, loss)`` is called after each step with the
-    planes and the loss (B,) at the points the step started from; the loss
-    is computed only when there is a ``record``.
+    lane (column) of the stepper.  It raises the error of the first diverged
+    start in row-major order, so it ends once start 0 has diverged.
+    ``record(t, planes, loss)`` is called after each step with the planes
+    and the loss (B,) at the points the step started from; the loss is
+    computed only when there is a ``record``.
     """
     if total_steps < 0:
         raise ContractViolationError("total_steps must be >= 0")
@@ -207,11 +207,9 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=None):
         for t in range(1, total_steps + 1):
             wells.gradient(x, y, grad)
             loss = None if record is None else wells.loss()
-            try:
-                opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
-            except NonFiniteError:
-                if len(opt.diverged) == len(starts):
-                    break
+            opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
+            if 0 in opt.diverged:
+                break
             if record is not None:
                 record(t, planes, loss)
         if opt.diverged:

@@ -315,6 +315,8 @@ def train_classifier(
                     _, grad, _ = loss_and_grad(model, x_train[batch], y_train[batch])
                     mult = schedule_multiplier(sched, step)
                     opt.step(model._flat, grad, lr_multiplier=mult)
+                    if opt.diverged:
+                        raise opt.diverged[0]
                 except NonFiniteError as err:
                     raise NonFiniteError(
                         f"training diverged at epoch {epoch}, batch {lo // batch_size}",

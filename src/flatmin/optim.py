@@ -14,7 +14,8 @@ Every update rule is elementwise, so a stepper runs independent problems,
 its lanes, as the slices of one array (see :class:`Stepper`), and
 :func:`build_lanes` groups optimizers as the rows of one array.  The pure
 ``*_step`` functions copy theta and the state, run a one-lane stepper once
-and return ``(theta', state')``, leaving their inputs untouched.
+and return ``(theta', state')`` or raise its error, leaving their inputs
+untouched.
 """
 
 from __future__ import annotations
@@ -161,10 +162,10 @@ class Stepper:
     it into theta.  The lanes are the indices along ``lane_axis`` (``None``:
     the whole array is one lane).  The one lane rule: a lane whose theta' is
     not finite keeps its slice of theta, and at its first such step
-    ``diverged`` maps it to the ``NonFiniteError`` it raises alone, naming
-    the step and the culprit in its own slices (parameter, else gradient,
-    else update).  The other lanes finish the step, the state advances, and
-    ``step`` raises the first new lane's error; a lane raises only once.
+    ``diverged`` maps it to the ``NonFiniteError`` that names the step and
+    the culprit in its own slices (parameter, else gradient, else update).
+    The other lanes finish the step and the state advances.  ``step`` raises
+    only for shapes: the loop that owns the lanes reads ``diverged``.
     """
 
     def __init__(self, params, state: OptimizerState, lane_axis: int | None = None):
@@ -174,7 +175,7 @@ class Stepper:
         self._a = np.empty_like(state.m)
         self._b = np.empty_like(state.m)
         self._finite = np.empty(state.m.shape, dtype=bool)
-        self.diverged: dict[int, NonFiniteError] = {}  # lane -> the error it raises alone
+        self.diverged: dict[int, NonFiniteError] = {}  # lane -> its first error
 
     def step(self, theta: ParamVector, grad: ParamVector, lr_multiplier: float = 1.0) -> None:
         if theta.shape != grad.shape:
@@ -198,12 +199,11 @@ class Stepper:
         return self.name
 
     def _non_finite(self, theta, grad, theta_new, t: int) -> None:
-        """Keep each non-finite lane's slice of theta; on a new lane, finish the step and raise."""
+        """Keep each non-finite lane's slice of theta, and record a new lane's error."""
         theta, grad, theta_new, finite = map(self._by_lane, (theta, grad, theta_new, self._finite))
         bad = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))
         theta_new[bad] = theta[bad]
-        new = [lane for lane in bad.tolist() if lane not in self.diverged]
-        for lane in new:
+        for lane in [i for i in bad.tolist() if i not in self.diverged]:
             if not np.isfinite(theta[lane]).all():
                 message = "non-finite entries in parameter vector"
             elif not np.isfinite(grad[lane]).all():
@@ -211,10 +211,6 @@ class Stepper:
             else:
                 message = f"{self._name(lane)} update produced non-finite parameters"
             self.diverged[lane] = NonFiniteError(message, step=t)
-        if new:
-            np.copyto(theta, theta_new)
-            self.state.step_t = t
-            raise self.diverged[new[0]]
 
     def _update(self, theta, grad, t: int, lr_multiplier: float) -> ParamVector:
         """Advance the state to step ``t`` and return theta' in a scratch buffer."""
@@ -446,12 +442,14 @@ def build_lanes(params: list[OptimizerParams], dim: int) -> list[tuple[list[int]
 
 # ---------------------------------------------------------------------------
 # Pure single steps: each copies theta and the state, runs its stepper once,
-# and leaves its inputs untouched.
+# raises the error of a lane that diverged, and leaves its inputs untouched.
 
 
 def _pure_step(stepper: Stepper, theta, grad, lr_multiplier: float = 1.0):
     theta_new = np.array(theta, dtype=np.float64)
     stepper.step(theta_new, grad, lr_multiplier)
+    if stepper.diverged:
+        raise stepper.diverged[0]
     return theta_new, stepper.state
 
 

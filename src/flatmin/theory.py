@@ -209,10 +209,7 @@ def run_regret_experiment(
             np.matmul(diff_rows, diff_cols, out=square)
             lr = t ** -lr_decay_h
             for stepper, lane_theta, lane_grad in live:
-                try:
-                    stepper.step(lane_theta, lane_grad, lr)
-                except NonFiniteError:  # ``diverged`` keeps the lane's error
-                    pass
+                stepper.step(lane_theta, lane_grad, lr)
             if 0 in first.diverged:
                 break
         else:

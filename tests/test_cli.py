@@ -224,11 +224,23 @@ def test_diverging_grid_exit_1_names_its_first_failing_start(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+def _overflowing_hessian(out_dir, spread):
+    # training finishes; at 1e154 the trace's standard error overflows, at 1e160 ||Hv|| does
+    dataset = {"classes": 3, "per_class": 5, "n_features": 4, "noise_rate": 0.2, "spread": spread}
+    return _train(out_dir, kind="hessian-report", dataset=dataset, epochs=2, batch_size=4,
+                  model={"layer_sizes": [4, 5, 3], "activation": "relu"},
+                  hessian={"max_iters": 3, "probes": 2})
+
+
 @pytest.mark.parametrize("build", [
     lambda out: _grid(out, optimizers=[{"name": "adam", "kind": "adam", "alpha": 1e300}]),
     lambda out: _train(out, model={"layer_sizes": [20, 8, 4], "activation": "relu"},
                        optimizers=[{"name": "adam", "kind": "adam", "alpha": 1e300}]),
-], ids=["adam-grid", "relu-train"])
+    lambda out: _overflowing_hessian(out, 1e154),
+    lambda out: _overflowing_hessian(out, 1e160),
+    # 3 * spread overflows as make_blobs places the class centres
+    lambda out: _train(out, dataset={"classes": 4, "per_class": 10, "spread": 1e308}),
+], ids=["adam-grid", "relu-train", "hessian-trace", "hessian-top", "spread"])
 def test_diverging_run_prints_one_error_line_and_no_warning(tmp_path, build):
     # numpy's RuntimeWarnings go to stderr in a child, where no test filter applies
     path = write_config(tmp_path, build(tmp_path / "out"))
@@ -543,6 +555,13 @@ def _regret(out_dir):
          "config.schedule.unit"),
         (_grid, "schedule", {"kind": "cosine_annealing", "unit": "epochs"},
          "config.schedule.unit"),
+        # a well width whose 2 * width**2 overflows or underflows, and a region whose span
+        # hi - lo overflows
+        (_trajectory, "landscape", {"wells": [{"center": [0, 0], "depth": 1, "width": 1e154}]},
+         "config.landscape.wells[0]"),
+        (_grid, "landscape", {"wells": [{"center": [0, 0], "depth": 1, "width": 1e-308}]},
+         "config.landscape.wells[0]"),
+        (_grid, "region", [[-2.0, 3.0], [-1e308, 1e308]], "config.region[1]"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):

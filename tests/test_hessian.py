@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatmin.errors import ContractViolationError
+from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.hessian import hutchinson_trace, hvp, top_eigenvalue
 
 
@@ -80,6 +80,10 @@ class TestHvp:
         with pytest.raises(ContractViolationError):
             hvp(quadratic_grad(np.eye(2)), np.zeros(2), np.zeros(2))
 
+    def test_non_finite_gradient_raises(self):
+        with pytest.raises(NonFiniteError, match="non-finite gradient"):
+            hvp(lambda theta: np.full(2, np.nan), np.zeros(2), np.ones(2))
+
     @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
     def test_step_grows_with_theta(self, scale):
         # the gradient of the cubic sum(x**3) / 6 is x**2 / 2, whose central
@@ -134,6 +138,15 @@ class TestTopEigenvalue:
     def test_bad_budget(self):
         with pytest.raises(ContractViolationError):
             top_eigenvalue(quadratic_grad(np.eye(2)), np.zeros(2), 0, 1e-6, seed=0)
+
+    def test_zero_hessian_returns_zero_at_once(self):
+        out = top_eigenvalue(quadratic_grad(np.zeros((3, 3))), np.zeros(3), 10, 1e-6, seed=0)
+        assert out == (0.0, 1, True)
+
+    def test_overflowing_norm_raises_without_a_warning(self):
+        # finite HVP entries near 1e308 whose norm overflows; RuntimeWarnings are errors here
+        with pytest.raises(NonFiniteError, match="power iteration"):
+            top_eigenvalue(quadratic_grad(np.diag([1e308, 1e308])), np.zeros(2), 3, 0.0, seed=0)
 
     @pytest.mark.parametrize("tol", [-1e-12, -1.0, math.nan])
     def test_bad_tolerance(self, tol):
@@ -202,3 +215,15 @@ class TestHutchinson:
     def test_bad_probe_count(self):
         with pytest.raises(ContractViolationError):
             hutchinson_trace(quadratic_grad(np.eye(2)), np.zeros(2), probes=0, seed=0)
+
+    def test_overflowing_estimate_raises_without_a_warning(self):
+        # every probe's z . Hz is 2e308, beyond the float range
+        with pytest.raises(NonFiniteError, match="Hutchinson"):
+            hutchinson_trace(quadratic_grad(np.diag([1e308, 1e308])), np.zeros(2), 2, seed=0)
+
+    def test_overflowing_stderr_raises_without_a_warning(self):
+        # the two probes of seed 0 give z . Hz = 2e307 and -2e307: a finite mean, and
+        # deviations whose squares overflow
+        mat = np.array([[0.0, 1e307], [1e307, 0.0]])
+        with pytest.raises(NonFiniteError, match="Hutchinson"):
+            hutchinson_trace(quadratic_grad(mat), np.zeros(2), 2, seed=0)

@@ -347,6 +347,10 @@ class TestSurface:
             WellSpec(center=(0, 0), depth=0.0, width=1.0)
         with pytest.raises(ContractViolationError):
             WellSpec(center=(0, 0), depth=1.0, width=-1.0)
+        # 2 * width**2 overflows to inf, or underflows to 0
+        for width in (1e308, 1e154, 1e-308):
+            with pytest.raises(ContractViolationError, match="2 \\* width\\*\\*2"):
+                WellSpec(center=(0, 0), depth=1.0, width=width)
         with pytest.raises(ContractViolationError):
             LandscapeSpec(wells=())
 
@@ -541,6 +545,22 @@ class TestGrid:
     def test_bad_grid(self):
         with pytest.raises(ContractViolationError):
             grid_starts(((0, 1), (0, 1)), (0, 5))
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ContractViolationError, match="total_steps"):
+            grid_flatness_study(TWO_WELLS, ((0, 1), (0, 1)), (2, 2), [SgdParams()],
+                                LrSchedule(), -1)
+
+    def test_the_descent_stops_once_start_0_has_diverged(self):
+        # start 0's error is then the one the descent raises, whatever the other starts do
+        wells, calls = landscapes._Wells(TWO_WELLS, 2), []
+        gradient = wells.gradient
+        wells.gradient = lambda *args: (calls.append(args), gradient(*args))
+        starts = np.array([[np.nan, 0.0], [0.5, 0.5]])
+        message = r"^non-finite entries in parameter vector \(at step 1\)$"
+        with pytest.raises(NonFiniteError, match=message):
+            landscapes._descend(wells, starts, SgdParams(0.05), LrSchedule(), 100)
+        assert len(calls) == 1
 
     def test_batched_study_equals_per_start_runs(self):
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)

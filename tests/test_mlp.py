@@ -155,6 +155,11 @@ class TestForward:
         other.set_flat(flat)
         assert np.array_equal(other.get_flat(), flat)
 
+    def test_set_flat_rejects_a_wrong_dimension(self):
+        model = Mlp(SPEC)
+        with pytest.raises(ContractViolationError, match="wrong dimension"):
+            model.set_flat(np.zeros(model.num_params + 1))
+
     def test_init_bounds_and_zero_biases(self):
         model = Mlp(MlpSpec(layer_sizes=(10, 4, 2), init_seed=3))
         limit0 = np.sqrt(6.0 / 14.0)
