@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     try:
         report = run_config(cfg, args.output_dir)
     except (NonFiniteError, ContractViolationError, OSError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
     out_dir = args.output_dir if args.output_dir is not None else cfg["output_dir"]
     print(f"ok: wrote {Path(out_dir) / 'report.json'} ({report['kind']})")

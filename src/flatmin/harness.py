@@ -369,8 +369,6 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
     "problem") and, for a training run, holds its "steps_per_epoch" and the
     "dataset" recipe, whose seeds are derived here.
     """
-    if not isinstance(raw, dict):
-        raise ContractViolationError("config root: expected an object")
     root = _Block(raw, "config")
     kind = root.take("kind", _same, None)
     if kind not in KINDS:
@@ -537,7 +535,6 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
     data = typed["dataset"]
     with np.errstate(over="ignore", invalid="ignore"):  # training reports non-finite inputs
         ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
-    x_train, y_train = ds.inputs[ds.train_idx], ds.labels[ds.train_idx]
     shuffle_seed = derive_seed(cfg["seed"], "train-shuffle")
     results = {}
     for block, params in zip(cfg["optimizers"], typed["optimizers"]):
@@ -556,7 +553,7 @@ def _run_train(cfg: dict, typed: dict, csvs: dict) -> dict:
 
         def grad_fn(p, _model=model):
             _model.set_flat(p)
-            return loss_and_grad(_model, x_train, y_train)[1]
+            return loss_and_grad(_model, ds.x_train, ds.y_train)[1]
 
         top, hvps, reached = top_eigenvalue(
             grad_fn, theta, h["max_iters"], h["tol"], derive_seed(cfg["seed"], "hessian-top", name)

@@ -19,6 +19,7 @@ the loss only when it records, so a grid run evaluates gradients alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,8 +247,12 @@ def grid_starts(region, grid) -> np.ndarray:
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise ContractViolationError("grid dimensions must be >= 1")
-    xs = np.linspace(x0, x1, cols) if cols > 1 else np.array([0.5 * (x0 + x1)])
-    ys = np.linspace(y0, y1, rows) if rows > 1 else np.array([0.5 * (y0 + y1)])
+
+    def mid(lo, hi):  # a one-cell axis starts at the middle; halve first where lo + hi overflows
+        return 0.5 * (lo + hi) if math.isfinite(lo + hi) else 0.5 * lo + 0.5 * hi
+
+    xs = np.linspace(x0, x1, cols) if cols > 1 else np.array([mid(x0, x1)])
+    ys = np.linspace(y0, y1, rows) if rows > 1 else np.array([mid(y0, y1)])
     return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
 

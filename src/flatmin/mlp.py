@@ -193,14 +193,13 @@ def accuracy(model: Mlp, inputs: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Dataset:
-    inputs: np.ndarray  # (N, d) float64
-    labels: np.ndarray  # (N,) int64
-    train_idx: np.ndarray
-    test_idx: np.ndarray
+    """The two parts of an 80/20 split: float64 inputs and int64 labels of each."""
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
+    x_train: np.ndarray  # (N_train, d)
+    y_train: np.ndarray  # (N_train,)
+    x_test: np.ndarray  # (N_test, d)
+    y_test: np.ndarray  # (N_test,)
+    classes: int
 
 
 def train_size(n: int) -> int:
@@ -234,18 +233,13 @@ def make_blobs(
     rng = np.random.Generator(np.random.PCG64(seed))
     n = classes * per_class
     inputs = rng.normal(0.0, spread / 3.0, size=(n, n_features))
-    labels = np.repeat(np.arange(classes), per_class)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     angles = 2.0 * np.pi * labels / classes
     inputs[:, 0] += 3.0 * spread * np.cos(angles)
     inputs[:, 1] += 3.0 * spread * np.sin(angles)
     perm = rng.permutation(n)
-    n_train = train_size(n)
-    return Dataset(
-        inputs=inputs,
-        labels=labels.astype(np.int64),
-        train_idx=perm[:n_train],
-        test_idx=perm[n_train:],
-    )
+    train, test = np.split(perm, [train_size(n)])
+    return Dataset(inputs[train], labels[train], inputs[test], labels[test], classes)
 
 
 def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
@@ -255,18 +249,16 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     if rate == 0:
         return ds
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_train = len(ds.train_idx)
-    n_flip = int(round(rate * n_train))
-    victims = rng.choice(ds.train_idx, size=n_flip, replace=False)
-    classes = ds.num_classes
-    labels = ds.labels.copy()
+    n_flip = int(round(rate * len(ds.y_train)))
+    victims = rng.choice(len(ds.y_train), size=n_flip, replace=False)
+    labels = ds.y_train.copy()
     for idx in victims:
         # uniform over the other classes
-        new = int(rng.integers(0, classes - 1))
+        new = int(rng.integers(0, ds.classes - 1))
         if new >= labels[idx]:
             new += 1
         labels[idx] = new
-    return replace(ds, labels=labels)
+    return replace(ds, y_train=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +291,8 @@ def train_classifier(
     model = Mlp(spec)
     opt = build_optimizer(optimizer, model.num_params)
     rng = np.random.Generator(np.random.PCG64(seed))
-    x_train = dataset.inputs[dataset.train_idx]
-    y_train = dataset.labels[dataset.train_idx]
-    x_test = dataset.inputs[dataset.test_idx]
-    y_test = dataset.labels[dataset.test_idx]
+    x_train, y_train = dataset.x_train, dataset.y_train
+    splits = (("train", x_train, y_train), ("test", dataset.x_test, dataset.y_test))
     columns = ("train_loss", "train_acc", "test_loss", "test_acc")
     metrics = {"epoch": np.arange(1, epochs + 1), **{key: np.empty(epochs) for key in columns}}
     step = 0
@@ -323,7 +313,7 @@ def train_classifier(
                         step=step + 1,
                     ) from err
                 step += 1
-            for split, x, y in (("train", x_train, y_train), ("test", x_test, y_test)):
+            for split, x, y in splits:
                 loss, logits = forward_loss(model, x, y)
                 metrics[f"{split}_loss"][epoch - 1] = loss
                 metrics[f"{split}_acc"][epoch - 1] = _accuracy(logits, y)

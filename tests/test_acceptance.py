@@ -296,7 +296,7 @@ def test_criterion_09_label_noise_robustness(acceptance_log):
     ds0 = make_blobs(classes=4, per_class=150, spread=1.0, seed=7)
     batch = 128
     epochs = 150
-    spe = steps_per_epoch(len(ds0.train_idx), batch)
+    spe = steps_per_epoch(len(ds0.y_train), batch)
     sched = LrSchedule(kind="cosine_annealing", total_steps=epochs * spe)
     adam = AdamHyperParams(alpha=3e-5)
     mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=40 * spe)

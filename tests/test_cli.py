@@ -265,6 +265,29 @@ def test_overflowing_regret_exit_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_an_error_with_no_message_prints_its_type(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg, output_dir=None):
+        raise MemoryError()
+
+    monkeypatch.setattr("flatmin.cli.run_config", out_of_memory)
+    assert main(["run", str(write_config(tmp_path, _trajectory(tmp_path / "out")))]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_one_cell_grid_at_the_float_limit_starts_where_its_trajectory_does(tmp_path):
+    # 1e308 + 1e308 overflows, but the axis's middle is 1e308
+    grid = _grid(tmp_path / "grid", landscape="landscape-A", total_steps=5, grid=[1, 1],
+                 region=[[1e308, 1e308], [0.0, 0.0]])
+    trajectory = dict(_trajectory(tmp_path / "trajectory"), start=[1e308, 0.0])
+    for cfg in (grid, trajectory):
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    header, row = (tmp_path / "grid" / "flatness.csv").read_text().splitlines()
+    assert header == "row,col,theta1_0,theta2_0,adam"
+    report = json.loads((tmp_path / "trajectory" / "report.json").read_text())
+    flatness = report["results"]["adam"]["flatness"]
+    assert row.split(",")[2:] == [repr(x) for x in (*trajectory["start"], flatness)]
+
+
 def test_killed_run_leaves_no_file(tmp_path):
     # 40 Adam optimizers of distinct epsilon, so that each steps as a lane group
     # of its own: 40 x 20,000 steps, well over 10 s of work
@@ -293,6 +316,13 @@ def test_killed_run_leaves_no_file(tmp_path):
         child.kill()
         child.wait()
     assert [p for p in (tmp_path / "out").rglob("*") if not p.is_dir()] == []
+
+
+@pytest.mark.parametrize("root", [[], 3, None, "x"], ids=["list", "number", "null", "string"])
+def test_a_config_that_is_not_an_object_exit_2(tmp_path, capsys, root):
+    assert main(["run", str(write_config(tmp_path, root))]) == 2
+    assert capsys.readouterr().err == "error: config: expected an object\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_no_command_is_usage_error(capsys):
@@ -562,6 +592,9 @@ def _regret(out_dir):
         (_grid, "landscape", {"wells": [{"center": [0, 0], "depth": 1, "width": 1e-308}]},
          "config.landscape.wells[0]"),
         (_grid, "region", [[-2.0, 3.0], [-1e308, 1e308]], "config.region[1]"),
+        # an integer beyond the float range
+        (_trajectory, "optimizers", [{"name": "a", "kind": "adam", "alpha": 10 ** 400}],
+         "config.optimizers[0].alpha"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):

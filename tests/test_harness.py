@@ -460,7 +460,6 @@ class TestRuns:
         cfg, typed = harness._resolve(raw)
         data, h, seed = typed["dataset"], cfg["hessian"], cfg["seed"]
         ds = inject_label_noise(make_blobs(**data["blobs"]), data["noise_rate"], data["noise_seed"])
-        x, y = ds.inputs[ds.train_idx], ds.labels[ds.train_idx]
         for block, params in zip(cfg["optimizers"], typed["optimizers"]):
             name = block["name"]
             model, _ = train_classifier(
@@ -470,7 +469,7 @@ class TestRuns:
 
             def grad_fn(p, _model=model):
                 _model.set_flat(p)
-                return loss_and_grad(_model, x, y)[1]
+                return loss_and_grad(_model, ds.x_train, ds.y_train)[1]
 
             theta = model.get_flat()
             top = top_eigenvalue(

@@ -542,6 +542,16 @@ class TestGrid:
         pts = grid_starts(((0.0, 2.0), (4.0, 6.0)), (1, 1))
         assert np.array_equal(pts, [[1.0, 5.0]])
 
+    @pytest.mark.parametrize("region,start", [
+        # lo + hi overflows; the sum of the halves does not
+        (((1e308, 1.7e308), (-1.7e308, -1e308)), [1.35e308, -1.35e308]),
+        # lo + 0.5 * (hi - lo) gives 0.4 here, and 0.5 * lo + 0.5 * hi flushes 5e-324 to 0
+        (((0.1, 0.7), (0.2, 0.5)), [0.39999999999999997, 0.35]),
+        (((5e-324, 5e-324), (0.0, 0.0)), [5e-324, 0.0]),
+    ], ids=["overflowing-sum", "rounding", "subnormal"])
+    def test_single_cell_midpoint_bits(self, region, start):
+        assert same_bits(grid_starts(region, (1, 1)), [start])
+
     def test_bad_grid(self):
         with pytest.raises(ContractViolationError):
             grid_starts(((0, 1), (0, 1)), (0, 5))

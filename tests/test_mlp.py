@@ -310,21 +310,25 @@ class TestAllocation:
 class TestBlobs:
     def test_shapes_and_counts(self):
         ds = make_blobs(classes=4, per_class=50, spread=1.0, seed=0)
-        assert ds.inputs.shape == (200, 20)
-        assert np.array_equal(np.bincount(ds.labels), [50, 50, 50, 50])
-        assert len(ds.train_idx) == 160 and len(ds.test_idx) == 40
-        assert len(np.intersect1d(ds.train_idx, ds.test_idx)) == 0
+        assert ds.x_train.shape == (160, 20) and ds.x_test.shape == (40, 20)
+        assert ds.x_train.dtype == ds.x_test.dtype == np.float64
+        assert ds.y_train.dtype == ds.y_test.dtype == np.int64
+        assert ds.classes == 4
+        labels = np.concatenate([ds.y_train, ds.y_test])
+        assert np.array_equal(np.bincount(labels), [50, 50, 50, 50])
+        # the two parts are disjoint: their stacked rows are 200 distinct points
+        assert len(np.unique(np.vstack([ds.x_train, ds.x_test]), axis=0)) == 200
 
     def test_deterministic(self):
         a = make_blobs(3, 20, 0.5, seed=7)
         b = make_blobs(3, 20, 0.5, seed=7)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.train_idx, b.train_idx)
+        for part in ("x_train", "y_train", "x_test", "y_test"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
 
     def test_seed_changes_data(self):
         a = make_blobs(3, 20, 0.5, seed=7)
         b = make_blobs(3, 20, 0.5, seed=8)
-        assert not np.array_equal(a.inputs, b.inputs)
+        assert not np.array_equal(a.x_train, b.x_train)
 
     def test_validation(self):
         with pytest.raises(ContractViolationError):
@@ -345,17 +349,17 @@ class TestLabelNoise:
     def test_exact_flip_count_train_only(self):
         ds = make_blobs(4, 100, 1.0, seed=1)
         noisy = inject_label_noise(ds, 0.25, seed=2)
-        changed = np.nonzero(noisy.labels != ds.labels)[0]
-        assert len(changed) == round(0.25 * len(ds.train_idx))
-        assert set(changed).issubset(set(ds.train_idx.tolist()))
-        assert np.array_equal(noisy.labels[ds.test_idx], ds.labels[ds.test_idx])
+        changed = np.nonzero(noisy.y_train != ds.y_train)[0]
+        assert len(changed) == round(0.25 * len(ds.y_train))
+        for part in ("x_train", "x_test", "y_test"):
+            assert np.array_equal(getattr(noisy, part), getattr(ds, part))
 
     def test_flips_change_class(self):
         ds = make_blobs(4, 100, 1.0, seed=1)
         noisy = inject_label_noise(ds, 0.5, seed=3)
-        flipped = noisy.labels != ds.labels
+        flipped = noisy.y_train != ds.y_train
         # every chosen victim ends up with a different label by construction
-        assert np.sum(flipped) == round(0.5 * len(ds.train_idx))
+        assert np.sum(flipped) == round(0.5 * len(ds.y_train))
 
     def test_zero_rate_identity(self):
         ds = make_blobs(3, 30, 1.0, seed=4)
@@ -365,7 +369,7 @@ class TestLabelNoise:
         ds = make_blobs(4, 50, 1.0, seed=6)
         a = inject_label_noise(ds, 0.3, seed=9)
         b = inject_label_noise(ds, 0.3, seed=9)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.y_train, b.y_train)
 
     def test_rate_bounds(self):
         ds = make_blobs(3, 10, 1.0, seed=0)
@@ -422,7 +426,7 @@ class TestTraining:
     def test_miadam_trains(self):
         ds = make_blobs(3, 60, 1.0, seed=13)
         spec = MlpSpec(layer_sizes=(20, 16, 3), activation="relu", init_seed=0)
-        spe = steps_per_epoch(len(ds.train_idx), 32)
+        spe = steps_per_epoch(len(ds.y_train), 32)
         hp = MIAdamHyperParams(
             adam=AdamHyperParams(alpha=1e-3, weight_decay=0.0),
             order_n=1, kappa=0.98, switch_step=5 * spe,

@@ -589,6 +589,12 @@ class TestStepper:
             tracemalloc.stop()
         assert peak < dim
 
+    @pytest.mark.parametrize("params", ["adam", [SgdParams(), SgdParams()]], ids=["str", "two-sgd"])
+    def test_params_no_stepper_runs_rejected(self, params):
+        # a name is not params, and only Adam-family params step as a group of lanes
+        with pytest.raises(ContractViolationError, match="no stepper runs the optimizer params"):
+            build_optimizer(params, 3)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -827,6 +833,10 @@ class TestSchedule:
 
     def test_constant(self):
         assert schedule_multiplier(LrSchedule(), 12345) == 1.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ContractViolationError, match="unknown schedule kind 'linear'"):
+            LrSchedule(kind="linear")
 
     def test_multiplier_in_unit_interval(self):
         sched = LrSchedule(kind="cosine_annealing", total_steps=200, eta_min=0.01)
