@@ -387,7 +387,7 @@ def _resolve(raw: dict) -> tuple[dict, dict]:
         out["total_steps"] = root.take("total_steps", _int, _REQUIRED, minimum=0)
     if kind == "trajectory":
         out["start"] = root.take("start", _floats, _REQUIRED, 2)
-        _check_size(("config.total_steps", 2 * out["total_steps"]))  # the (steps, 2) path
+        _check_size(("config.total_steps", 3 * out["total_steps"]))  # the (3, steps, 1) record
     if kind == "grid-flatness":
         region = root.take("region", _list, _REQUIRED, 2)
         out["region"] = [_floats(r, f"config.region[{i}]", 2) for i, r in enumerate(region)]
@@ -501,29 +501,23 @@ def _optimizer_warnings(blocks: list[dict]) -> list[str]:
 def _run_trajectory(cfg: dict, typed: dict, csvs: dict) -> dict:
     results = {}
     for block, params in zip(cfg["optimizers"], typed["optimizers"]):
-        name = block["name"]
-        rec = simulate_trajectory(
+        columns, final_theta, well, flatness = simulate_trajectory(
             typed["landscape"], cfg["start"], params, typed["schedule"], cfg["total_steps"]
         )
-        x, y = rec.path.T
-        t = np.arange(1, len(rec.loss) + 1)
-        csvs[f"trajectory_{name}.csv"] = {"t": t, "theta1": x, "theta2": y, "loss": rec.loss}
-        results[name] = {
-            "final_theta": list(rec.final_theta),
-            "converged_well": rec.converged_well,
-            "flatness": rec.flatness,
+        csvs[f"trajectory_{block['name']}.csv"] = columns
+        results[block["name"]] = {
+            "final_theta": list(final_theta), "converged_well": well, "flatness": flatness,
         }
     return results
 
 
 def _run_grid_flatness(cfg: dict, typed: dict, csvs: dict) -> dict:
-    region, grid = cfg["region"], cfg["grid"]
     names = [b["name"] for b in cfg["optimizers"]]
+    starts = grid_starts(cfg["region"], cfg["grid"])
     flats = grid_flatness_study(
-        typed["landscape"], region, grid, typed["optimizers"], typed["schedule"], cfg["total_steps"]
+        typed["landscape"], starts, typed["optimizers"], typed["schedule"], cfg["total_steps"]
     )
-    starts = grid_starts(region, grid)
-    fixed = (*np.divmod(np.arange(len(starts)), grid[1]), *starts.T)
+    fixed = (*np.divmod(np.arange(len(starts)), cfg["grid"][1]), *starts.T)
     csvs["flatness.csv"] = dict(zip((*_GRID_COLUMNS, *names), (*fixed, *flats)))
     return {
         name: {"mean_flatness": float(np.mean(f)), "median_flatness": float(np.median(f))}

@@ -64,6 +64,9 @@ def top_eigenvalue(
             count += 1
             lam = float(v @ w)
             w_norm = float(np.linalg.norm(w))
+            if math.isinf(w_norm):  # the squares overflow: scale by max|w|, as BLAS dnrm2 does
+                scale = float(np.max(np.abs(w)))
+                w_norm = scale * float(np.linalg.norm(w / scale))
             if not (math.isfinite(lam) and math.isfinite(w_norm)):
                 raise NonFiniteError("non-finite estimate in power iteration")
             if w_norm == 0.0:

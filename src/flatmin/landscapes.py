@@ -12,9 +12,9 @@ to evaluating each point on its own.  ``batch_loss_grad`` and
 
 Trajectory simulation and the grid flatness study share one descent loop,
 which steps every start as a lane of one (2, B) array; a trajectory is a
-batch of one.  A run builds one kernel for all its optimizers, reads the
-final flatness (sum of absolute Hessian eigenvalues) off it, and computes
-the loss only when it records, so a grid run evaluates gradients alone.
+batch of one and comes back as its CSV columns.  A run builds one kernel
+for all its optimizers and reads the final flatness (sum of absolute Hessian
+eigenvalues) off it; only a trajectory computes the loss.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ class LandscapeSpec:
     def __post_init__(self):
         if len(self.wells) < 1:
             raise ContractViolationError("landscape needs at least one well")
-
-
-@dataclass
-class TrajectoryRecord:
-    """One optimizer run: after each step t = 1..T, its point and the loss it started from."""
-
-    path: np.ndarray  # (T, 2)
-    loss: np.ndarray  # (T,)
-    final_theta: Point
-    converged_well: int | None
-    flatness: float
 
 
 def _sum_wells(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -186,37 +175,38 @@ def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
     return best
 
 
-def _descend(wells, starts, optimizer, sched, total_steps, record=None):
+def _descend(wells, starts, optimizer, sched, total_steps, record=False):
     """Run one optimizer from every start (B, 2) at once on the kernel ``wells``.
 
-    Returns the final points (B, 2) and their flatness (B,).  The points are
-    (2, B) planes, row 0 x and row 1 y, stepped in place with each start a
-    lane (column) of the stepper.  It raises the error of the first diverged
-    start in row-major order, so it ends once start 0 has diverged.
-    ``record(t, planes, loss)`` is called after each step with the planes
-    and the loss (B,) at the points the step started from; the loss is
-    computed only when there is a ``record``.
+    Returns the final points (B, 2), their flatness (B,) and, if ``record``,
+    the steps as (3, T, B): x and y after step t, and the loss at the points
+    step t started from, computed only when recording; else None.  The
+    points are (2, B) planes stepped in place, each start a lane (column) of
+    the stepper.  It raises the error of the first diverged start in
+    row-major order, so it ends once start 0 has diverged.
     """
     if total_steps < 0:
         raise ContractViolationError("total_steps must be >= 0")
+    steps = np.empty((3, total_steps, len(starts))) if record else None
     planes = starts.T.copy()
     x, y = planes
     grad = np.empty_like(planes)
     opt = build_optimizer(optimizer, planes.shape, lane_axis=1)
     # far-field offsets overflow to inf (the well terms to 0); a diverged start ends in an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, total_steps + 1):
+        for t in range(total_steps):
             wells.gradient(x, y, grad)
-            loss = None if record is None else wells.loss()
-            opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t - 1))
+            if record:
+                steps[2, t] = wells.loss()
+            opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t))
             if 0 in opt.diverged:
                 break
-            if record is not None:
-                record(t, planes, loss)
+            if record:
+                steps[:2, t] = planes
         if opt.diverged:
             raise opt.diverged[min(opt.diverged)]
         wells.gradient(x, y, grad)
-        return planes.T, _abs_eig_sum(*wells.hessian())
+        return planes.T, _abs_eig_sum(*wells.hessian()), steps
 
 
 def simulate_trajectory(
@@ -225,20 +215,20 @@ def simulate_trajectory(
     optimizer: OptimizerParams,
     sched: LrSchedule,
     total_steps: int,
-) -> TrajectoryRecord:
-    """Run one optimizer from ``start`` on the exact gradient, recording every step."""
-    if total_steps < 0:  # before the record is allocated
-        raise ContractViolationError("total_steps must be >= 0")
-    path, loss = np.empty((total_steps, 2)), np.empty(total_steps)
+) -> tuple[dict[str, np.ndarray], Point, int | None, float]:
+    """Run one optimizer from ``start`` on the exact gradient, recording every step.
 
-    def record(t, planes, step_loss):
-        path[t - 1], loss[t - 1] = planes[:, 0], step_loss[0]
-
+    Returns ``(columns, final_theta, converged_well, flatness)``.  ``columns``
+    maps ``t``, ``theta1``, ``theta2`` and ``loss`` to their values at each
+    step t = 1..T: the point after step t and the loss it started from.
+    """
     starts = np.asarray(start, dtype=np.float64).reshape(1, 2)
-    finals, flatness = _descend(_Wells(spec, 1), starts, optimizer, sched, total_steps, record)
-    final = (float(finals[0, 0]), float(finals[0, 1]))
-    well = classify_converged_well(spec, final)
-    return TrajectoryRecord(path, loss, final, converged_well=well, flatness=flatness[0])
+    wells = _Wells(spec, 1)
+    (final,), (flat,), steps = _descend(wells, starts, optimizer, sched, total_steps, record=True)
+    columns = {"t": np.arange(1, total_steps + 1)}
+    columns.update(zip(("theta1", "theta2", "loss"), steps[..., 0]))
+    final_theta = (float(final[0]), float(final[1]))
+    return columns, final_theta, classify_converged_well(spec, final_theta), float(flat)
 
 
 def grid_starts(region, grid) -> np.ndarray:
@@ -258,19 +248,17 @@ def grid_starts(region, grid) -> np.ndarray:
 
 def grid_flatness_study(
     spec: LandscapeSpec,
-    region,
-    grid,
+    starts: np.ndarray,
     optimizers: list[OptimizerParams],
     sched: LrSchedule,
     total_steps: int,
 ) -> list[np.ndarray]:
-    """Final-point flatness for every grid start, per optimizer, in row-major order.
+    """Final-point flatness from every start (B, 2), per optimizer, in the order of the starts.
 
     Each optimizer runs all starts as the lanes of one (2, B) array, each with
     the bits and the error of a run from that start alone; a failing run
     raises for the first optimizer in list order that fails.
     """
-    starts = grid_starts(region, grid)
     # every gradient call rewrites the kernel's planes, so the optimizers can share it
     wells = _Wells(spec, len(starts))
     return [_descend(wells, starts, params, sched, total_steps)[1] for params in optimizers]

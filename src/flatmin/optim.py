@@ -61,6 +61,10 @@ class AdamHyperParams:
             raise ContractViolationError("require beta1^2 / sqrt(beta2) < 1")
 
 
+# the highest MIAdam order a run may ask for, far above any order the paper tests
+MAX_ORDER_N = 64
+
+
 @dataclass(frozen=True)
 class MIAdamHyperParams:
     """MIAdam hyperparameters on top of an Adam base.
@@ -69,7 +73,8 @@ class MIAdamHyperParams:
     in epochs convert before constructing this, and ``None`` never switches.
     ``pre_switch_lr_override`` replaces the alpha**order_n pre-switch
     learning rate when set (useful on landscapes where alpha**n would make
-    steps vanish for n >= 2).
+    steps vanish for n >= 2).  ``order_n`` is at most ``MAX_ORDER_N``: each
+    level is an array of its own, stepped every step before the switch.
     """
 
     adam: AdamHyperParams = field(default_factory=AdamHyperParams)
@@ -81,6 +86,8 @@ class MIAdamHyperParams:
     def __post_init__(self):
         if self.order_n < 1:
             raise ContractViolationError("order_n must be >= 1")
+        if self.order_n > MAX_ORDER_N:
+            raise ContractViolationError(f"order_n must be <= {MAX_ORDER_N}")
         if not (0 < self.kappa <= 1):
             raise ContractViolationError("kappa must lie in (0, 1]")
         if self.switch_step is not None and self.switch_step < 1:

@@ -166,7 +166,7 @@ def run_regret_experiment(
     problem: DriftingQuadraticProblem,
     optimizers: list[OptimizerParams],
     horizon: int,
-    lr_decay_h: float = 0.5,
+    lr_decay_h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative and average regret on one stream, as two (optimizers, horizon) arrays.
 

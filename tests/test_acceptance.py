@@ -9,7 +9,7 @@ import pytest
 
 from flatmin.harness import run, run_config
 from flatmin.hessian import hutchinson_trace, top_eigenvalue
-from flatmin.landscapes import _descend, _Wells, grid_flatness_study
+from flatmin.landscapes import _descend, _Wells, grid_flatness_study, grid_starts
 from flatmin.mlp import (
     Mlp,
     MlpSpec,
@@ -262,9 +262,8 @@ def test_criterion_07_grid_flatness(acceptance_log):
         )
         for n in (2, 3)
     ]
-    flats = grid_flatness_study(
-        spec, ((-2.0, 3.0), (-2.0, 3.0)), (50, 50), opts, sched, SIMULATION_TOTAL_STEPS
-    )
+    starts = grid_starts(((-2.0, 3.0), (-2.0, 3.0)), (50, 50))
+    flats = grid_flatness_study(spec, starts, opts, sched, SIMULATION_TOTAL_STEPS)
     ma, m2, m3 = (float(np.mean(f)) for f in flats)
     ok = m2 < ma and m3 < ma
     acceptance_log(
@@ -279,7 +278,7 @@ def test_criterion_08_regret_divergence(acceptance_log):
     prob = DriftingQuadraticProblem()
     adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
     mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
-    _, (avg_ad, avg_mi) = run_regret_experiment(prob, [adam, mi], 100000)
+    _, (avg_ad, avg_mi) = run_regret_experiment(prob, [adam, mi], 100000, 0.5)
     at_100 = avg_ad[99]
     at_end = avg_ad[-1]
     mi_end = avg_mi[-1]

@@ -22,6 +22,7 @@ from flatmin import __version__, harness
 from flatmin.cli import main
 from flatmin.harness import normalize_config
 from flatmin.landscapes import grid_starts
+from flatmin.optim import MAX_ORDER_N
 from flatmin.presets import DATASET_PRESETS, LANDSCAPE_PRESETS, get_landscape
 
 
@@ -402,6 +403,7 @@ def test_non_bool_eps_in_sqrt_exit_2(tmp_path, capsys, value):
         ({"kind": "miadam", "order_n": 0}, "order_n must be >= 1"),
         ({"kind": "miadam", "switch_step": 0}, "switch_step must be >= 1"),
         ({"kind": "miadam", "pre_switch_lr_override": -1.0}, "pre_switch_lr_override must be > 0"),
+        ({"kind": "miadam", "order_n": MAX_ORDER_N + 1}, f"order_n must be <= {MAX_ORDER_N}"),
     ],
 )
 def test_out_of_range_optimizer_value_exit_2(tmp_path, capsys, optimizer, message):
@@ -595,6 +597,8 @@ def _regret(out_dir):
         # an integer beyond the float range
         (_trajectory, "optimizers", [{"name": "a", "kind": "adam", "alpha": 10 ** 400}],
          "config.optimizers[0].alpha"),
+        # the descent's (3, total_steps, 1) record of a trajectory
+        (_trajectory, "total_steps", 2 ** 63 // 24 + 1, "config.total_steps"),
     ],
 )
 def test_invalid_field_exit_2_names_its_path(tmp_path, capsys, build, field, value, path):
@@ -814,6 +818,8 @@ def _mutations(node, path=()):
 
 
 _MUTATIONS = [(i, path, value) for i, base in enumerate(_BASES) for path, value in _mutations(base)]
+# the regret base's MIAdam one order above the cap
+_MUTATIONS.append((4, ("optimizers", 0, "order_n"), MAX_ORDER_N + 1))
 
 
 @settings(max_examples=len(_MUTATIONS), deadline=None, database=None, derandomize=True)

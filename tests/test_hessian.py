@@ -36,6 +36,25 @@ def one_shot_trace(grad_fn, theta, probes, seed):
     return float(np.mean(estimates)), stderr
 
 
+def unscaled_top_eigenvalue(grad_fn, theta, max_iters, tol, seed):
+    """Power iteration with the plain norm of Hv: the reference wherever that norm is finite."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    v = rng.standard_normal(theta.shape[0])
+    v /= np.linalg.norm(v)
+    lam_prev, lam = None, 0.0
+    for count in range(1, max_iters + 1):
+        w = hvp(grad_fn, theta, v)
+        lam = float(v @ w)
+        w_norm = float(np.linalg.norm(w))
+        if w_norm == 0.0:
+            return lam, count, True
+        v = w / w_norm
+        if lam_prev is not None and abs(lam - lam_prev) < tol:
+            return lam, count, True
+        lam_prev = lam
+    return lam, max_iters, False
+
+
 class TestHvp:
     def test_identity_matrix(self):
         v = np.array([1.0, -2.0, 3.0])
@@ -143,10 +162,36 @@ class TestTopEigenvalue:
         out = top_eigenvalue(quadratic_grad(np.zeros((3, 3))), np.zeros(3), 10, 1e-6, seed=0)
         assert out == (0.0, 1, True)
 
-    def test_overflowing_norm_raises_without_a_warning(self):
-        # finite HVP entries near 1e308 whose norm overflows; RuntimeWarnings are errors here
+    def test_overflowing_norm_is_scaled_without_a_warning(self):
+        # finite HVP entries near 1e308 whose squares overflow; RuntimeWarnings are errors here
+        mat = np.diag([1e308, 1e308])
+        lam, _, _ = top_eigenvalue(quadratic_grad(mat), np.zeros(2), 3, 0.0, seed=0)
+        assert lam == pytest.approx(1e308, rel=1e-15)
+
+    def test_top_eigenvalue_of_1e200(self):
+        # ||Hv|| is about 1e200, whose square overflows
+        mat = np.diag([1e200, 1e200])
+        lam, _, _ = top_eigenvalue(quadratic_grad(mat), np.zeros(2), 3, 0.0, seed=0)
+        assert lam == pytest.approx(1e200, rel=1e-15)
+
+    def test_eigenvalue_beyond_the_float_range_raises(self):
+        # the top eigenvalue is 2e308: the scaled norm overflows too
         with pytest.raises(NonFiniteError, match="power iteration"):
-            top_eigenvalue(quadratic_grad(np.diag([1e308, 1e308])), np.zeros(2), 3, 0.0, seed=0)
+            top_eigenvalue(quadratic_grad(np.full((2, 2), 1e308)), np.zeros(2), 3, 0.0, seed=0)
+
+    @pytest.mark.parametrize("mat,max_iters,tol,seed", [
+        *((random_symmetric(30, seed=40 + seed), 5000, 1e-12, 0) for seed in range(5)),
+        (np.diag([-5.0, 1.0, 2.0]), 500, 1e-12, 0),
+        (np.eye(8), 50, 1e-6, 0),
+        (np.diag([1.0, 0.999]), 2, 1e-15, 0),
+        (random_symmetric(10, seed=51), 7, 0.0, 0),
+        (random_symmetric(10, seed=50), 100, 1e-6, 3),
+        (np.zeros((3, 3)), 10, 1e-6, 0),
+    ])
+    def test_finite_norms_keep_the_unscaled_bits(self, mat, max_iters, tol, seed):
+        grad_fn, theta = quadratic_grad(mat), np.zeros(len(mat))
+        want = unscaled_top_eigenvalue(grad_fn, theta, max_iters, tol, seed)
+        assert top_eigenvalue(grad_fn, theta, max_iters, tol, seed) == want
 
     @pytest.mark.parametrize("tol", [-1e-12, -1.0, math.nan])
     def test_bad_tolerance(self, tol):

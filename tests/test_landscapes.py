@@ -222,16 +222,17 @@ class TestPlaneDescent:
     )
     def test_equals_the_interleaved_loop(self, spec, n, optimizer, sched, seed):
         starts = np.random.Generator(np.random.PCG64(seed)).uniform(-4.0, 4.0, size=(n, 2))
-        ref_steps, steps = [], []
+        ref_steps = []
 
         def ref_record(t, theta, loss):
             ref_steps.append((t, theta.reshape(n, 2).copy(), loss.copy()))
 
-        def record(t, planes, loss):
-            steps.append((t, planes.T.copy(), loss.copy()))
-
         ref = reference_descend(spec, starts, optimizer, sched, DESCENT_STEPS, ref_record)
-        final, flatness = _descend(_Wells(spec, n), starts, optimizer, sched, DESCENT_STEPS, record)
+        final, flatness, recorded = _descend(
+            _Wells(spec, n), starts, optimizer, sched, DESCENT_STEPS, record=True
+        )
+        # step t: every lane's x and y after it, and the loss where it started
+        steps = [(t + 1, recorded[:2, t].T, recorded[2, t]) for t in range(recorded.shape[1])]
         assert same_bits(final, ref)
         ref_flatness = [reference_flatness(reference_landscape_eval(spec, p)[2]) for p in ref]
         assert same_bits(flatness, ref_flatness)
@@ -246,8 +247,10 @@ class TestPlaneDescent:
         starts = grid_starts(((-1.0, 2.0), (-1.0, 2.0)), (3, 3))
         expected = reference_descend(TWO_WELLS, starts, SgdParams(0.05), LrSchedule(), 5)
         monkeypatch.setattr(_Wells, "loss", no_loss)
-        final, _ = _descend(_Wells(TWO_WELLS, len(starts)), starts, SgdParams(0.05), LrSchedule(), 5)
-        assert same_bits(final, expected)
+        final, _, steps = _descend(
+            _Wells(TWO_WELLS, len(starts)), starts, SgdParams(0.05), LrSchedule(), 5
+        )
+        assert same_bits(final, expected) and steps is None
 
     def test_one_kernel_per_run(self, monkeypatch):
         built = []
@@ -259,7 +262,8 @@ class TestPlaneDescent:
 
         monkeypatch.setattr(landscapes, "_Wells", CountingWells)
         optimizers = [SgdParams(0.05), SgdmParams(0.02, 0.9), AdamHyperParams(alpha=0.05)]
-        grid_flatness_study(TWO_WELLS, ((-1.0, 2.0), (-1.0, 2.0)), (3, 3), optimizers, LrSchedule(), 5)
+        starts = grid_starts(((-1.0, 2.0), (-1.0, 2.0)), (3, 3))
+        grid_flatness_study(TWO_WELLS, starts, optimizers, LrSchedule(), 5)
         assert built == [9]
         simulate_trajectory(TWO_WELLS, (0.5, 0.5), SgdParams(0.05), LrSchedule(), 5)
         assert built == [9, 1]
@@ -369,8 +373,8 @@ class TestFarField:
 
     def test_trajectory_flatness_is_zero(self):
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)
-        rec = simulate_trajectory(TWO_WELLS, FAR, hp, LrSchedule(), 5)
-        assert rec.final_theta == FAR and rec.flatness == 0.0
+        _, final_theta, _, flatness = simulate_trajectory(TWO_WELLS, FAR, hp, LrSchedule(), 5)
+        assert final_theta == FAR and flatness == 0.0
 
 
 class TestFlatness:
@@ -453,13 +457,14 @@ class TestDeepWell:
 
     def test_grid_and_trajectory_flatness_match_mpmath(self):
         region, sgd = ((-3.0, 3.0), (-3.0, 3.0)), SgdParams(alpha=1e-3)
-        (flat,) = grid_flatness_study(DEEP_WELL, region, (3, 3), [sgd], LrSchedule(), 0)
-        want = [mp_flatness(DEEP_WELL, x, y) for x, y in grid_starts(region, (3, 3))]
+        starts = grid_starts(region, (3, 3))
+        (flat,) = grid_flatness_study(DEEP_WELL, starts, [sgd], LrSchedule(), 0)
+        want = [mp_flatness(DEEP_WELL, x, y) for x, y in starts]
         assert flat.tolist() == pytest.approx(want, rel=1e-13)
         assert flat[0] == pytest.approx(2.22e297, rel=1e-3)
-        rec = simulate_trajectory(DEEP_WELL, (0.5, 0.2), sgd, LrSchedule(), 0)
-        assert rec.flatness == pytest.approx(mp_flatness(DEEP_WELL, 0.5, 0.2), rel=1e-13)
-        assert rec.flatness == pytest.approx(1.48e300, rel=1e-3)
+        *_, flatness = simulate_trajectory(DEEP_WELL, (0.5, 0.2), sgd, LrSchedule(), 0)
+        assert flatness == pytest.approx(mp_flatness(DEEP_WELL, 0.5, 0.2), rel=1e-13)
+        assert flatness == pytest.approx(1.48e300, rel=1e-3)
 
 
 class TestClassification:
@@ -478,38 +483,37 @@ class TestClassification:
 class TestTrajectories:
     def test_sgd_descends_into_well(self):
         spec = LandscapeSpec(wells=(WellSpec(center=(0, 0), depth=2.0, width=1.0),))
-        rec = simulate_trajectory(
+        columns, final_theta, well, _ = simulate_trajectory(
             spec, (0.8, -0.6), SgdParams(alpha=0.1), LrSchedule(), total_steps=300
         )
-        assert rec.converged_well == 0
-        assert np.linalg.norm(rec.final_theta) < 1e-3
-        assert rec.path.shape == (300, 2) and rec.loss.shape == (300,)
-        assert same_bits(rec.path[-1], rec.final_theta)
+        assert well == 0
+        assert np.linalg.norm(final_theta) < 1e-3
+        assert list(columns) == ["t", "theta1", "theta2", "loss"]
+        assert all(column.shape == (300,) for column in columns.values())
+        assert same_bits([columns["theta1"][-1], columns["theta2"][-1]], final_theta)
 
     def test_losses_monotone_for_small_sgd_steps(self):
-        rec = simulate_trajectory(
+        columns, *_ = simulate_trajectory(
             TWO_WELLS, (1.0, 0.5), SgdParams(alpha=0.01), LrSchedule(), total_steps=200
         )
-        assert np.all(np.diff(rec.loss) <= 1e-12)
+        assert np.all(np.diff(columns["loss"]) <= 1e-12)
 
     def test_deterministic(self):
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)
-        r1 = simulate_trajectory(TWO_WELLS, (-1.0, 2.0), hp, LrSchedule(), 100)
-        r2 = simulate_trajectory(TWO_WELLS, (-1.0, 2.0), hp, LrSchedule(), 100)
-        assert same_bits(r1.path, r2.path) and same_bits(r1.loss, r2.loss)
-        assert r1.final_theta == r2.final_theta
+        c1, final1, *_ = simulate_trajectory(TWO_WELLS, (-1.0, 2.0), hp, LrSchedule(), 100)
+        c2, final2, *_ = simulate_trajectory(TWO_WELLS, (-1.0, 2.0), hp, LrSchedule(), 100)
+        assert all(same_bits(c1[key], c2[key]) for key in ("t", "theta1", "theta2", "loss"))
+        assert final1 == final2
 
     def test_zero_steps(self):
-        rec = simulate_trajectory(TWO_WELLS, (0.1, 0.1), SgdParams(alpha=0.1), LrSchedule(), 0)
-        assert rec.path.shape == (0, 2) and rec.loss.shape == (0,)
-        assert rec.final_theta == (0.1, 0.1)
+        columns, final_theta, *_ = simulate_trajectory(
+            TWO_WELLS, (0.1, 0.1), SgdParams(alpha=0.1), LrSchedule(), 0
+        )
+        assert all(column.shape == (0,) for column in columns.values())
+        assert final_theta == (0.1, 0.1)
 
-    def test_negative_steps_rejected(self, monkeypatch):
+    def test_negative_steps_rejected(self):
         # numpy refuses a record of -1 rows with ValueError, so the check comes first
-        def no_kernel(*args, **kwargs):
-            raise AssertionError("the kernel was built before the step count was checked")
-
-        monkeypatch.setattr(landscapes, "_Wells", no_kernel)
         with pytest.raises(ContractViolationError, match="total_steps must be >= 0"):
             simulate_trajectory(TWO_WELLS, (0, 0), SgdParams(alpha=0.1), LrSchedule(), -1)
 
@@ -517,16 +521,13 @@ class TestTrajectories:
         # row t - 1: the point after step t and the loss at the point it started from
         starts = np.array([[1.0, 0.5]])
         hp = AdamHyperParams(alpha=0.05)
-        steps = []
-
-        def record(t, planes, loss):
-            steps.append((planes[:, 0].copy(), loss[0]))
-
-        _descend(_Wells(TWO_WELLS, 1), starts, hp, LrSchedule(), 20, record)
-        rec = simulate_trajectory(TWO_WELLS, (1.0, 0.5), hp, LrSchedule(), 20)
-        assert same_bits(rec.path, [p for p, _ in steps])
-        assert same_bits(rec.loss, [loss for _, loss in steps])
-        assert same_bits(rec.loss[0], landscape_eval(TWO_WELLS, (1.0, 0.5))[0])
+        *_, steps = _descend(_Wells(TWO_WELLS, 1), starts, hp, LrSchedule(), 20, record=True)
+        columns, *_ = simulate_trajectory(TWO_WELLS, (1.0, 0.5), hp, LrSchedule(), 20)
+        assert same_bits(columns["t"], np.arange(1, 21))
+        assert same_bits(columns["theta1"], steps[0, :, 0])
+        assert same_bits(columns["theta2"], steps[1, :, 0])
+        assert same_bits(columns["loss"], steps[2, :, 0])
+        assert same_bits(columns["loss"][0], landscape_eval(TWO_WELLS, (1.0, 0.5))[0])
 
 
 class TestGrid:
@@ -558,7 +559,7 @@ class TestGrid:
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ContractViolationError, match="total_steps"):
-            grid_flatness_study(TWO_WELLS, ((0, 1), (0, 1)), (2, 2), [SgdParams()],
+            grid_flatness_study(TWO_WELLS, grid_starts(((0, 1), (0, 1)), (2, 2)), [SgdParams()],
                                 LrSchedule(), -1)
 
     def test_the_descent_stops_once_start_0_has_diverged(self):
@@ -576,30 +577,30 @@ class TestGrid:
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)
         sched = LrSchedule(kind="cosine_annealing", total_steps=60)
         region = ((-1.5, 2.5), (-1.5, 2.5))
-        (flat,) = grid_flatness_study(TWO_WELLS, region, (3, 3), [hp], sched, 60)
         starts = grid_starts(region, (3, 3))
+        (flat,) = grid_flatness_study(TWO_WELLS, starts, [hp], sched, 60)
         for i, start in enumerate(starts):
-            rec = simulate_trajectory(TWO_WELLS, tuple(start), hp, sched, 60)
-            assert flat[i] == pytest.approx(rec.flatness, rel=0, abs=0)
+            *_, flatness = simulate_trajectory(TWO_WELLS, tuple(start), hp, sched, 60)
+            assert flat[i] == pytest.approx(flatness, rel=0, abs=0)
 
     def test_a_diverging_start_fails_the_study_with_its_lone_error(self):
         # SGDM at alpha 1e10 on the deep well: start 1 alone fails at step 2, and start 2,
         # later in row-major order, fails sooner, at step 1
-        region, sgdm = ((-3.0, 3.0), (-3.0, 3.0)), SgdmParams(alpha=1e10, beta=0.9)
+        starts = grid_starts(((-3.0, 3.0), (-3.0, 3.0)), (5, 5))
+        sgdm = SgdmParams(alpha=1e10, beta=0.9)
         with pytest.raises(NonFiniteError) as lone:
-            simulate_trajectory(DEEP_WELL, tuple(grid_starts(region, (5, 5))[1]), sgdm,
-                                LrSchedule(), 30)
+            simulate_trajectory(DEEP_WELL, tuple(starts[1]), sgdm, LrSchedule(), 30)
         with pytest.raises(NonFiniteError) as batch:
-            grid_flatness_study(DEEP_WELL, region, (5, 5), [sgdm], LrSchedule(), 30)
+            grid_flatness_study(DEEP_WELL, starts, [sgdm], LrSchedule(), 30)
         assert str(batch.value) == str(lone.value)
         assert batch.value.step == lone.value.step == 2
 
     def test_multiple_optimizers_independent(self):
         hp = AdamHyperParams(alpha=0.05, weight_decay=0.0)
         sgd = SgdParams(alpha=0.05)
-        region = ((-1, 2), (-1, 2))
-        both = grid_flatness_study(TWO_WELLS, region, (2, 2), [hp, sgd], LrSchedule(), 50)
-        (only_adam,) = grid_flatness_study(TWO_WELLS, region, (2, 2), [hp], LrSchedule(), 50)
+        starts = grid_starts(((-1, 2), (-1, 2)), (2, 2))
+        both = grid_flatness_study(TWO_WELLS, starts, [hp, sgd], LrSchedule(), 50)
+        (only_adam,) = grid_flatness_study(TWO_WELLS, starts, [hp], LrSchedule(), 50)
         assert np.array_equal(both[0], only_adam)
 
 

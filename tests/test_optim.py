@@ -13,6 +13,7 @@ from flatmin.errors import ContractViolationError, NonFiniteError
 from flatmin.harness import _optimizer_warnings, normalize_config
 from flatmin.mlp import Mlp, MlpSpec, make_blobs, train_classifier
 from flatmin.optim import (
+    MAX_ORDER_N,
     Adam,
     AdamHyperParams,
     LrSchedule,
@@ -395,6 +396,15 @@ class TestMIAdam:
 
         assert warnings_for(3) == []
         assert len(warnings_for(4)) == 1 and "order_n=4" in warnings_for(4)[0]
+
+    def test_order_above_the_cap_is_refused(self):
+        # each level is an array stepped every step: a huge order would exhaust memory
+        with pytest.raises(ContractViolationError, match=f"order_n must be <= {MAX_ORDER_N}"):
+            MIAdamHyperParams(order_n=MAX_ORDER_N + 1)
+        hp = MIAdamHyperParams(order_n=MAX_ORDER_N, switch_step=None)
+        state = OptimizerState.zeros(2, order_n=MAX_ORDER_N)
+        theta, state = miadam_step(np.ones(2), np.ones(2), state, hp)
+        assert np.isfinite(theta).all() and len(state.mbar_stack) == MAX_ORDER_N
 
     def test_determinism(self):
         base = AdamHyperParams()

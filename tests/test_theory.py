@@ -158,7 +158,7 @@ class TestRegret:
     def test_constant_problem_zero_regret_at_optimum(self):
         # theta0 equals the (constant) target, so every per-step regret is 0.
         prob = DriftingQuadraticProblem(dim=3, target_low=0.5, target_high=0.5, theta0=0.5)
-        cumulative, _ = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 50)
+        cumulative, _ = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 50, 0.5)
         assert cumulative.shape == (1, 50)
         assert np.max(np.abs(cumulative)) < 1e-12
 
@@ -166,7 +166,7 @@ class TestRegret:
         # With a fixed target the comparator is that target, so the
         # instantaneous regret is a squared distance: always >= 0.
         prob = DriftingQuadraticProblem(dim=2, target_low=1.0, target_high=1.0, theta0=0.0)
-        cumulative, _ = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 200)
+        cumulative, _ = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 200, 0.5)
         diffs = np.diff(cumulative[0])
         assert np.all(diffs >= -1e-12)
 
@@ -181,14 +181,14 @@ class TestRegret:
         assert np.array_equal(prob.targets(20), np.full((20, 3), target))
         # a -0.0 target is drawn as +0.0; regret squares it, so no value changes
         hp = AdamHyperParams(alpha=0.1)
-        drawn, _ = run_regret_experiment(prob, [hp], horizon=40)
-        full, _ = run_regret_experiment(FullTargets(**fields), [hp], horizon=40)
+        drawn, _ = run_regret_experiment(prob, [hp], horizon=40, lr_decay_h=0.5)
+        full, _ = run_regret_experiment(FullTargets(**fields), [hp], horizon=40, lr_decay_h=0.5)
         assert drawn.tobytes() == full.tobytes()
 
     def test_adam_average_regret_decays(self):
         prob = DriftingQuadraticProblem(seed=5)
         _, (average,) = run_regret_experiment(
-            prob, [AdamHyperParams(alpha=0.1, weight_decay=0.0)], horizon=4000
+            prob, [AdamHyperParams(alpha=0.1, weight_decay=0.0)], horizon=4000, lr_decay_h=0.5
         )
         early = average[99]
         late = average[-1]
@@ -198,19 +198,20 @@ class TestRegret:
         prob = DriftingQuadraticProblem(seed=5)
         adam = AdamHyperParams(alpha=0.1, weight_decay=0.0)
         mi = MIAdamHyperParams(adam=adam, order_n=1, kappa=0.98, switch_step=None)
-        _, (avg_ad, avg_mi) = run_regret_experiment(prob, [adam, mi], horizon=4000)
+        _, (avg_ad, avg_mi) = run_regret_experiment(prob, [adam, mi], horizon=4000, lr_decay_h=0.5)
         assert avg_mi[-1] > 10.0 * avg_ad[-1]
 
     def test_deterministic(self):
         prob = DriftingQuadraticProblem(seed=9)
         hp = AdamHyperParams(weight_decay=0.0)
-        a, _ = run_regret_experiment(prob, [hp], horizon=100)
-        b, _ = run_regret_experiment(prob, [hp], horizon=100)
+        a, _ = run_regret_experiment(prob, [hp], horizon=100, lr_decay_h=0.5)
+        b, _ = run_regret_experiment(prob, [hp], horizon=100, lr_decay_h=0.5)
         assert np.array_equal(a, b)
 
     def test_average_is_cumulative_over_t(self):
         prob = DriftingQuadraticProblem(seed=1)
-        cumulative, average = run_regret_experiment(prob, [AdamHyperParams(weight_decay=0.0)], 30)
+        hp = AdamHyperParams(weight_decay=0.0)
+        cumulative, average = run_regret_experiment(prob, [hp], 30, 0.5)
         assert np.array_equal(average, cumulative / np.arange(1, 31))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -227,5 +228,5 @@ class TestRegret:
     def test_bad_horizon(self):
         with pytest.raises(ContractViolationError):
             run_regret_experiment(
-                DriftingQuadraticProblem(), [AdamHyperParams()], horizon=0
+                DriftingQuadraticProblem(), [AdamHyperParams()], horizon=0, lr_decay_h=0.5
             )
