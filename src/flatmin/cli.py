@@ -54,6 +54,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read config file {args.config}: {err}", file=sys.stderr)
         return 2
+    except (RecursionError, ValueError) as err:  # nested too deep, or an int too long to read
+        print(f"error: {args.config}: {err}", file=sys.stderr)
+        return 2
     try:
         cfg = normalize_config(raw)
     except ContractViolationError as err:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -263,9 +264,11 @@ class _Lane(NamedTuple):
                        params.pre_switch_alpha)
         return cls(params, 0, None, None, params.alpha)
 
-    def height(self, t: int) -> int:
-        """The levels that step ``t`` runs: the order before the switch, else 0."""
-        return self.order if self.switch_step is None or t < self.switch_step else 0
+    def at(self, t: int) -> tuple:
+        """``(height, kappa, alpha)`` of step ``t``: the levels that it runs, else Adam's."""
+        if self.order and (self.switch_step is None or t < self.switch_step):
+            return self.order, self.kappa, self.pre_switch_alpha
+        return 0, None, self.base.alpha
 
     @property
     def shared(self) -> tuple:
@@ -285,13 +288,12 @@ class Adam(Stepper):
     exactly Adam's; the stack is frozen, not cleared.
 
     ``params`` is one optimizer's hyperparameters, which every lane takes,
-    or a list that gives lane i ``params[i]``: a group whose lanes share
-    beta1, beta2, epsilon, weight_decay and eps_in_sqrt.  A value that the
-    lanes share is a Python float and a per-lane one a full plane, so each
-    lane gets the bits it would get alone.  The stack holds the largest
-    order's levels.  A lane updates only its own levels and only before its
-    switch, and reads its numerator from its own top level; masks select
-    both, and change only at a switch step.
+    or a list that gives lane i ``params[i]``, one per lane: a group whose
+    lanes share beta1, beta2, epsilon, weight_decay and eps_in_sqrt.  The
+    stack holds the largest order's levels.  Until the next switch step the
+    lanes split into runs, the slices of adjacent lanes that run the same
+    levels with the same kappa and alpha; each run steps its own slices
+    with its own floats, so each lane gets the bits it would get alone.
     """
 
     def __init__(self, params, state: OptimizerState, lane_axis: int | None = None):
@@ -306,61 +308,36 @@ class Adam(Stepper):
                 "lanes of one group must share beta1, beta2, epsilon, weight_decay and eps_in_sqrt"
             )
         super().__init__(params, state, lane_axis)
+        count = len(self._by_lane(state.m))
+        if isinstance(params, list) and len(params) != count:
+            raise ContractViolationError(f"{len(params)} params given for {count} lanes")
         self.hp = lanes[0].base
         self._lanes = lanes
-        self._scale = None
         self._plan(state.step_t + 1)
 
     def _name(self, lane: int) -> str:
         return "MIAdam" if self._lanes[lane if len(self._lanes) > 1 else 0].order else "Adam"
 
-    def _rows(self, values: list, dtype=np.float64) -> np.ndarray:
-        """A plane of the state's shape whose lane i holds ``values[i]``."""
-        plane = np.empty(self.state.m.shape, dtype=dtype)
-        for lane, value in zip(self._by_lane(plane), values):
-            lane.fill(value)
-        return plane
-
-    def _per_lane(self, values: list):
-        """A float if the lanes that take a value (not ``None``) agree on it, else a plane.
-
-        A plane holds 1.0 in the rows of the lanes without a value.
-        """
-        taken = set(values)
-        taken.discard(None)
-        if len(taken) == 1:
-            return taken.pop()
-        return self._rows([1.0 if v is None else v for v in values])
-
     def _plan(self, t: int) -> None:
-        """Fix the level updates, the numerators and alpha from step ``t`` to the next switch."""
-        lanes, m, stack = self._lanes, self.state.m, self.state.mbar_stack
-        heights = [lane.height(t) for lane in lanes]
+        """Split the lanes into runs that step alike from step ``t`` to the next switch.
+
+        A run is ``(kappa, alpha, a, m, levels)``: its lanes' floats and their
+        slices of the scratch ``a``, the first moment and the levels that they run.
+        """
+        keys = [lane.at(t) for lane in self._lanes]
         # a lane that runs its stack switches at a later step, or never
         self._replan_at = min(
-            [lane.switch_step or math.inf for lane, h in zip(lanes, heights) if h],
+            [lane.switch_step or math.inf for lane, key in zip(self._lanes, keys) if key[0]],
             default=math.inf,
         )
-        self._levels = [  # (level, kappa, None if every lane updates it, else their mask)
-            (
-                stack[j],
-                self._per_lane([lane.kappa if h > j else None for lane, h in zip(lanes, heights)]),
-                None if min(heights) > j else self._rows([h > j for h in heights], bool),
-            )
-            for j in range(max(heights))
-        ]
-        # a lane's numerator is the top level that it runs, else m: the first lane's fills
-        # the numerator, and each other one is copied over the rows of its lanes
-        self._numerator = stack[heights[0] - 1] if heights[0] else m
-        self._picks = [
-            (stack[h - 1] if h else m, self._rows([x == h for x in heights], bool))
-            for h in dict.fromkeys(heights) if h != heights[0]
-        ]
-        self._alpha = self._per_lane(
-            [lane.pre_switch_alpha if h else lane.base.alpha for lane, h in zip(lanes, heights)]
-        )
-        if isinstance(self._alpha, np.ndarray) and self._scale is None:
-            self._scale = np.empty_like(m)
+        runs = [(key, len(list(same))) for key, same in groupby(keys)]
+        self._runs, lo = [], 0
+        for (height, kappa, alpha), n in runs:
+            arrays = [self._a, self.state.m, *self.state.mbar_stack[:height]]
+            if len(runs) > 1:
+                arrays = [self._by_lane(x)[lo:lo + n] for x in arrays]
+            self._runs.append((kappa, alpha, arrays[0], arrays[1], arrays[2:]))
+            lo += n
 
     def _update(self, theta, grad, t, lr_multiplier):
         if t >= self._replan_at:
@@ -378,27 +355,17 @@ class Adam(Stepper):
         np.multiply(g, 1.0 - hp.beta2, out=a)
         a *= g
         v += a
-        # level j = kappa * level j + level j-1, for the lanes that run their stack
-        below = m
-        for level, kappa, mask in self._levels:
-            if mask is None:
-                level *= kappa
-                level += below
-            else:
-                np.multiply(level, kappa, out=a)
-                a += below
-                np.copyto(level, a, where=mask)
-            below = level
-        numerator = self._numerator
-        if self._picks:
-            np.copyto(b, numerator)
-            for source, mask in self._picks:
-                np.copyto(b, source, where=mask)
-            numerator = b
         # theta - ((lr * alpha_t) * (numerator / (1 - beta1^t))) / denom(v / (1 - beta2^t)),
         # the same operations before and after the switch, so that a switched MIAdam step is
         # bitwise an Adam step on the same state
-        np.divide(numerator, 1.0 - hp.beta1 ** t, out=a)
+        bias = 1.0 - hp.beta1 ** t
+        for kappa, alpha, a_run, below, levels in self._runs:
+            for level in levels:  # level j = kappa * level j + level j-1
+                level *= kappa
+                level += below
+                below = level
+            np.divide(below, bias, out=a_run)  # the numerator: the run's top level, else m
+            a_run *= lr_multiplier * alpha
         np.divide(v, 1.0 - hp.beta2 ** t, out=b)
         if hp.eps_in_sqrt:
             b += hp.epsilon
@@ -406,10 +373,6 @@ class Adam(Stepper):
         else:
             np.sqrt(b, out=b)
             b += hp.epsilon
-        if self._scale is None:
-            a *= lr_multiplier * self._alpha
-        else:  # alpha_t * lr has the bits of lr * alpha_t
-            a *= np.multiply(self._alpha, lr_multiplier, out=self._scale)
         a /= b
         return np.subtract(theta, a, out=b)
 
@@ -420,8 +383,9 @@ _STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHype
 def build_optimizer(params, dim: int | tuple[int, ...], lane_axis: int | None = None) -> Stepper:
     """A stepper for ``params`` over arrays of shape ``dim``, from zero state.
 
-    ``params`` is one optimizer, or a list of Adam-family lanes (see
-    :class:`Adam`); a list of one optimizer of another kind is that optimizer.
+    ``params`` is one optimizer, or a list of Adam-family params, one per
+    lane (see :class:`Adam`); a list of one optimizer of another kind is
+    that optimizer.
     """
     group = params if isinstance(params, list) else [params]
     cls = _STEPPERS.get(type(group[0]))
@@ -435,8 +399,9 @@ def build_lanes(params: list[OptimizerParams], dim: int) -> list[tuple[list[int]
     """Steppers that run ``params`` as the rows of (lanes, dim) arrays, with each one's indices.
 
     Adam-family params that share beta1, beta2, epsilon, weight_decay and
-    eps_in_sqrt form one group; every other optimizer is a group of one.
-    Each row is a lane under :class:`Stepper`'s lane rule.
+    eps_in_sqrt form one group, in the order given, so that adjacent rows
+    that step alike are one run of :class:`Adam`; every other optimizer is
+    a group of one.  Each row is a lane under :class:`Stepper`'s lane rule.
     """
     groups: dict[object, list[int]] = {}
     for i, p in enumerate(params):

@@ -126,6 +126,20 @@ def test_malformed_json(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"kind": "trajectory", "seed": 1' + "0" * 5000 + "}",
+], ids=["nested-too-deep", "int-too-long"])
+def test_config_the_decoder_cannot_read_exit_2(tmp_path, capsys, text):
+    # past the decoder's recursion limit, or past Python's 4,300-digit int limit
+    p = tmp_path / "config.json"
+    p.write_text(text)
+    assert main(["run", str(p), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_config_path_is_a_directory_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}")

@@ -674,6 +674,15 @@ _lane_params = st.fixed_dictionaries({
 })
 
 
+_RUNS = [
+    {"order_n": 2, "alpha": 0.05, "kappa": 0.9, "switch_step": 4, "override": None},
+    {"order_n": 0, "alpha": 0.05, "kappa": 0.9, "switch_step": None, "override": None},
+    {"order_n": 1, "alpha": 0.05, "kappa": 0.5, "switch_step": 6, "override": None},
+    {"order_n": 1, "alpha": 0.05, "kappa": 0.5, "switch_step": 6, "override": None},
+    {"order_n": 0, "alpha": 0.05, "kappa": 0.9, "switch_step": None, "override": None},
+]
+
+
 class TestLanes:
     """A stepper of several lanes against one lone stepper per lane, bit for bit."""
 
@@ -703,6 +712,12 @@ class TestLanes:
         mults=[1.0, 0.5, 0.25, 2.0, 1.0, 0.75], negative_zeros=True,
         diverge=[(2, 5, "gradient"), (1, 5, "parameter")], seed=0,
     )
+    # runs of identical lanes that re-form at each switch: [mi2] [adam] [mi1 mi1] [adam] before
+    # step 4, [mi2 adam] [mi1 mi1] [adam] from it, and one run of the whole group from step 6
+    @example(kind="group", lanes=_RUNS, lane_axis=0, weight_decay=0.1, eps_in_sqrt=False, dim=2,
+             mults=[1.0, 0.5] * 5, negative_zeros=True, diverge=[(3, 7, "gradient")], seed=1)
+    @example(kind="group", lanes=_RUNS, lane_axis=1, weight_decay=0.0, eps_in_sqrt=True, dim=3,
+             mults=[1.0, 0.5] * 5, negative_zeros=False, diverge=[], seed=2)
     def test_each_lane_steps_as_if_alone(
         self, kind, lanes, lane_axis, weight_decay, eps_in_sqrt, dim, mults, negative_zeros,
         diverge, seed,
@@ -801,6 +816,16 @@ class TestLanes:
         assert str(group.diverged[bad]) == str(lone.diverged[0])
         assert str(group.diverged[bad]).startswith(f"{['Adam', 'MIAdam'][bad]} update produced")
         assert list(group.diverged) == [bad]
+
+    @pytest.mark.parametrize("count,shape,lane_axis", [
+        (2, (3, 4), 0), (3, (4, 2), 1), (1, (3, 4), 0), (2, (2, 4), None),
+    ])
+    def test_a_params_list_gives_one_per_lane(self, count, shape, lane_axis):
+        adam = AdamHyperParams(weight_decay=0.0)
+        params = [adam, MIAdamHyperParams(adam=adam, order_n=2), adam][:count]
+        lanes = 1 if lane_axis is None else shape[lane_axis]
+        with pytest.raises(ContractViolationError, match=f"{count} params given for {lanes} lanes"):
+            build_optimizer(params, shape, lane_axis=lane_axis)
 
     def test_groups_split_on_any_shared_hyperparameter(self):
         base = AdamHyperParams(weight_decay=0.0)
