@@ -12,10 +12,10 @@ stepper owns its ``OptimizerState`` and two scratch buffers and updates
 the caller's parameter vector in place, so a step allocates no arrays.
 Every update rule is elementwise, so a stepper runs independent problems,
 its lanes, as the slices of one array (see :class:`Stepper`), and
-:func:`build_lanes` groups optimizers as the rows of one array.  The pure
-``*_step`` functions copy theta and the state, run a one-lane stepper once
-and return ``(theta', state')`` or raise its error, leaving their inputs
-untouched.
+:func:`build_lanes` runs a list of optimizers as the rows of one array,
+in order.  The pure ``*_step`` functions copy theta and the state, run a
+one-lane stepper once and return ``(theta', state')`` or raise its error,
+leaving their inputs untouched.
 """
 
 from __future__ import annotations
@@ -383,33 +383,32 @@ _STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHype
 def build_optimizer(params, dim: int | tuple[int, ...], lane_axis: int | None = None) -> Stepper:
     """A stepper for ``params`` over arrays of shape ``dim``, from zero state.
 
-    ``params`` is one optimizer, or a list of Adam-family params, one per
-    lane (see :class:`Adam`); a list of one optimizer of another kind is
-    that optimizer.
+    ``params`` is one optimizer, which every lane takes, or a list of
+    Adam-family params, one per lane (see :class:`Adam`).
     """
     group = params if isinstance(params, list) else [params]
-    cls = _STEPPERS.get(type(group[0]))
-    if cls is None or (cls is not Adam and len(group) > 1):
+    kinds = {_STEPPERS.get(type(p)) for p in group}
+    if kinds != {Adam} and (group is params or None in kinds):
         raise ContractViolationError(f"no stepper runs the optimizer params {params!r}")
     order = max(getattr(p, "order_n", 0) for p in group)
-    return cls(params if cls is Adam else group[0], OptimizerState.zeros(dim, order), lane_axis)
+    return kinds.pop()(params, OptimizerState.zeros(dim, order), lane_axis)
 
 
-def build_lanes(params: list[OptimizerParams], dim: int) -> list[tuple[list[int], Stepper]]:
-    """Steppers that run ``params`` as the rows of (lanes, dim) arrays, with each one's indices.
+def build_lanes(params: list[OptimizerParams], dim: int) -> list[Stepper]:
+    """Steppers that run ``params`` as the rows of a (len(params), dim) array, in order.
 
-    Adam-family params that share beta1, beta2, epsilon, weight_decay and
-    eps_in_sqrt form one group, in the order given, so that adjacent rows
-    that step alike are one run of :class:`Adam`; every other optimizer is
-    a group of one.  Each row is a lane under :class:`Stepper`'s lane rule.
+    Adjacent Adam-family params that share beta1, beta2, epsilon,
+    weight_decay and eps_in_sqrt form one group, a list-params :class:`Adam`;
+    every other optimizer is a group of one.  Stepper k runs the next
+    ``len(state.m)`` rows, so row i is ``params[i]``, a lane under
+    :class:`Stepper`'s lane rule.
     """
-    groups: dict[object, list[int]] = {}
-    for i, p in enumerate(params):
-        groups.setdefault(_Lane.of(p).shared if _STEPPERS.get(type(p)) is Adam else i, []).append(i)
-    return [
-        (lanes, build_optimizer([params[i] for i in lanes], (len(lanes), dim), lane_axis=0))
-        for lanes in groups.values()
-    ]
+    def key(item):
+        i, p = item
+        return _Lane.of(p).shared if _STEPPERS.get(type(p)) is Adam else i
+
+    groups = ([p for _, p in run] for _, run in groupby(enumerate(params), key))
+    return [build_optimizer(g if len(g) > 1 else g[0], (len(g), dim), lane_axis=0) for g in groups]
 
 
 # ---------------------------------------------------------------------------

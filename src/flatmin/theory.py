@@ -174,29 +174,31 @@ def run_regret_experiment(
     disable the decay.  MIAdam callers should disable the switch
     (``switch_step=None``) to probe pre-switch behavior.
 
-    The targets and the comparator's losses are computed once.  Each
-    optimizer's theta is one row of a (len(optimizers), dim) array, a lane
-    of its ``build_lanes`` group, and one loop steps every group; each row
-    has the bits of a run of its optimizer alone.  The run raises
-    ``NonFiniteError`` for the first optimizer in list order that diverged
-    (at its step) or whose cumulative regret overflowed (at the first step
-    that did); it stops early once the first optimizer diverges.
+    The targets and the comparator's losses are computed once.  Row i of a
+    (len(optimizers), dim) theta is optimizer i, a lane of the ``build_lanes``
+    stepper that runs it, and one loop steps every stepper; each row has the
+    bits of a run of its optimizer alone.  The run raises ``NonFiniteError``
+    for the first optimizer in list order that diverged (at its step) or
+    whose cumulative regret overflowed (at the first step that did); it
+    stops early once optimizer 0 diverges.
     """
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
+    if not optimizers:
+        raise ContractViolationError("a regret run needs at least one optimizer")
     targets = problem.targets(horizon)
-    groups = build_lanes(optimizers, problem.dim)
+    steppers = build_lanes(optimizers, problem.dim)
     theta = np.full((len(optimizers), problem.dim), problem.theta0, dtype=np.float64)
     diff = np.empty_like(theta)  # theta - c_t, which is also every lane's gradient
     # a squared norm is a stacked (1, dim) @ (dim, 1) product, which calls the BLAS dot
     # that d @ d calls on one row, with the same bits
     diff_rows, diff_cols = diff[:, None, :], diff[:, :, None]
     squares = np.empty((horizon, len(optimizers), 1, 1))  # each step's ||theta - c_t||^2
-    live, row = [], 0  # each group's stepper and rows of theta and diff
-    for lanes, stepper in groups:
-        live.append((stepper, theta[row:row + len(lanes)], diff[row:row + len(lanes)]))
-        row += len(lanes)
-    first = groups[0][1]  # optimizer 0 is lane 0 of the first group
+    live, lo = [], 0  # each stepper and its rows of theta and diff
+    for stepper in steppers:
+        hi = lo + len(stepper.state.m)
+        live.append((stepper, theta[lo:hi], diff[lo:hi]))
+        lo = hi
     cumulative = np.zeros((len(optimizers), horizon + 1))
     # every overflow here ends in the NonFiniteError raised below, and the lanes after a
     # failing optimizer do work that a run of each optimizer alone would not reach
@@ -210,20 +212,18 @@ def run_regret_experiment(
             lr = t ** -lr_decay_h
             for stepper, lane_theta, lane_grad in live:
                 stepper.step(lane_theta, lane_grad, lr)
-            if 0 in first.diverged:
+            if 0 in steppers[0].diverged:
                 break
         else:
-            # optimizer i's lane is row order[i]; the sum takes the steps of a Python
-            # running sum from 0.0
-            order = np.argsort([i for lanes, _ in groups for i in lanes])
-            np.subtract(0.5 * squares[:, order, 0, 0].T, comparator, out=cumulative[:, 1:])
+            # the sum takes the steps of a Python running sum from 0.0
+            np.subtract(0.5 * squares[:, :, 0, 0].T, comparator, out=cumulative[:, 1:])
             np.cumsum(cumulative, axis=1, out=cumulative)
-    # optimizer index -> the step its lane went non-finite
-    diverged = {lanes[lane]: err.step for lanes, s in groups for lane, err in s.diverged.items()}
+    # row i's first error, or None
+    errors = [s.diverged.get(lane) for s in steppers for lane in range(len(s.state.m))]
     cumulative = cumulative[:, 1:]
-    for i, cum in enumerate(cumulative):
-        if i in diverged:
-            raise NonFiniteError("regret run diverged to non-finite iterates", step=diverged[i])
+    for cum, error in zip(cumulative, errors):
+        if error is not None:
+            raise NonFiniteError("regret run diverged to non-finite iterates", step=error.step)
         finite = np.isfinite(cum)
         if not finite.all():
             raise NonFiniteError("cumulative regret overflowed", step=int(np.argmin(finite)) + 1)

@@ -762,6 +762,19 @@ _PINNED_CONFIGS = {
              "switch_step": 1},
         ],
     },
+    # the SGD and the SGDM split three compatible Adam-family lanes into groups of one; mi1
+    # alone diverges, so the whole run and its reverse raise mi1's error
+    "regret-adjacency": {
+        "kind": "regret", "seed": 1, "output_dir": "unused", "horizon": 40, "lr_decay_h": 0.5,
+        "problem": {"dim": 3},
+        "optimizers": [
+            {"name": "adam", "kind": "adam", "alpha": 0.1},
+            {"name": "sgd", "kind": "sgd", "alpha": 0.05},
+            {"name": "mi1", "kind": "miadam", "alpha": 1e300, "order_n": 1, "switch_step": None},
+            {"name": "sgdm", "kind": "sgdm", "alpha": 0.05},
+            {"name": "mi2", "kind": "miadam", "alpha": 0.05, "order_n": 2, "switch_step": 20},
+        ],
+    },
     # SGDM alone fails starts 0 and 2 at step 5, and starts 1 and 4 at step 1
     "grid-order": {
         "kind": "grid-flatness", "seed": 0, "output_dir": "unused",

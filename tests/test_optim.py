@@ -1,5 +1,6 @@
 """Unit and oracle tests for the optimizer family and schedules."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -739,8 +740,8 @@ class TestLanes:
         else:
             stepped = rng.standard_normal((dim, len(params)))
         if kind == "group" and lane_axis == 0:
-            (ids, group), = build_lanes(params, dim)
-            assert ids == list(range(len(params)))
+            (group,) = build_lanes(params, dim)
+            assert group.state.m.shape == (len(params), dim)
         else:
             group = build_optimizer(params if kind == "group" else params[0], stepped.shape,
                                     lane_axis=lane_axis)
@@ -827,20 +828,27 @@ class TestLanes:
         with pytest.raises(ContractViolationError, match=f"{count} params given for {lanes} lanes"):
             build_optimizer(params, shape, lane_axis=lane_axis)
 
+    @pytest.mark.parametrize("params,shape", [
+        ([SgdParams()], (3, 4)), ([SgdmParams()], (3, 4)), ([], (2, 4)),
+        ([AdamHyperParams(), SgdParams()], (2, 4)), ([SgdmParams(), AdamHyperParams()], (2, 4)),
+    ], ids=["sgd", "sgdm", "empty", "adam-sgd", "sgdm-adam"])
+    def test_a_params_list_is_only_an_adam_family_group(self, params, shape):
+        with pytest.raises(ContractViolationError, match="no stepper runs"):
+            build_optimizer(params, shape, lane_axis=0)
+
     def test_groups_split_on_any_shared_hyperparameter(self):
         base = AdamHyperParams(weight_decay=0.0)
-        params = [
-            base,
-            SgdParams(),
-            MIAdamHyperParams(adam=AdamHyperParams(alpha=0.1, weight_decay=0.0), order_n=2),
-            AdamHyperParams(weight_decay=0.1),
-            AdamHyperParams(weight_decay=0.0, eps_in_sqrt=True),
-            SgdParams(),
-            AdamHyperParams(weight_decay=0.1, alpha=0.5),
-        ]
-        groups = build_lanes(params, 3)
-        assert [ids for ids, _ in groups] == [[0, 2], [1], [3, 6], [4], [5]]
-        assert [s.state.m.shape for _, s in groups] == [(2, 3), (1, 3), (2, 3), (1, 3), (1, 3)]
+        mi = MIAdamHyperParams(adam=dataclasses.replace(base, alpha=0.1), order_n=2)
+        # alpha and order do not split a group; an SGD between two compatible lanes does
+        params = [base, mi, SgdParams(), mi, base]
+        for name, value in [("beta1", 0.5), ("beta2", 0.99), ("epsilon", 1e-6),
+                            ("weight_decay", 0.1), ("eps_in_sqrt", True)]:
+            params += [dataclasses.replace(base, **{name: value}), base]
+        steppers = build_lanes(params, 3)
+        assert [s.state.m.shape for s in steppers] == [(2, 3), (1, 3), (2, 3)] + [(1, 3)] * 10
+        # stepper k runs the next rows, in config order
+        rows = [s.params if isinstance(s.params, list) else [s.params] for s in steppers]
+        assert sum(rows, []) == params
         with pytest.raises(ContractViolationError, match="must share"):
             Adam([base, AdamHyperParams(beta1=0.5)], OptimizerState.zeros((2, 3)))
 

@@ -225,6 +225,14 @@ class TestRegret:
         first = next(e for e in (_OUTCOMES[i][1] for i in order) if e is not None)
         assert _regret_error([_OUTCOMES[i][0] for i in order]) == first
 
+    def test_no_optimizers(self):
+        class Undrawn(DriftingQuadraticProblem):
+            def targets(self, horizon):
+                raise AssertionError("the stream was drawn")
+
+        with pytest.raises(ContractViolationError, match="at least one optimizer"):
+            run_regret_experiment(Undrawn(), [], 10, 0.5)
+
     def test_bad_horizon(self):
         with pytest.raises(ContractViolationError):
             run_regret_experiment(
