@@ -283,6 +283,7 @@ def train_classifier(
     The optimizer is stepped once per batch with the schedule multiplier
     evaluated at the number of completed steps.  ``metrics`` maps ``epoch``
     and each split's loss and accuracy to an array filled as each epoch ends.
+    A non-finite pass raises ``NonFiniteError`` naming its epoch, batch or split, and step.
     """
     if epochs < 1:
         raise ContractViolationError("epochs must be >= 1")
@@ -299,22 +300,20 @@ def train_classifier(
     with np.errstate(over="ignore", invalid="ignore"):  # the checks report divergence
         for epoch in range(1, epochs + 1):
             order = rng.permutation(len(y_train))
-            for lo in range(0, len(order), batch_size):
-                batch = order[lo : lo + batch_size]
-                try:
+            try:
+                for lo in range(0, len(order), batch_size):
+                    where, batch = f"batch {lo // batch_size}", order[lo : lo + batch_size]
+                    step += 1
                     _, grad, _ = loss_and_grad(model, x_train[batch], y_train[batch])
-                    mult = schedule_multiplier(sched, step)
-                    opt.step(model._flat, grad, lr_multiplier=mult)
+                    opt.step(model._flat, grad, schedule_multiplier(sched, step - 1))
                     if opt.diverged:
                         raise opt.diverged[0]
-                except NonFiniteError as err:
-                    raise NonFiniteError(
-                        f"training diverged at epoch {epoch}, batch {lo // batch_size}",
-                        step=step + 1,
-                    ) from err
-                step += 1
-            for split, x, y in splits:
-                loss, logits = forward_loss(model, x, y)
-                metrics[f"{split}_loss"][epoch - 1] = loss
-                metrics[f"{split}_acc"][epoch - 1] = _accuracy(logits, y)
+                for split, x, y in splits:
+                    where = f"evaluating the {split} split"
+                    loss, logits = forward_loss(model, x, y)
+                    metrics[f"{split}_loss"][epoch - 1] = loss
+                    metrics[f"{split}_acc"][epoch - 1] = _accuracy(logits, y)
+            except NonFiniteError as err:
+                message = f"training diverged at epoch {epoch}, {where}"
+                raise NonFiniteError(message, step=step) from err
     return model, metrics

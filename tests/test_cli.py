@@ -728,6 +728,20 @@ def test_overflowing_pre_switch_rate_exit_1(tmp_path, capsys, build, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("batch_size,message", [
+    (16, "training diverged at epoch 1, batch 1 (at step 2)"),
+    # one batch an epoch: the first pass to overflow is the evaluation after step 1
+    (40, "training diverged at epoch 1, evaluating the train split (at step 1)"),
+], ids=["batch", "evaluation"])
+def test_a_training_failure_names_its_epoch_and_step(tmp_path, capsys, batch_size, message):
+    adam = {"name": "adam", "kind": "adam", "alpha": 1e155}
+    cfg = _train(tmp_path / "out", model={"layer_sizes": [20, 8, 4], "activation": "relu"},
+                 epochs=3, batch_size=batch_size, optimizers=[adam])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_runtime_failure_removes_the_directories_it_created(tmp_path, capsys):
     out_dir = tmp_path / "new" / "deeper"
     assert main(["run", str(write_config(tmp_path, _diverging(out_dir)))]) == 1

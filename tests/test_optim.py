@@ -576,6 +576,32 @@ class TestBitExactOracle:
         assert not any(np.shares_memory(a, b) for a in outputs for b in inputs)
 
 
+class _Counted(np.ndarray):
+    """An array that counts the ufunc and array-function calls that it takes part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.calls += 1
+
+        def plain(arrays):
+            return tuple(x.view(np.ndarray) if isinstance(x, _Counted) else x for x in arrays)
+
+        if out is not None:
+            kwargs["out"] = plain(out)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        if out is not None:  # hand back the caller's arrays, so that calls on them count too
+            return out[0] if len(out) == 1 else out
+        return result.view(_Counted) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        _Counted.calls += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+_REGRET_ADAM = AdamHyperParams(alpha=0.1, weight_decay=0.0)
+
+
 class TestStepper:
     @pytest.mark.parametrize(
         "params",
@@ -599,6 +625,36 @@ class TestStepper:
         finally:
             tracemalloc.stop()
         assert peak < dim
+
+    @pytest.mark.parametrize("params,shape,lane_axis,calls", [
+        (AdamHyperParams(), 1604, None, 19),
+        (MIAdamHyperParams(adam=AdamHyperParams(weight_decay=0.1), order_n=2), (2, 1024), 1, 23),
+        ([_REGRET_ADAM, MIAdamHyperParams(adam=_REGRET_ADAM, kappa=0.98, switch_step=None)],
+         (2, 4), 0, 21),
+    ], ids=["adam-1604", "miadam2-plane", "regret-group"])
+    def test_numpy_calls_per_step_are_pinned(self, params, shape, lane_axis, calls):
+        # every ufunc and array-function call of a warm step, on theta, grad, the state and
+        # the scratch buffers, for training's step, a grid plane's and the regret group's
+        group = params if isinstance(params, list) else [params]
+        order = max(getattr(p, "order_n", 0) for p in group)
+
+        def counted():
+            return np.zeros(shape).view(_Counted)
+
+        stepper = Adam(params, OptimizerState(0, counted(), counted(),
+                                              [counted() for _ in range(order)]), lane_axis)
+        stepper._finite = stepper._finite.view(_Counted)
+        assert isinstance(stepper._a, _Counted) and isinstance(stepper._b, _Counted)
+        rng = np.random.Generator(np.random.PCG64(5))
+        theta = rng.standard_normal(shape).view(_Counted)
+        per_step = []
+        for _ in range(3):
+            grad = rng.standard_normal(shape).view(_Counted)
+            _Counted.calls = 0
+            stepper.step(theta, grad, 0.5)
+            per_step.append(_Counted.calls)
+        assert per_step == [calls] * 3
+        assert np.isfinite(theta).all() and stepper.state.step_t == 3
 
     @pytest.mark.parametrize("params", ["adam", [SgdParams(), SgdParams()]], ids=["str", "two-sgd"])
     def test_params_no_stepper_runs_rejected(self, params):
