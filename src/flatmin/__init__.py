@@ -16,7 +16,7 @@ from .optim import (
     SgdParams,
     SgdmParams,
     adam_step,
-    build_optimizer,
+    build_lanes,
     miadam_step,
     schedule_multiplier,
     sgd_step,
@@ -38,5 +38,5 @@ __all__ = [
     "adam_step",
     "miadam_step",
     "schedule_multiplier",
-    "build_optimizer",
+    "build_lanes",
 ]

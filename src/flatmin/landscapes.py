@@ -28,7 +28,7 @@ from .errors import ContractViolationError
 from .optim import (
     LrSchedule,
     OptimizerParams,
-    build_optimizer,
+    build_lanes,
     schedule_multiplier,
 )
 
@@ -182,8 +182,8 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=False):
     the steps as (3, T, B): x and y after step t, and the loss at the points
     step t started from, computed only when recording; else None.  The
     points are (2, B) planes stepped in place, each start a lane (column) of
-    the stepper.  It raises the error of the first diverged start in
-    row-major order, so it ends once start 0 has diverged.
+    the stepper.  It raises the first of the stepper's ``errors``, the first
+    diverged start in row-major order, so it ends once start 0 has diverged.
     """
     if total_steps < 0:
         raise ContractViolationError("total_steps must be >= 0")
@@ -191,7 +191,7 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=False):
     planes = starts.T.copy()
     x, y = planes
     grad = np.empty_like(planes)
-    opt = build_optimizer(optimizer, planes.shape, lane_axis=1)
+    (opt,) = build_lanes(optimizer, planes.shape, lane_axis=1)
     # far-field offsets overflow to inf (the well terms to 0); a diverged start ends in an error
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(total_steps):
@@ -199,12 +199,12 @@ def _descend(wells, starts, optimizer, sched, total_steps, record=False):
             if record:
                 steps[2, t] = wells.loss()
             opt.step(planes, grad, lr_multiplier=schedule_multiplier(sched, t))
-            if 0 in opt.diverged:
+            if opt.errors[0]:
                 break
             if record:
                 steps[:2, t] = planes
-        if opt.diverged:
-            raise opt.diverged[min(opt.diverged)]
+        if any(opt.errors):
+            raise next(filter(None, opt.errors))
         wells.gradient(x, y, grad)
         return planes.T, _abs_eig_sum(*wells.hessian()), steps
 

@@ -30,7 +30,7 @@ from .errors import ContractViolationError, NonFiniteError
 from .optim import (
     LrSchedule,
     OptimizerParams,
-    build_optimizer,
+    build_lanes,
     schedule_multiplier,
 )
 
@@ -290,7 +290,7 @@ def train_classifier(
     if batch_size < 1:
         raise ContractViolationError("batch_size must be >= 1")
     model = Mlp(spec)
-    opt = build_optimizer(optimizer, model.num_params)
+    (opt,) = build_lanes(optimizer, model.num_params)
     rng = np.random.Generator(np.random.PCG64(seed))
     x_train, y_train = dataset.x_train, dataset.y_train
     splits = (("train", x_train, y_train), ("test", dataset.x_test, dataset.y_test))
@@ -306,8 +306,8 @@ def train_classifier(
                     step += 1
                     _, grad, _ = loss_and_grad(model, x_train[batch], y_train[batch])
                     opt.step(model._flat, grad, schedule_multiplier(sched, step - 1))
-                    if opt.diverged:
-                        raise opt.diverged[0]
+                    if opt.errors[0]:
+                        raise opt.errors[0]
                 for split, x, y in splits:
                     where = f"evaluating the {split} split"
                     loss, logits = forward_loss(model, x, y)

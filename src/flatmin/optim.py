@@ -7,15 +7,15 @@ training runs.
 
 Each update rule has one implementation, an in-place stepper
 (:class:`Sgd`, :class:`Sgdm`, and :class:`Adam`, which runs MIAdam too:
-Adam is a MIAdam lane of order 0), built by :func:`build_optimizer`.  A
-stepper owns its ``OptimizerState`` and two scratch buffers and updates
-the caller's parameter vector in place, so a step allocates no arrays.
-Every update rule is elementwise, so a stepper runs independent problems,
-its lanes, as the slices of one array (see :class:`Stepper`), and
-:func:`build_lanes` runs a list of optimizers as the rows of one array,
-in order.  The pure ``*_step`` functions copy theta and the state, run a
-one-lane stepper once and return ``(theta', state')`` or raise its error,
-leaving their inputs untouched.
+Adam is a MIAdam lane of order 0).  A stepper owns its ``OptimizerState``
+and two scratch buffers and updates the caller's parameter vector in
+place, so a step allocates no arrays.  Every update rule is elementwise,
+so a stepper runs independent problems, its lanes, as the slices of one
+array (see :class:`Stepper`).  :func:`build_lanes` is the one constructor
+of a zero-state stepper: one optimizer over every lane, or a list of
+optimizers, one per lane, in order.  The pure ``*_step`` functions copy
+theta and the state, run a one-lane stepper once and return
+``(theta', state')`` or raise its error, leaving their inputs untouched.
 """
 
 from __future__ import annotations
@@ -169,11 +169,13 @@ class Stepper:
     so a step allocates no arrays and checks theta' once before it copies
     it into theta.  The lanes are the indices along ``lane_axis`` (``None``:
     the whole array is one lane).  The one lane rule: a lane whose theta' is
-    not finite keeps its slice of theta, and at its first such step
-    ``diverged`` maps it to the ``NonFiniteError`` that names the step and
-    the culprit in its own slices (parameter, else gradient, else update).
-    The other lanes finish the step and the state advances.  ``step`` raises
-    only for shapes: the loop that owns the lanes reads ``diverged``.
+    not finite keeps its slice of theta, and at its first such step its
+    entry of ``errors`` (None until then, one per lane in lane order)
+    becomes the ``NonFiniteError`` that names the step and the culprit in
+    its own slices (parameter, else gradient, else update).  The other
+    lanes finish the step and the state advances.  ``step`` raises only for
+    shapes: the loop that owns the lanes stops on ``errors[0]`` and raises
+    the first error in lane order.
     """
 
     def __init__(self, params, state: OptimizerState, lane_axis: int | None = None):
@@ -183,7 +185,7 @@ class Stepper:
         self._a = np.empty_like(state.m)
         self._b = np.empty_like(state.m)
         self._finite = np.empty(state.m.shape, dtype=bool)
-        self.diverged: dict[int, NonFiniteError] = {}  # lane -> its first error
+        self.errors: list[NonFiniteError | None] = [None] * len(self._by_lane(state.m))
 
     def step(self, theta: ParamVector, grad: ParamVector, lr_multiplier: float = 1.0) -> None:
         if theta.shape != grad.shape:
@@ -211,14 +213,14 @@ class Stepper:
         theta, grad, theta_new, finite = map(self._by_lane, (theta, grad, theta_new, self._finite))
         bad = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))
         theta_new[bad] = theta[bad]
-        for lane in [i for i in bad.tolist() if i not in self.diverged]:
+        for lane in [i for i in bad.tolist() if self.errors[i] is None]:
             if not np.isfinite(theta[lane]).all():
                 message = "non-finite entries in parameter vector"
             elif not np.isfinite(grad[lane]).all():
                 message = "non-finite entries in gradient vector"
             else:
                 message = f"{self._name(lane)} update produced non-finite parameters"
-            self.diverged[lane] = NonFiniteError(message, step=t)
+            self.errors[lane] = NonFiniteError(message, step=t)
 
     def _update(self, theta, grad, t: int, lr_multiplier: float) -> ParamVector:
         """Advance the state to step ``t`` and return theta' in a scratch buffer."""
@@ -308,9 +310,6 @@ class Adam(Stepper):
                 "lanes of one group must share beta1, beta2, epsilon, weight_decay and eps_in_sqrt"
             )
         super().__init__(params, state, lane_axis)
-        count = len(self._by_lane(state.m))
-        if isinstance(params, list) and len(params) != count:
-            raise ContractViolationError(f"{len(params)} params given for {count} lanes")
         self.hp = lanes[0].base
         self._lanes = lanes
         self._plan(state.step_t + 1)
@@ -380,35 +379,38 @@ class Adam(Stepper):
 _STEPPERS = {SgdParams: Sgd, SgdmParams: Sgdm, AdamHyperParams: Adam, MIAdamHyperParams: Adam}
 
 
-def build_optimizer(params, dim: int | tuple[int, ...], lane_axis: int | None = None) -> Stepper:
-    """A stepper for ``params`` over arrays of shape ``dim``, from zero state.
+def build_lanes(params, shape: int | tuple, lane_axis: int | None = None) -> list[Stepper]:
+    """Zero-state steppers that run ``params`` over arrays of shape ``shape``.
 
-    ``params`` is one optimizer, which every lane takes, or a list of
-    Adam-family params, one per lane (see :class:`Adam`).
+    One params object is one stepper over every lane.  A list gives lane i
+    ``params[i]`` along ``lane_axis``: adjacent Adam-family params that share
+    beta1, beta2, epsilon, weight_decay and eps_in_sqrt form one group, a
+    list-params :class:`Adam`, and every other optimizer is a group of one.
+    The steppers come in lane order, stepper k running the next
+    ``len(errors)`` lanes, each a lane under :class:`Stepper`'s lane rule.
     """
-    group = params if isinstance(params, list) else [params]
-    kinds = {_STEPPERS.get(type(p)) for p in group}
-    if kinds != {Adam} and (group is params or None in kinds):
-        raise ContractViolationError(f"no stepper runs the optimizer params {params!r}")
-    order = max(getattr(p, "order_n", 0) for p in group)
-    return kinds.pop()(params, OptimizerState.zeros(dim, order), lane_axis)
+    dims = [shape] if isinstance(shape, int) else list(shape)
+    if not isinstance(params, list):
+        groups = [[params]]
+    elif lane_axis is None:
+        raise ContractViolationError("a params list, one params per lane, needs a lane_axis")
+    elif len(params) != dims[lane_axis]:
+        raise ContractViolationError(f"{len(params)} params given for {dims[lane_axis]} lanes")
+    else:
+        def key(item):
+            i, p = item
+            return _Lane.of(p).shared if _STEPPERS.get(type(p)) is Adam else i
 
-
-def build_lanes(params: list[OptimizerParams], dim: int) -> list[Stepper]:
-    """Steppers that run ``params`` as the rows of a (len(params), dim) array, in order.
-
-    Adjacent Adam-family params that share beta1, beta2, epsilon,
-    weight_decay and eps_in_sqrt form one group, a list-params :class:`Adam`;
-    every other optimizer is a group of one.  Stepper k runs the next
-    ``len(state.m)`` rows, so row i is ``params[i]``, a lane under
-    :class:`Stepper`'s lane rule.
-    """
-    def key(item):
-        i, p = item
-        return _Lane.of(p).shared if _STEPPERS.get(type(p)) is Adam else i
-
-    groups = ([p for _, p in run] for _, run in groupby(enumerate(params), key))
-    return [build_optimizer(g if len(g) > 1 else g[0], (len(g), dim), lane_axis=0) for g in groups]
+        groups = [[p for _, p in run] for _, run in groupby(enumerate(params), key)]
+    steppers = []
+    for group in groups:
+        if (cls := _STEPPERS.get(type(group[0]))) is None:
+            raise ContractViolationError(f"no stepper runs the optimizer params {group[0]!r}")
+        if isinstance(params, list):
+            dims[lane_axis] = len(group)
+        state = OptimizerState.zeros(tuple(dims), max(getattr(p, "order_n", 0) for p in group))
+        steppers.append(cls(group if len(group) > 1 else group[0], state, lane_axis))
+    return steppers
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +421,8 @@ def build_lanes(params: list[OptimizerParams], dim: int) -> list[Stepper]:
 def _pure_step(stepper: Stepper, theta, grad, lr_multiplier: float = 1.0):
     theta_new = np.array(theta, dtype=np.float64)
     stepper.step(theta_new, grad, lr_multiplier)
-    if stepper.diverged:
-        raise stepper.diverged[0]
+    if stepper.errors[0]:
+        raise stepper.errors[0]
     return theta_new, stepper.state
 
 

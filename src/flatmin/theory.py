@@ -175,30 +175,28 @@ def run_regret_experiment(
     (``switch_step=None``) to probe pre-switch behavior.
 
     The targets and the comparator's losses are computed once.  Row i of a
-    (len(optimizers), dim) theta is optimizer i, a lane of the ``build_lanes``
-    stepper that runs it, and one loop steps every stepper; each row has the
-    bits of a run of its optimizer alone.  The run raises ``NonFiniteError``
-    for the first optimizer in list order that diverged (at its step) or
-    whose cumulative regret overflowed (at the first step that did); it
-    stops early once optimizer 0 diverges.
+    (len(optimizers), dim) theta is optimizer i, lane i of the steppers that
+    ``build_lanes`` returns, and one loop steps every stepper on its rows;
+    each row has the bits of a run of its optimizer alone, and the steppers'
+    ``errors``, in order, are the rows' errors.  The run raises
+    ``NonFiniteError`` for the first optimizer in list order that diverged
+    (at its step) or whose cumulative regret overflowed (at the first step
+    that did); it stops early once optimizer 0 diverges.
     """
     if horizon < 1:
         raise ContractViolationError("horizon must be >= 1")
     if not optimizers:
         raise ContractViolationError("a regret run needs at least one optimizer")
     targets = problem.targets(horizon)
-    steppers = build_lanes(optimizers, problem.dim)
     theta = np.full((len(optimizers), problem.dim), problem.theta0, dtype=np.float64)
     diff = np.empty_like(theta)  # theta - c_t, which is also every lane's gradient
+    steppers = build_lanes(optimizers, theta.shape, lane_axis=0)
+    bounds = np.cumsum([len(s.errors) for s in steppers])[:-1]
+    lanes = list(zip(steppers, np.split(theta, bounds), np.split(diff, bounds)))
     # a squared norm is a stacked (1, dim) @ (dim, 1) product, which calls the BLAS dot
     # that d @ d calls on one row, with the same bits
     diff_rows, diff_cols = diff[:, None, :], diff[:, :, None]
     squares = np.empty((horizon, len(optimizers), 1, 1))  # each step's ||theta - c_t||^2
-    live, lo = [], 0  # each stepper and its rows of theta and diff
-    for stepper in steppers:
-        hi = lo + len(stepper.state.m)
-        live.append((stepper, theta[lo:hi], diff[lo:hi]))
-        lo = hi
     cumulative = np.zeros((len(optimizers), horizon + 1))
     # every overflow here ends in the NonFiniteError raised below, and the lanes after a
     # failing optimizer do work that a run of each optimizer alone would not reach
@@ -210,16 +208,15 @@ def run_regret_experiment(
             np.subtract(theta, target, out=diff)
             np.matmul(diff_rows, diff_cols, out=square)
             lr = t ** -lr_decay_h
-            for stepper, lane_theta, lane_grad in live:
+            for stepper, lane_theta, lane_grad in lanes:
                 stepper.step(lane_theta, lane_grad, lr)
-            if 0 in steppers[0].diverged:
+            if steppers[0].errors[0]:
                 break
         else:
             # the sum takes the steps of a Python running sum from 0.0
             np.subtract(0.5 * squares[:, :, 0, 0].T, comparator, out=cumulative[:, 1:])
             np.cumsum(cumulative, axis=1, out=cumulative)
-    # row i's first error, or None
-    errors = [s.diverged.get(lane) for s in steppers for lane in range(len(s.state.m))]
+    errors = [error for s in steppers for error in s.errors]  # row i's first error, or None
     cumulative = cumulative[:, 1:]
     for cum, error in zip(cumulative, errors):
         if error is not None:

@@ -29,7 +29,7 @@ from flatmin.optim import (
     MIAdamHyperParams,
     SgdmParams,
     SgdParams,
-    build_optimizer,
+    build_lanes,
     schedule_multiplier,
 )
 from flatmin.presets import get_landscape
@@ -100,7 +100,7 @@ def reference_descend(spec, starts, optimizer, sched, total_steps, record=None) 
         raise ContractViolationError("total_steps must be >= 0")
     n = len(starts)
     theta = starts.reshape(-1).copy()
-    opt = build_optimizer(optimizer, theta.size)
+    (opt,) = build_lanes(optimizer, theta.size)
     for t in range(1, total_steps + 1):
         loss, grad = reference_batch_loss_grad(spec, theta.reshape(n, 2))
         mult = schedule_multiplier(sched, t - 1)
@@ -478,6 +478,22 @@ class TestClassification:
     def test_radius_boundary(self):
         # well 0 has width 0.5 -> capture radius 1.5 along x from origin
         assert classify_converged_well(TWO_WELLS, (-1.49, 0.0)) == 0
+
+    def test_capture_radius_is_inclusive(self):
+        # one well of width 0.5 at the origin: a point exactly 3 widths away is captured,
+        # the next float beyond it is not
+        spec = LandscapeSpec(wells=(WellSpec(center=(0.0, 0.0), depth=1.0, width=0.5),))
+        assert classify_converged_well(spec, (-1.5, 0.0)) == 0
+        assert classify_converged_well(spec, (np.nextafter(-1.5, -np.inf), 0.0)) is None
+        # 0.9 and 1.2 are not exact in binary, but the distance rounds to exactly 1.5
+        assert np.linalg.norm([0.9, 1.2]) == 1.5
+        assert classify_converged_well(spec, (0.9, 1.2)) == 0
+
+    def test_equidistant_point_takes_the_lower_index(self):
+        wells = (WellSpec(center=(-1.0, 0.0), depth=1.0, width=1.0),
+                 WellSpec(center=(1.0, 0.0), depth=2.0, width=1.0))
+        assert classify_converged_well(LandscapeSpec(wells=wells), (0.0, 0.0)) == 0
+        assert classify_converged_well(LandscapeSpec(wells=wells[::-1]), (0.0, 0.0)) == 0
 
 
 class TestTrajectories:

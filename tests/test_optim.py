@@ -20,11 +20,12 @@ from flatmin.optim import (
     LrSchedule,
     MIAdamHyperParams,
     OptimizerState,
+    Sgd,
+    Sgdm,
     SgdmParams,
     SgdParams,
     adam_step,
     build_lanes,
-    build_optimizer,
     miadam_step,
     schedule_multiplier,
     sgd_step,
@@ -429,7 +430,7 @@ class TestMIAdam:
         grads = [rng.standard_normal(5) for _ in range(steps)]
 
         def run(switch_step):
-            opt = build_optimizer(
+            (opt,) = build_lanes(
                 MIAdamHyperParams(adam=base, order_n=2, kappa=0.9, switch_step=switch_step), 5
             )
             theta = np.ones(5)
@@ -543,7 +544,7 @@ class TestBitExactOracle:
                          override)
         rng = np.random.Generator(np.random.PCG64(seed))
         theta = rng.standard_normal(dim)
-        stepper = build_optimizer(params, dim)
+        (stepper,) = build_lanes(params, dim)
         order = len(stepper.state.mbar_stack)
         ref_theta, ref_state = theta.copy(), OptimizerState.zeros(dim, order)
         pure_theta, pure_state = theta.copy(), ref_state.copy()
@@ -615,7 +616,7 @@ class TestStepper:
         dim = 5000
         rng = np.random.Generator(np.random.PCG64(13))
         theta, grad = rng.standard_normal(dim), rng.standard_normal(dim)
-        stepper = build_optimizer(params, dim)
+        (stepper,) = build_lanes(params, dim)
         stepper.step(theta, grad, 0.5)
         tracemalloc.start()
         try:
@@ -656,26 +657,26 @@ class TestStepper:
         assert per_step == [calls] * 3
         assert np.isfinite(theta).all() and stepper.state.step_t == 3
 
-    @pytest.mark.parametrize("params", ["adam", [SgdParams(), SgdParams()]], ids=["str", "two-sgd"])
+    @pytest.mark.parametrize("params", ["adam"], ids=["str"])
     def test_params_no_stepper_runs_rejected(self, params):
-        # a name is not params, and only Adam-family params step as a group of lanes
+        # a name is not params
         with pytest.raises(ContractViolationError, match="no stepper runs the optimizer params"):
-            build_optimizer(params, 3)
+            build_lanes(params, 3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["parameter", "gradient"])
     def test_non_finite_input_names_the_culprit_and_step(self, kind, bad, where):
-        stepper = build_optimizer(_params(kind, weight_decay=0.1), 3)
+        (stepper,) = build_lanes(_params(kind, weight_decay=0.1), 3)
         theta, grad = np.ones(3), np.full(3, 0.5)
         stepper.step(theta, grad)
         (theta if where == "parameter" else grad)[1] = bad
         kept = theta.tobytes()
         message = rf"^non-finite entries in {where} vector \(at step 2\)$"
         stepper.step(theta, grad)  # records the lane's error, and never raises for it
-        assert list(stepper.diverged) == [0] and re.search(message, str(stepper.diverged[0]))
-        assert stepper.diverged[0].step == 2 and stepper.state.step_t == 2
+        assert stepper.errors[0] is not None and re.search(message, str(stepper.errors[0]))
+        assert stepper.errors[0].step == 2 and stepper.state.step_t == 2
         assert theta.tobytes() == kept
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -684,15 +685,15 @@ class TestStepper:
     )
     def test_overflowing_update_is_named_as_such(self, kind, name):
         # finite inputs whose update overflows theta to -inf
-        stepper = build_optimizer(_params(kind, alpha=1.0), 1)
+        (stepper,) = build_lanes(_params(kind, alpha=1.0), 1)
         theta = np.array([-1e308])
         message = rf"^{name} update produced non-finite parameters \(at step 1\)$"
         stepper.step(theta, np.array([1e308 if kind.startswith("sgd") else 1.0]), 1e308)
-        assert list(stepper.diverged) == [0] and re.search(message, str(stepper.diverged[0]))
+        assert stepper.errors[0] is not None and re.search(message, str(stepper.errors[0]))
         assert theta[0] == -1e308
 
     def test_step_counts_and_checks_shapes(self):
-        stepper = build_optimizer(AdamHyperParams(), 4)
+        (stepper,) = build_lanes(AdamHyperParams(), 4)
         stepper.step(np.zeros(4), np.ones(4))
         stepper.step(np.zeros(4), np.ones(4))
         assert stepper.state.step_t == 2
@@ -795,18 +796,15 @@ class TestLanes:
             stepped = rng.standard_normal((len(params), dim))
         else:
             stepped = rng.standard_normal((dim, len(params)))
-        if kind == "group" and lane_axis == 0:
-            (group,) = build_lanes(params, dim)
-            assert group.state.m.shape == (len(params), dim)
-        else:
-            group = build_optimizer(params if kind == "group" else params[0], stepped.shape,
-                                    lane_axis=lane_axis)
+        (group,) = build_lanes(params if kind == "group" else params[0], stepped.shape,
+                               lane_axis=lane_axis)
+        assert group.state.m.shape == stepped.shape
 
         def lane(a, i):
             return np.moveaxis(a, lane_axis, 0)[i]
 
         theta = np.moveaxis(stepped, lane_axis, 0)  # a view: row i is lane i
-        alone = [build_optimizer(p, dim) for p in params]
+        alone = [build_lanes(p, dim)[0] for p in params]
         thetas = [row.copy() for row in theta]
         # each lane whose gradient or parameter turns infinite at a step: lane -> (step, culprit)
         events = {}
@@ -827,20 +825,20 @@ class TestLanes:
                     kept = thetas[i].tobytes()
                     stepper.step(thetas[i], grad[i].copy(), mult)
                     if i in events and t == events[i][0]:
-                        assert stepper.diverged[0].step == t
+                        assert stepper.errors[0].step == t
                         assert thetas[i].tobytes() == kept
                         new.append(i)
                 grads = np.ascontiguousarray(np.moveaxis(grad, 0, lane_axis))
                 group.step(stepped, grads, mult)
                 # each lane has recorded exactly the error of its lone stepper
-                lone = {i: str(s.diverged[0]) for i, s in enumerate(alone) if s.diverged}
-                assert {i: str(error) for i, error in group.diverged.items()} == lone
+                # each lane has recorded exactly the error of its lone stepper
+                assert [str(error) for error in group.errors] == [str(s.errors[0]) for s in alone]
                 for i in new:
-                    assert group.diverged[i].step == t
+                    assert group.errors[i].step == t
                     # a diverged lane keeps its slice, as its lone stepper keeps theta
                     assert theta[i].tobytes() == thetas[i].tobytes()
         diverged = {i: step for i, (step, _) in events.items() if step <= len(mults)}
-        assert {i: err.step for i, err in group.diverged.items()} == diverged
+        assert {i: err.step for i, err in enumerate(group.errors) if err} == diverged
         assert group.state.step_t == len(mults)
         for i, stepper in enumerate(alone):
             if i in diverged:  # checked at its step, above; from there on its state is inf or nan
@@ -863,16 +861,16 @@ class TestLanes:
         params = [adam, MIAdamHyperParams(adam=adam, order_n=2, kappa=0.9)]
         theta = np.zeros((2, 1))
         theta[bad] = -1e308
-        lone = build_optimizer(params[bad], 1)
+        (lone,) = build_lanes(params[bad], 1)
         with np.errstate(over="ignore"):
             lone.step(theta[bad].copy(), np.ones(1), 1e308)
         stepped = np.moveaxis(theta, 0, lane_axis).copy()
-        group = build_optimizer(params, stepped.shape, lane_axis=lane_axis)
+        (group,) = build_lanes(params, stepped.shape, lane_axis=lane_axis)
         with np.errstate(over="ignore"):
             group.step(stepped, np.ones(stepped.shape), 1e308)
-        assert str(group.diverged[bad]) == str(lone.diverged[0])
-        assert str(group.diverged[bad]).startswith(f"{['Adam', 'MIAdam'][bad]} update produced")
-        assert list(group.diverged) == [bad]
+        assert str(group.errors[bad]) == str(lone.errors[0])
+        assert str(group.errors[bad]).startswith(f"{['Adam', 'MIAdam'][bad]} update produced")
+        assert [i for i, error in enumerate(group.errors) if error] == [bad]
 
     @pytest.mark.parametrize("count,shape,lane_axis", [
         (2, (3, 4), 0), (3, (4, 2), 1), (1, (3, 4), 0), (2, (2, 4), None),
@@ -880,17 +878,42 @@ class TestLanes:
     def test_a_params_list_gives_one_per_lane(self, count, shape, lane_axis):
         adam = AdamHyperParams(weight_decay=0.0)
         params = [adam, MIAdamHyperParams(adam=adam, order_n=2), adam][:count]
-        lanes = 1 if lane_axis is None else shape[lane_axis]
-        with pytest.raises(ContractViolationError, match=f"{count} params given for {lanes} lanes"):
-            build_optimizer(params, shape, lane_axis=lane_axis)
+        # with no lane axis the whole array is one lane, and a list is refused whatever its length
+        message = ("needs a lane_axis" if lane_axis is None
+                   else f"{count} params given for {shape[lane_axis]} lanes")
+        with pytest.raises(ContractViolationError, match=message):
+            build_lanes(params, shape, lane_axis=lane_axis)
 
-    @pytest.mark.parametrize("params,shape", [
-        ([SgdParams()], (3, 4)), ([SgdmParams()], (3, 4)), ([], (2, 4)),
-        ([AdamHyperParams(), SgdParams()], (2, 4)), ([SgdmParams(), AdamHyperParams()], (2, 4)),
-    ], ids=["sgd", "sgdm", "empty", "adam-sgd", "sgdm-adam"])
-    def test_a_params_list_is_only_an_adam_family_group(self, params, shape):
-        with pytest.raises(ContractViolationError, match="no stepper runs"):
-            build_optimizer(params, shape, lane_axis=0)
+    @pytest.mark.parametrize("params,shape,lane_axis,message", [
+        ([AdamHyperParams(), "sgd"], (2, 3), 0, "no stepper runs the optimizer params 'sgd'"),
+        ([SgdParams(), SgdParams()], 3, None, "needs a lane_axis"),
+        ([AdamHyperParams()], (1, 3), None, "needs a lane_axis"),
+        ([], (2, 4), 0, "0 params given for 2 lanes"),
+        ([SgdParams()], (3, 4), 0, "1 params given for 3 lanes"),
+    ], ids=["name-in-list", "two-sgd-no-axis", "adam-no-axis", "empty", "short"])
+    def test_build_lanes_names_what_it_refuses(self, params, shape, lane_axis, message):
+        with pytest.raises(ContractViolationError, match=message):
+            build_lanes(params, shape, lane_axis=lane_axis)
+
+    @pytest.mark.parametrize("params,kinds", [
+        ([SgdParams()], [Sgd]), ([SgdmParams()], [Sgdm]),
+        ([AdamHyperParams(), SgdParams()], [Adam, Sgd]),
+        ([SgdmParams(), AdamHyperParams()], [Sgdm, Adam]),
+    ], ids=["sgd", "sgdm", "adam-sgd", "sgdm-adam"])
+    @pytest.mark.parametrize("lane_axis", [0, 1, -1])
+    def test_a_params_list_of_any_kinds_is_one_stepper_per_group(self, params, kinds, lane_axis):
+        shape = (len(params), 4) if lane_axis == 0 else (4, len(params))
+        steppers = build_lanes(params, shape, lane_axis=lane_axis)
+        assert [type(s) for s in steppers] == kinds
+        assert [s.params for s in steppers] == params
+        lane = (1, 4) if lane_axis == 0 else (4, 1)
+        assert [s.state.m.shape for s in steppers] == [lane] * len(params)
+        assert [s.errors for s in steppers] == [[None]] * len(params)
+
+    def test_an_int_shape_is_one_axis_of_lanes(self):
+        steppers = build_lanes([SgdParams(), AdamHyperParams(), AdamHyperParams()], 3, lane_axis=0)
+        assert [s.state.m.shape for s in steppers] == [(1,), (2,)]
+        assert [len(s.errors) for s in steppers] == [1, 2]
 
     def test_groups_split_on_any_shared_hyperparameter(self):
         base = AdamHyperParams(weight_decay=0.0)
@@ -900,7 +923,7 @@ class TestLanes:
         for name, value in [("beta1", 0.5), ("beta2", 0.99), ("epsilon", 1e-6),
                             ("weight_decay", 0.1), ("eps_in_sqrt", True)]:
             params += [dataclasses.replace(base, **{name: value}), base]
-        steppers = build_lanes(params, 3)
+        steppers = build_lanes(params, (len(params), 3), lane_axis=0)
         assert [s.state.m.shape for s in steppers] == [(2, 3), (1, 3), (2, 3)] + [(1, 3)] * 10
         # stepper k runs the next rows, in config order
         rows = [s.params if isinstance(s.params, list) else [s.params] for s in steppers]
