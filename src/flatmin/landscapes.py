@@ -12,9 +12,9 @@ to evaluating each point on its own.  ``batch_loss_grad`` and
 
 Trajectory simulation and the grid flatness study share one descent loop,
 which steps every start as a lane of one (2, B) array; a trajectory is a
-batch of one and comes back as its CSV columns.  A run builds one kernel
-for all its optimizers and reads the final flatness (sum of absolute Hessian
-eigenvalues) off it; only a trajectory computes the loss.
+batch of one and comes back as its CSV columns.  A grid run shares one kernel
+among its optimizers, a trajectory has its own; the final flatness (sum of
+absolute Hessian eigenvalues) and a trajectory's well are read off it.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class _Wells:
         consts = np.stack((cx, cy, depth, w2, -2.0 * w2))[..., None]
         planes = np.broadcast_to(consts, (*consts.shape[:2], n)).copy()
         self.cx, self.cy, self.depth, self.w2, self.neg_two_w2 = planes
+        self.reach = 3.0 * width[:, None]
         self.dx, self.dy, self.e, self.k, self._t = np.empty_like(planes)
 
     def gradient(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
@@ -128,6 +129,18 @@ class _Wells:
             hyy = _sum_wells(np.where(far, 0.0, k * (1.0 - dy * dy / w2)))
         return hxx, hxy, hyy
 
+    def nearest(self) -> np.ndarray:
+        """Nearest well (B,) within 3 widths of each point of the last ``gradient`` call, else -1.
+
+        A tie goes to the lower index.  Each distance is the root of a stacked (1, 2) @ (2, 1)
+        product, the BLAS dot of ``np.linalg.norm`` with its bits (``dx*dx + dy*dy`` is not).
+        """
+        u = np.stack((self.dx, self.dy), axis=-1)[..., None, :]
+        with np.errstate(over="ignore"):  # a far-field distance is inf, and no well is near
+            dist = np.sqrt(np.matmul(u, u.swapaxes(-1, -2))[..., 0, 0])
+        dist = np.where(dist <= self.reach, dist, np.inf)
+        return np.where(np.isfinite(dist.min(axis=0)), dist.argmin(axis=0), -1)
+
 
 def _abs_eig_sum(a, b, d):
     """|lambda_1| + |lambda_2| of the symmetric 2x2 matrices [[a, b], [b, d]].
@@ -160,19 +173,6 @@ def landscape_eval(spec: LandscapeSpec, theta: Point):
         wells.gradient(*np.asarray(theta, dtype=np.float64).reshape(2, 1), grad[:, None])
     hxx, hxy, hyy = wells.hessian()
     return float(wells.loss()[0]), grad, np.stack((hxx, hxy, hxy, hyy), axis=-1).reshape(2, 2)
-
-
-def classify_converged_well(spec: LandscapeSpec, theta: Point) -> int | None:
-    """Index of the nearest well center within 3*width of theta, else None."""
-    th = np.asarray(theta)
-    best = None
-    best_dist = np.inf
-    for i, w in enumerate(spec.wells):
-        with np.errstate(over="ignore"):  # a far-field distance is inf, and no well is near
-            dist = float(np.linalg.norm(th - np.asarray(w.center)))
-        if dist <= 3.0 * w.width and dist < best_dist:
-            best, best_dist = i, dist
-    return best
 
 
 def _descend(wells, starts, optimizer, sched, total_steps, record=False):
@@ -227,8 +227,8 @@ def simulate_trajectory(
     (final,), (flat,), steps = _descend(wells, starts, optimizer, sched, total_steps, record=True)
     columns = {"t": np.arange(1, total_steps + 1)}
     columns.update(zip(("theta1", "theta2", "loss"), steps[..., 0]))
-    final_theta = (float(final[0]), float(final[1]))
-    return columns, final_theta, classify_converged_well(spec, final_theta), float(flat)
+    (well,) = wells.nearest().tolist()  # _descend leaves the kernel at the final point
+    return columns, tuple(final.tolist()), None if well < 0 else well, float(flat)
 
 
 def grid_starts(region, grid) -> np.ndarray:

@@ -390,6 +390,8 @@ def build_lanes(params, shape: int | tuple, lane_axis: int | None = None) -> lis
     ``len(errors)`` lanes, each a lane under :class:`Stepper`'s lane rule.
     """
     dims = [shape] if isinstance(shape, int) else list(shape)
+    if lane_axis is not None and not -len(dims) <= lane_axis < len(dims):
+        raise ContractViolationError(f"lane_axis {lane_axis} is out of range for rank {len(dims)}")
     if not isinstance(params, list):
         groups = [[params]]
     elif lane_axis is None:

@@ -197,7 +197,6 @@ def run_regret_experiment(
     # that d @ d calls on one row, with the same bits
     diff_rows, diff_cols = diff[:, None, :], diff[:, :, None]
     squares = np.empty((horizon, len(optimizers), 1, 1))  # each step's ||theta - c_t||^2
-    cumulative = np.zeros((len(optimizers), horizon + 1))
     # every overflow here ends in the NonFiniteError raised below, and the lanes after a
     # failing optimizer do work that a run of each optimizer alone would not reach
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,12 +211,9 @@ def run_regret_experiment(
                 stepper.step(lane_theta, lane_grad, lr)
             if steppers[0].errors[0]:
                 break
-        else:
-            # the sum takes the steps of a Python running sum from 0.0
-            np.subtract(0.5 * squares[:, :, 0, 0].T, comparator, out=cumulative[:, 1:])
-            np.cumsum(cumulative, axis=1, out=cumulative)
+        # no term is -0.0, so this has the bits of a Python running sum from 0.0
+        cumulative = np.cumsum(0.5 * squares[:, :, 0, 0].T - comparator, axis=1)
     errors = [error for s in steppers for error in s.errors]  # row i's first error, or None
-    cumulative = cumulative[:, 1:]
     for cum, error in zip(cumulative, errors):
         if error is not None:
             raise NonFiniteError("regret run diverged to non-finite iterates", step=error.step)

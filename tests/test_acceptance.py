@@ -9,7 +9,7 @@ import pytest
 
 from flatmin.harness import run, run_config
 from flatmin.hessian import hutchinson_trace, top_eigenvalue
-from flatmin.landscapes import _descend, _Wells, grid_flatness_study, grid_starts
+from flatmin.landscapes import _descend, _Wells, grid_starts
 from flatmin.mlp import (
     Mlp,
     MlpSpec,
@@ -220,6 +220,23 @@ def test_criterion_05_escape_times(acceptance_log):
     assert ok
 
 
+def where_runs_ended(spec, wells, final):
+    """Starts per well, starts outside every well, and the median and maximum distance from a
+    final point (B, 2) to its well's centre; ``wells`` is the kernel ``_descend`` left there."""
+    nearest = wells.nearest()
+    inside = nearest >= 0
+    centres = np.array([w.center for w in spec.wells])
+    dist = np.linalg.norm(final[inside] - centres[nearest[inside]], axis=1)
+    per_well = np.bincount(nearest[inside], minlength=len(spec.wells)).tolist()
+    spread = (float(np.median(dist)), float(dist.max())) if inside.any() else (np.nan, np.nan)
+    return per_well, int(np.sum(~inside)), *spread
+
+
+def ends_text(name, ends):
+    per_well, outside, median, most = ends
+    return f"{name} {per_well} + {outside} outside, to the centre median {median:.3g} max {most:.3g}"
+
+
 def test_criterion_06_flat_minimum_trajectories(acceptance_log):
     """Simulation settings on the three-well landscape: the switched
     multiple-integral run lands in flatter minima than Adam at every alpha."""
@@ -235,19 +252,32 @@ def test_criterion_06_flat_minimum_trajectories(acceptance_log):
     wells = _Wells(spec, len(starts))
     ok = True
     means = []
+    ends = {}  # (alpha, optimizer) -> where its runs ended
     for alpha in (0.05, 0.1, 0.15):
         adam = AdamHyperParams(alpha=alpha, weight_decay=0.0)
         mi = MIAdamHyperParams(
             adam=adam, order_n=1, kappa=SIMULATION_KAPPA, switch_step=SIMULATION_SWITCH_STEP
         )
-        fa, fm = (
-            np.mean(_descend(wells, starts, p, sched, SIMULATION_TOTAL_STEPS)[1]) for p in (adam, mi)
-        )
+        flats = []
+        for name, p in (("adam", adam), ("mi1", mi)):
+            final, flat, _ = _descend(wells, starts, p, sched, SIMULATION_TOTAL_STEPS)
+            flats.append(np.mean(flat))
+            ends[alpha, name] = where_runs_ended(spec, wells, final)
+        fa, fm = flats
         means.append((alpha, float(fa), float(fm)))
         ok = ok and fm < fa
     detail = ", ".join(f"alpha={a}: {m:.3f} < {f:.3f}" for a, f, m in means)
-    acceptance_log(f"criterion 6 {'PASS' if ok else 'FAIL'}: mean final flatness MIAdam1 < Adam ({detail})")
+    made_of = "; ".join(f"alpha={a}: {ends_text(name, e)}" for (a, name), e in ends.items())
+    acceptance_log(
+        f"criterion 6 {'PASS' if ok else 'FAIL'}: mean final flatness MIAdam1 < Adam ({detail}); "
+        f"starts per well [A0, A1, A2] and outside every well: {made_of}"
+    )
     assert ok
+    # counts that are the same with numpy's and OpenBLAS's kernels at the x86-64-v3 level
+    assert ends[0.05, "adam"][:2] == ([5, 0, 5], 0)
+    assert ends[0.05, "mi1"][:2] == ([0, 10, 0], 0)
+    assert ends[0.1, "mi1"][:2] == ([0, 6, 0], 4)
+    assert ends[0.15, "mi1"][1] >= 9  # 9 with AVX-512 kernels, 10 at x86-64-v3
 
 
 def test_criterion_07_grid_flatness(acceptance_log):
@@ -263,13 +293,26 @@ def test_criterion_07_grid_flatness(acceptance_log):
         for n in (2, 3)
     ]
     starts = grid_starts(((-2.0, 3.0), (-2.0, 3.0)), (50, 50))
-    flats = grid_flatness_study(spec, starts, opts, sched, SIMULATION_TOTAL_STEPS)
+    # grid_flatness_study's own body: every optimizer on one shared kernel
+    wells = _Wells(spec, len(starts))
+    flats, ends = [], []
+    for p in opts:
+        final, flat, _ = _descend(wells, starts, p, sched, SIMULATION_TOTAL_STEPS)
+        flats.append(flat)
+        ends.append(where_runs_ended(spec, wells, final))
     ma, m2, m3 = (float(np.mean(f)) for f in flats)
     ok = m2 < ma and m3 < ma
+    made_of = "; ".join(ends_text(name, e) for name, e in zip(("adam", "order2", "order3"), ends))
     acceptance_log(
-        f"criterion 7 {'PASS' if ok else 'FAIL'}: mean flatness adam={ma:.4f}, order2={m2:.4f}, order3={m3:.4f}"
+        f"criterion 7 {'PASS' if ok else 'FAIL'}: mean flatness adam={ma:.4f}, order2={m2:.4f}, order3={m3:.4f}; "
+        f"starts per well (row by row, the sharp wells at even indices) and outside every well: {made_of}"
     )
     assert ok
+    sharp = [i for i, w in enumerate(spec.wells) if w.width == 0.15]
+    assert sharp == [0, 2, 4, 6, 8]
+    # counts that are the same with numpy's and OpenBLAS's kernels at the x86-64-v3 level
+    assert [sum(e[0][i] for i in sharp) for e in ends] == [384, 384, 352]
+    assert [e[1] for e in ends] == [0, 0, 4]
 
 
 def test_criterion_08_regret_divergence(acceptance_log):

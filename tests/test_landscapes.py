@@ -17,7 +17,6 @@ from flatmin.landscapes import (
     _descend,
     _Wells,
     batch_loss_grad,
-    classify_converged_well,
     grid_flatness_study,
     grid_starts,
     landscape_eval,
@@ -467,33 +466,84 @@ class TestDeepWell:
         assert flatness == pytest.approx(1.48e300, rel=1e-3)
 
 
+def reference_nearest(spec, theta):
+    """Index of the nearest well center within 3*width of theta, else None (per point, per well)."""
+    th = np.asarray(theta)
+    best = None
+    best_dist = np.inf
+    for i, w in enumerate(spec.wells):
+        with np.errstate(over="ignore"):  # a far-field distance is inf, and no well is near
+            dist = float(np.linalg.norm(th - np.asarray(w.center)))
+        if dist <= 3.0 * w.width and dist < best_dist:
+            best, best_dist = i, dist
+    return best
+
+
+def nearest_in_batch(spec, thetas):
+    """``_Wells.nearest()`` at the points (B, 2) of one batch, each a well index or None."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    wells = _Wells(spec, len(thetas))
+    with np.errstate(over="ignore"):
+        wells.gradient(thetas[:, 0], thetas[:, 1], np.empty((2, len(thetas))))
+    return [None if well < 0 else well for well in wells.nearest().tolist()]
+
+
+def nearest_at(spec, theta):
+    (well,) = nearest_in_batch(spec, [theta])
+    return well
+
+
 class TestClassification:
     def test_at_center(self):
-        assert classify_converged_well(TWO_WELLS, (0.0, 0.0)) == 0
-        assert classify_converged_well(TWO_WELLS, (2.0, 1.0)) == 1
+        assert nearest_at(TWO_WELLS, (0.0, 0.0)) == 0
+        assert nearest_at(TWO_WELLS, (2.0, 1.0)) == 1
 
     def test_far_from_all_wells(self):
-        assert classify_converged_well(TWO_WELLS, (50.0, 50.0)) is None
+        assert nearest_at(TWO_WELLS, (50.0, 50.0)) is None
 
     def test_radius_boundary(self):
         # well 0 has width 0.5 -> capture radius 1.5 along x from origin
-        assert classify_converged_well(TWO_WELLS, (-1.49, 0.0)) == 0
+        assert nearest_at(TWO_WELLS, (-1.49, 0.0)) == 0
 
     def test_capture_radius_is_inclusive(self):
         # one well of width 0.5 at the origin: a point exactly 3 widths away is captured,
         # the next float beyond it is not
         spec = LandscapeSpec(wells=(WellSpec(center=(0.0, 0.0), depth=1.0, width=0.5),))
-        assert classify_converged_well(spec, (-1.5, 0.0)) == 0
-        assert classify_converged_well(spec, (np.nextafter(-1.5, -np.inf), 0.0)) is None
+        assert nearest_at(spec, (-1.5, 0.0)) == 0
+        assert nearest_at(spec, (np.nextafter(-1.5, -np.inf), 0.0)) is None
         # 0.9 and 1.2 are not exact in binary, but the distance rounds to exactly 1.5
         assert np.linalg.norm([0.9, 1.2]) == 1.5
-        assert classify_converged_well(spec, (0.9, 1.2)) == 0
+        assert nearest_at(spec, (0.9, 1.2)) == 0
 
     def test_equidistant_point_takes_the_lower_index(self):
         wells = (WellSpec(center=(-1.0, 0.0), depth=1.0, width=1.0),
                  WellSpec(center=(1.0, 0.0), depth=2.0, width=1.0))
-        assert classify_converged_well(LandscapeSpec(wells=wells), (0.0, 0.0)) == 0
-        assert classify_converged_well(LandscapeSpec(wells=wells[::-1]), (0.0, 0.0)) == 0
+        assert nearest_at(LandscapeSpec(wells=wells), (0.0, 0.0)) == 0
+        assert nearest_at(LandscapeSpec(wells=wells[::-1]), (0.0, 0.0)) == 0
+
+    @pytest.mark.parametrize("name", ["landscape-A", "landscape-B"])
+    def test_equals_the_per_point_norm_on_capture_circles(self, name):
+        # points within a few ulps of each capture circle, uniform points and far-field
+        # points, all in one batch; dx * dx + dy * dy would move some circle points
+        spec = get_landscape(name)
+        rng = np.random.default_rng(3)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 200)
+        points = [rng.uniform(-4.0, 5.0, (400, 2)), rng.uniform(-1.0, 1.0, (100, 2)) * 1e200]
+        for well in spec.wells:
+            for rel in (-1e-12, -1e-16, 0.0, 1e-16, 1e-12):
+                radius = 3.0 * well.width * (1.0 + rel)
+                points.append(np.asarray(well.center) + radius * np.c_[np.cos(angles), np.sin(angles)])
+        points = np.concatenate(points)
+        assert nearest_in_batch(spec, points) == [reference_nearest(spec, p) for p in points]
+
+    def test_a_trajectory_reports_the_well_of_its_final_point(self):
+        # 0 steps: the final point is the start, exactly 3 widths out, then the next float out
+        spec = LandscapeSpec(wells=(WellSpec(center=(0.0, 0.0), depth=1.0, width=0.5),))
+        for x, want in ((-1.5, 0), (np.nextafter(-1.5, -np.inf), None)):
+            _, final_theta, well, _ = simulate_trajectory(
+                spec, (x, 0.0), SgdParams(alpha=0.1), LrSchedule(), 0
+            )
+            assert final_theta == (x, 0.0) and well == want
 
 
 class TestTrajectories:

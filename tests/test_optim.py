@@ -890,7 +890,12 @@ class TestLanes:
         ([AdamHyperParams()], (1, 3), None, "needs a lane_axis"),
         ([], (2, 4), 0, "0 params given for 2 lanes"),
         ([SgdParams()], (3, 4), 0, "1 params given for 3 lanes"),
-    ], ids=["name-in-list", "two-sgd-no-axis", "adam-no-axis", "empty", "short"])
+        (AdamHyperParams(), (2, 3), 2, "lane_axis 2 is out of range for rank 2"),
+        (AdamHyperParams(), (2, 3), -3, "lane_axis -3 is out of range for rank 2"),
+        ([AdamHyperParams()] * 2, (2, 3), 2, "lane_axis 2 is out of range for rank 2"),
+        ([SgdParams()], 1, 1, "lane_axis 1 is out of range for rank 1"),
+    ], ids=["name-in-list", "two-sgd-no-axis", "adam-no-axis", "empty", "short",
+            "axis-past-rank", "axis-below-rank", "list-axis-past-rank", "int-shape-axis-1"])
     def test_build_lanes_names_what_it_refuses(self, params, shape, lane_axis, message):
         with pytest.raises(ContractViolationError, match=message):
             build_lanes(params, shape, lane_axis=lane_axis)
